@@ -18,7 +18,6 @@ The pipeline: OCR words in, labeled tokens and product groups out.
 from .corrections import (
     CorrectionRecord,
     NumericParseConfig,
-    UntaggedWordPool,
     apply_corrections,
     correct_code,
     correct_price,
@@ -54,9 +53,7 @@ from .ingest import (
 )
 from .layout import (
     EntityAssignment,
-    GeometricLineDetector,
     GroupingConfig,
-    LineDetector,
     assign_entities,
     detect_lines_geometric,
     group_product_lines,
@@ -83,8 +80,6 @@ from .synth import (
 )
 from .tagging import (
     EmbeddingVector,
-    Encoder,
-    HashEncoder,
     HeuristicTagger,
     PredictionImportTagger,
     TagRuleConfig,
@@ -106,20 +101,16 @@ __all__ = [
     "DocPrediction",
     "Document",
     "EmbeddingVector",
-    "Encoder",
     "EntityAssignment",
     "EntityCounts",
     "EntityLabel",
     "EvalReport",
-    "GeometricLineDetector",
     "GroundTruthProduct",
     "GroupingConfig",
-    "HashEncoder",
     "HeuristicTagger",
     "LabelConflictError",
     "LabelSource",
     "Line",
-    "LineDetector",
     "MalformedJsonError",
     "MatchMode",
     "NumericParseConfig",
@@ -131,7 +122,6 @@ __all__ = [
     "Tagger",
     "Token",
     "TokenReferenceError",
-    "UntaggedWordPool",
     "apply_corrections",
     "apply_truth_labels",
     "as_model_predictions",

@@ -23,24 +23,32 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .corrections import NumericParseConfig, apply_corrections
-from .errors import CorpusMismatchError, ReceiptKieError
+from .errors import CorpusMismatchError, ReceiptKieError, SchemaError
 from .evaluation import (
     ENTITY_ORDER,
+    ENTITY_PLURALS,
     DocPrediction,
     EvalReport,
     MatchMode,
     TruthEntry,
     build_report,
 )
-from .ingest import canonical_json, parse_ground_truth, parse_ocr, parse_result, serialize_result
+from .ingest import (
+    _loads,
+    _require,
+    canonical_json,
+    parse_ground_truth,
+    parse_ocr,
+    parse_result,
+    serialize_result,
+)
 from .layout import GroupingConfig, detect_lines_geometric, group_product_lines
-from .model import Document
+from .model import EntityLabel
 from .render import render_svg
 from .synth import CorpusSpec, CorruptionSpec, write_corpus
 from .tagging import HeuristicTagger, PredictionImportTagger, TagRuleConfig
@@ -87,6 +95,13 @@ def _collect_inputs(raw_paths: Sequence[str]) -> list[Path]:
     return files
 
 
+def _entity_names(target: Callable[[EntityLabel], str]) -> dict[str, str]:
+    """Each entity's singular and plural name, both mapped to ``target(label)``."""
+    return {
+        name: target(label) for label in ENTITY_ORDER for name in (label.value, ENTITY_PLURALS[label])
+    }
+
+
 def _parse_rate_flags(pairs: Sequence[str], allowed: dict[str, str], flag: str) -> dict[str, float]:
     out: dict[str, float] = {}
     for pair in pairs:
@@ -126,70 +141,65 @@ def _decode_one(
     return doc.doc_id, serialize_result(tagged, groups), records
 
 
-def _load_prediction_payloads(predictions: Path, inputs: Sequence[Path]) -> dict[str, bytes]:
+def _load_prediction_payloads(predictions: Path) -> dict[str, bytes]:
     """Map doc ids to prediction payloads.
 
-    ``predictions`` may be a single file (applied to the single input) or
+    ``predictions`` may be a single file, keyed by the doc id it names, or
     a directory holding ``<doc_id>.pred.json`` files.
     """
-    payloads: dict[str, bytes] = {}
     if predictions.is_dir():
-        for path in sorted(predictions.glob("*.pred.json")):
-            doc_id = path.name[: -len(".pred.json")]
-            payloads[doc_id] = path.read_bytes()
-        return payloads
-    raw = json.loads(predictions.read_text(encoding="utf-8"))
-    payloads[str(raw.get("doc_id"))] = predictions.read_bytes()
-    return payloads
+        return {
+            path.name[: -len(".pred.json")]: path.read_bytes()
+            for path in sorted(predictions.glob("*.pred.json"))
+        }
+    data = predictions.read_bytes()
+    raw = _loads(data)
+    if not isinstance(raw, dict):
+        raise SchemaError("top level: expected a JSON object")
+    return {str(_require(raw, "doc_id", "top level")): data}
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
+    try:
+        grouping = GroupingConfig(y_overlap_threshold=args.y_overlap)
+        parse_cfg = NumericParseConfig(decimal_separators=tuple(args.decimal_separators))
+    except ValueError as exc:
+        log.error("%s", exc)
+        return 2
     inputs = _collect_inputs(args.inputs)
     if not inputs:
         log.warning("no OCR input files found under %s", ", ".join(args.inputs))
         return 0
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.tagger == "import":
         if not args.predictions:
             log.error("--tagger import requires --predictions")
             return 1
-        payloads = _load_prediction_payloads(Path(args.predictions), inputs)
+        try:
+            payloads = _load_prediction_payloads(Path(args.predictions))
+        except (ReceiptKieError, OSError) as exc:
+            log.error("%s: %s", args.predictions, exc)
+            return 1
         tagger: HeuristicTagger | PredictionImportTagger = PredictionImportTagger(payloads)
     else:
         tagger = HeuristicTagger(TagRuleConfig())
 
-    grouping = GroupingConfig(y_overlap_threshold=args.y_overlap)
-    parse_cfg = NumericParseConfig(decimal_separators=tuple(args.decimal_separators))
-    corrections_enabled = not args.no_corrections
-
-    def work(path: Path) -> tuple[Path, str | None, str, list, Exception | None]:
-        try:
-            doc_id, payload, records = _decode_one(
-                path, tagger, grouping, parse_cfg, corrections_enabled
-            )
-            return path, doc_id, payload, records, None
-        except (ReceiptKieError, OSError, ValueError) as exc:
-            return path, None, "", [], exc
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(work, inputs))
-    else:
-        outcomes = [work(path) for path in inputs]
-
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
     seen: dict[str, Path] = {}
     audit_entries: list[tuple[str, list]] = []
-    for path, doc_id, payload, records, exc in outcomes:
-        if exc is not None:
+    for path in inputs:
+        try:
+            doc_id, payload, records = _decode_one(
+                path, tagger, grouping, parse_cfg, not args.no_corrections
+            )
+        except (ReceiptKieError, OSError, ValueError) as exc:
             failures += 1
             log.error("%s: %s", path, exc)
             if args.fail_fast:
                 return 1
             continue
-        assert doc_id is not None
         if doc_id in seen:
             failures += 1
             log.error("%s: duplicate doc_id %r (already decoded from %s)", path, doc_id, seen[doc_id])
@@ -255,33 +265,15 @@ def _load_truth(truth_dir: Path) -> dict[str, TruthEntry]:
     return truth
 
 
+# --min-f1 names map to the report's keys.
 _MIN_F1_NAMES = {
-    "description": "descriptions",
-    "descriptions": "descriptions",
-    "code": "codes",
-    "codes": "codes",
-    "quantity": "quantities",
-    "quantities": "quantities",
-    "price": "prices",
-    "prices": "prices",
-    "whole": "whole_products",
-    "whole_products": "whole_products",
-    "whole-products": "whole_products",
+    **_entity_names(ENTITY_PLURALS.__getitem__),
+    **dict.fromkeys(("whole", "whole_products", "whole-products"), "whole_products"),
 }
 
 
-def _report_f1(report: EvalReport, key: str) -> float:
-    if key == "whole_products":
-        return report.whole_products.f1
-    for label in ENTITY_ORDER:
-        if key == {"description": "descriptions", "code": "codes",
-                   "quantity": "quantities", "price": "prices"}[label.value]:
-            return report.entities[label].f1
-    raise KeyError(key)
-
-
 def _comparison_table(rows: list[tuple[str, EvalReport]]) -> str:
-    headers = ["run", "descriptions", "codes", "quantities", "prices", "whole products"]
+    headers = ["run", *(ENTITY_PLURALS[label] for label in ENTITY_ORDER), "whole products"]
     table = [headers]
     for name, report in rows:
         cells = [name]
@@ -330,12 +322,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(f"mode: {mode.value}   documents: {report.corpus_size}")
         print(report.format_table())
 
+    summary = report.as_dict()
     if args.json_out:
-        Path(args.json_out).write_text(canonical_json(report.as_dict()), encoding="utf-8")
+        Path(args.json_out).write_text(canonical_json(summary), encoding="utf-8")
 
+    f1 = {key: counts["f1"] for key, counts in summary["entities"].items()}
+    f1["whole_products"] = summary["whole_products"]["f1"]
     exit_code = 0
     for key in sorted(thresholds):
-        achieved = _report_f1(report, key)
+        achieved = f1[key]
         if achieved < thresholds[key]:
             print(f"FAIL --min-f1 {key}: {achieved:.3f} < {thresholds[key]:.3f}")
             exit_code = 2
@@ -346,16 +341,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # synth
 
 
-_FN_RATE_NAMES = {
-    "description": "description_fn_rate",
-    "descriptions": "description_fn_rate",
-    "code": "code_fn_rate",
-    "codes": "code_fn_rate",
-    "quantity": "quantity_fn_rate",
-    "quantities": "quantity_fn_rate",
-    "price": "price_fn_rate",
-    "prices": "price_fn_rate",
-}
+# --fn-rate names map to CorruptionSpec fields.
+_FN_RATE_NAMES = _entity_names(lambda label: f"{label.value}_fn_rate")
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -434,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-corrections", action="store_true", help="skip the correction rules")
     p.add_argument("--y-overlap", type=float, default=0.4, help="line clustering threshold")
     p.add_argument("--decimal-separators", default=".,", help="accepted decimal separators")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p.add_argument("--fail-fast", action="store_true", help="stop at the first bad input")
     p.add_argument("--audit", help="corrections audit log path (default OUT/corrections.jsonl)")
     p.set_defaults(func=cmd_decode)

@@ -28,9 +28,9 @@ from __future__ import annotations
 import math
 import unicodedata
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from .model import Document, EntityLabel, LabelSource, ProductGroup, Token
+from .model import Document, EntityLabel, LabelSource, ProductGroup, Token, reading_order
 
 _DIGITS = frozenset("0123456789")
 
@@ -67,7 +67,16 @@ class NumericParseConfig:
 DEFAULT_PARSE_CONFIG = NumericParseConfig()
 
 
-def _strip_decorations(text: str, config: NumericParseConfig) -> str:
+def _split_number(text: str, config: NumericParseConfig) -> tuple[str, str | None] | None:
+    """The one numeric lexer: strip decorations from both ends of ``text``
+    and split the rest into its integer digits and, after exactly one
+    decimal separator, its fractional digits (None for a plain integer).
+
+    Returns None when the token is not a number. The integer part of a
+    decimal may be empty (".50"); the fractional part may not. Digit runs
+    come back uncapped: each caller applies its own length limit.
+    """
+
     def strippable(ch: str) -> bool:
         if ch in config.strip_chars:
             return True
@@ -78,7 +87,16 @@ def _strip_decorations(text: str, config: NumericParseConfig) -> str:
         start += 1
     while end > start and strippable(text[end - 1]):
         end -= 1
-    return text[start:end]
+    s = text[start:end]
+    if _DIGITS.issuperset(s):
+        return (s, None) if s else None
+    sep_positions = [i for i, ch in enumerate(s) if ch in config.decimal_separators]
+    if len(sep_positions) != 1:
+        return None
+    int_part, frac_part = s[: sep_positions[0]], s[sep_positions[0] + 1 :]
+    if not frac_part or not _DIGITS.issuperset(frac_part) or not _DIGITS.issuperset(int_part):
+        return None
+    return int_part, frac_part
 
 
 def parse_integer(text: str, config: NumericParseConfig = DEFAULT_PARSE_CONFIG) -> int | None:
@@ -89,12 +107,10 @@ def parse_integer(text: str, config: NumericParseConfig = DEFAULT_PARSE_CONFIG) 
     integers). Digit runs longer than ``max_integer_digits`` are rejected
     as OCR garbage rather than parsed.
     """
-    s = _strip_decorations(text, config)
-    if not s or not _DIGITS.issuperset(s):
+    number = _split_number(text, config)
+    if number is None or number[1] is not None or len(number[0]) > config.max_integer_digits:
         return None
-    if len(s) > config.max_integer_digits:
-        return None
-    return int(s)
+    return int(number[0])
 
 
 def parse_float(text: str, config: NumericParseConfig = DEFAULT_PARSE_CONFIG) -> float | None:
@@ -107,36 +123,12 @@ def parse_float(text: str, config: NumericParseConfig = DEFAULT_PARSE_CONFIG) ->
     separator characters, which is ambiguous under a two-separator
     config, so it is rejected outright).
     """
-    s = _strip_decorations(text, config)
-    sep_positions = [i for i, ch in enumerate(s) if ch in config.decimal_separators]
-    if len(sep_positions) != 1:
+    number = _split_number(text, config)
+    if number is None or number[1] is None or len(number[0]) > config.max_integer_digits:
         return None
-    int_part, frac_part = s[: sep_positions[0]], s[sep_positions[0] + 1 :]
-    if not frac_part or not _DIGITS.issuperset(frac_part):
-        return None
-    if int_part and not _DIGITS.issuperset(int_part):
-        return None
-    if len(int_part) > config.max_integer_digits:
-        return None
+    int_part, frac_part = number
     value = float((int_part or "0") + "." + frac_part)
     return value if math.isfinite(value) else None
-
-
-@dataclass(frozen=True, slots=True)
-class UntaggedWordPool:
-    """The untagged words of one group: the evidence corrections draw on."""
-
-    entries: tuple[tuple[int, str], ...]  # (token_id, text)
-
-    @classmethod
-    def from_group(cls, group: ProductGroup, doc: Document) -> "UntaggedWordPool":
-        return cls(
-            tuple(
-                (tok.token_id, tok.text)
-                for tid in group.token_ids
-                if (tok := doc.token(tid)).label is EntityLabel.UNTAGGED
-            )
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,70 +142,61 @@ class CorrectionRecord:
     parsed_value: int | float
 
 
-def _reading_order(tok: Token) -> tuple[float, float, int]:
-    return (tok.bbox.y_min, tok.bbox.x_min, tok.token_id)
-
-
-def _pick(
-    pool: Sequence[Token],
-    parse: Callable[[str], int | float | None],
-    best: Callable[[Iterable[float]], float],
-) -> tuple[int | float, Token] | None:
-    parsed = [(value, tok) for tok in pool if (value := parse(tok.text)) is not None]
-    if not parsed:
-        return None
-    target = best(value for value, _ in parsed)
-    winner = min((tok for value, tok in parsed if value == target), key=_reading_order)
-    return target, winner
+# The rule table, in firing order. Each rule reads the pool with a parser,
+# picks the extreme value, and may demand that the value be strictly beyond
+# the opposite extreme of the group's original integers: a lone integer is
+# evidence of neither a code nor a quantity.
+_Rule = tuple[
+    Callable[..., "int | float | None"], Callable[..., "int | float"], Callable[..., bool] | None
+]
+_RULES: dict[EntityLabel, _Rule] = {
+    EntityLabel.CODE: (parse_integer, max, lambda value, ints: value > min(ints)),
+    EntityLabel.QUANTITY: (parse_integer, min, lambda value, ints: value < max(ints)),
+    EntityLabel.PRICE: (parse_float, max, None),
+}
 
 
 def _group_state(
-    group: ProductGroup, doc: Document, config: NumericParseConfig
+    tokens: Sequence[Token], config: NumericParseConfig
 ) -> tuple[set[EntityLabel], list[Token], list[int]]:
-    """Labels present in the group, its untagged pool, and the pool's
-    integer values (the guard comparison set)."""
-    tokens = [doc.token(tid) for tid in group.token_ids]
+    """Labels present among a group's tokens, its untagged pool, and the
+    pool's integer values (the guard comparison set)."""
     present = {t.label for t in tokens if t.label is not EntityLabel.UNTAGGED}
     pool = [t for t in tokens if t.label is EntityLabel.UNTAGGED]
     guard_ints = [v for t in pool if (v := parse_integer(t.text, config)) is not None]
     return present, pool, guard_ints
 
 
-def _rule_code(
-    pool: Sequence[Token], guard_ints: Sequence[int], config: NumericParseConfig
-) -> tuple[int, Token] | None:
-    picked = _pick(pool, lambda s: parse_integer(s, config), max)
-    if picked is None:
+def _pick(
+    rule: _Rule, pool: Sequence[Token], guard_ints: Sequence[int], config: NumericParseConfig
+) -> tuple[int | float, Token] | None:
+    """Run one rule over ``pool``: the winning value and its token, or None.
+
+    ``pool`` is a subset of the pool ``guard_ints`` was read from, so an
+    integer candidate always has a non-empty guard set.
+    """
+    parse, best, guard = rule
+    parsed = [(value, tok) for tok in pool if (value := parse(tok.text, config)) is not None]
+    if not parsed:
         return None
-    value, tok = picked
-    # Guard: the candidate must strictly exceed the smallest integer among
-    # the group's originally untagged words; a lone integer is no code.
-    if not guard_ints or not value > min(guard_ints):
+    target = best(value for value, _ in parsed)
+    if guard is not None and not guard(target, guard_ints):
         return None
-    return int(value), tok
+    winner = min((tok for value, tok in parsed if value == target), key=reading_order)
+    return target, winner
 
 
-def _rule_quantity(
-    pool: Sequence[Token], guard_ints: Sequence[int], config: NumericParseConfig
-) -> tuple[int, Token] | None:
-    picked = _pick(pool, lambda s: parse_integer(s, config), min)
-    if picked is None:
+def _correct(
+    entity: EntityLabel, group: ProductGroup, doc: Document, config: NumericParseConfig
+) -> CorrectionRecord | None:
+    present, pool, guard_ints = _group_state([doc.token(tid) for tid in group.token_ids], config)
+    if entity in present:
         return None
-    value, tok = picked
-    # Guard, mirror image of the code rule's.
-    if not guard_ints or not value < max(guard_ints):
+    fired = _pick(_RULES[entity], pool, guard_ints, config)
+    if fired is None:
         return None
-    return int(value), tok
-
-
-def _rule_price(
-    pool: Sequence[Token], config: NumericParseConfig
-) -> tuple[float, Token] | None:
-    picked = _pick(pool, lambda s: parse_float(s, config), max)
-    if picked is None:
-        return None
-    value, tok = picked
-    return float(value), tok
+    value, tok = fired
+    return CorrectionRecord(group.group_id, entity, tok.token_id, value)
 
 
 def correct_code(
@@ -226,14 +209,7 @@ def correct_code(
     (ties on the winning value go to the top-most, left-most token).
     Returns the firing as a record, or None.
     """
-    present, pool, guard_ints = _group_state(group, doc, config)
-    if EntityLabel.CODE in present:
-        return None
-    result = _rule_code(pool, guard_ints, config)
-    if result is None:
-        return None
-    value, tok = result
-    return CorrectionRecord(group.group_id, EntityLabel.CODE, tok.token_id, value)
+    return _correct(EntityLabel.CODE, group, doc, config)
 
 
 def correct_quantity(
@@ -241,14 +217,7 @@ def correct_quantity(
 ) -> CorrectionRecord | None:
     """Recover a missing quantity: the smallest integer in the pool,
     guarded by being strictly below the pool's largest integer."""
-    present, pool, guard_ints = _group_state(group, doc, config)
-    if EntityLabel.QUANTITY in present:
-        return None
-    result = _rule_quantity(pool, guard_ints, config)
-    if result is None:
-        return None
-    value, tok = result
-    return CorrectionRecord(group.group_id, EntityLabel.QUANTITY, tok.token_id, value)
+    return _correct(EntityLabel.QUANTITY, group, doc, config)
 
 
 def correct_price(
@@ -259,14 +228,7 @@ def correct_price(
     Unguarded — unlike codes and quantities, a decimal with a fractional
     part inside a product group is already strong evidence on its own.
     """
-    present, pool, _ = _group_state(group, doc, config)
-    if EntityLabel.PRICE in present:
-        return None
-    result = _rule_price(pool, config)
-    if result is None:
-        return None
-    value, tok = result
-    return CorrectionRecord(group.group_id, EntityLabel.PRICE, tok.token_id, value)
+    return _correct(EntityLabel.PRICE, group, doc, config)
 
 
 def apply_corrections(
@@ -291,27 +253,16 @@ def apply_corrections(
     records: list[CorrectionRecord] = []
 
     for group in groups:
-        tokens = [current[tid] for tid in group.token_ids]
-        present = {t.label for t in tokens if t.label is not EntityLabel.UNTAGGED}
-        pool = [t for t in tokens if t.label is EntityLabel.UNTAGGED]
-        guard_ints = [v for t in pool if (v := parse_integer(t.text, config)) is not None]
-
-        plan: list[tuple[EntityLabel, Callable[[], tuple[int | float, Token] | None]]] = [
-            (EntityLabel.CODE, lambda: _rule_code(pool, guard_ints, config)),
-            (EntityLabel.QUANTITY, lambda: _rule_quantity(pool, guard_ints, config)),
-            (EntityLabel.PRICE, lambda: _rule_price(pool, config)),
-        ]
-        for entity, rule in plan:
+        present, pool, guard_ints = _group_state([current[tid] for tid in group.token_ids], config)
+        for entity, rule in _RULES.items():
             if entity in present:
                 continue
-            result = rule()
-            if result is None:
+            fired = _pick(rule, pool, guard_ints, config)
+            if fired is None:
                 continue
-            value, tok = result
-            promoted = replace(tok, label=entity, source=LabelSource.CORRECTION)
-            current[tok.token_id] = promoted
+            value, tok = fired
+            current[tok.token_id] = replace(tok, label=entity, source=LabelSource.CORRECTION)
             pool.remove(tok)
-            present.add(entity)
             records.append(CorrectionRecord(group.group_id, entity, tok.token_id, value))
 
     corrected = doc.with_tokens(current[tok.token_id] for tok in doc.tokens)

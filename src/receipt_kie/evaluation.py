@@ -23,16 +23,11 @@ from typing import Mapping, Sequence
 from .errors import CorpusMismatchError
 from .ingest import GroundTruthProduct, normalize_text
 from .layout import EntityAssignment, assign_entities
-from .model import Document, EntityLabel, ProductGroup, Token
+from .model import ENTITY_ORDER, Document, EntityLabel, ProductGroup, Token
 
-ENTITY_ORDER: tuple[EntityLabel, ...] = (
-    EntityLabel.DESCRIPTION,
-    EntityLabel.CODE,
-    EntityLabel.QUANTITY,
-    EntityLabel.PRICE,
-)
-
-_PLURAL = {
+# Report keys and table rows name entities in the plural; the CLI accepts
+# these names and the singular label values alike.
+ENTITY_PLURALS = {
     EntityLabel.DESCRIPTION: "descriptions",
     EntityLabel.CODE: "codes",
     EntityLabel.QUANTITY: "quantities",
@@ -279,7 +274,7 @@ class EvalReport:
             "mode": self.mode.value,
             "corpus_size": self.corpus_size,
             "entities": {
-                _PLURAL[label]: self.entities[label].as_dict() for label in ENTITY_ORDER
+                ENTITY_PLURALS[label]: self.entities[label].as_dict() for label in ENTITY_ORDER
             },
             "whole_products": self.whole_products.as_dict(),
         }
@@ -290,7 +285,7 @@ class EvalReport:
             c = self.entities[label]
             rows.append(
                 (
-                    _PLURAL[label],
+                    ENTITY_PLURALS[label],
                     f"{c.precision:.3f}",
                     f"{c.recall:.3f}",
                     f"{c.f1:.3f}",

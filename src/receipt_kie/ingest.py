@@ -34,17 +34,13 @@ class GroundTruthProduct:
 
     ``description_ids`` is never empty; the other roles are optional
     because receipts do not always print a code (and damaged annotations
-    may lack any field). The ``*_value`` companions hold the NFC-normalized
-    token texts, resolved against the document at parse time.
+    may lack any field).
     """
 
     description_ids: tuple[int, ...]
     code_id: int | None = None
     quantity_id: int | None = None
     price_id: int | None = None
-    code_value: str | None = None
-    quantity_value: str | None = None
-    price_value: str | None = None
 
     def entity_ids(self) -> tuple[int, ...]:
         ids = list(self.description_ids)
@@ -161,8 +157,7 @@ def parse_ground_truth(data: bytes | str, doc: Document) -> tuple[GroundTruthPro
     """Parse a ground-truth annotation file against its document.
 
     All referenced token ids must exist in ``doc`` and no id may belong to
-    two products. Entity value strings are resolved from the document's
-    token texts (NFC-normalized).
+    two products.
     """
     raw = _loads(data)
     if not isinstance(raw, dict):
@@ -195,20 +190,11 @@ def parse_ground_truth(data: bytes | str, doc: Document) -> tuple[GroundTruthPro
                     f"{where}: description_ids references unknown token id {tid}"
                 )
             desc_ids.append(tid)
-        code_id = _optional_token_id(rp, "code_id", where, valid_ids)
-        quantity_id = _optional_token_id(rp, "quantity_id", where, valid_ids)
-        price_id = _optional_token_id(rp, "price_id", where, valid_ids)
-
         product = GroundTruthProduct(
             description_ids=tuple(desc_ids),
-            code_id=code_id,
-            quantity_id=quantity_id,
-            price_id=price_id,
-            code_value=normalize_text(doc.token(code_id).text) if code_id is not None else None,
-            quantity_value=(
-                normalize_text(doc.token(quantity_id).text) if quantity_id is not None else None
-            ),
-            price_value=normalize_text(doc.token(price_id).text) if price_id is not None else None,
+            code_id=_optional_token_id(rp, "code_id", where, valid_ids),
+            quantity_id=_optional_token_id(rp, "quantity_id", where, valid_ids),
+            price_id=_optional_token_id(rp, "price_id", where, valid_ids),
         )
         for tid in product.entity_ids():
             if tid in claimed:
@@ -352,7 +338,8 @@ def parse_result(data: bytes | str) -> tuple[Document, tuple[ProductGroup, ...]]
 
     Round-trips exactly: ``parse_result(serialize_result(doc, groups))``
     reproduces both the document and the groups field for field. The
-    derived ``entities``/``corrected`` fields are ignored on read.
+    derived ``entities``/``corrected`` fields are ignored on read. Token
+    ids must be dense ``0..n-1`` in file order, as every writer emits them.
     """
     raw = _loads(data)
     if not isinstance(raw, dict):
@@ -373,6 +360,11 @@ def parse_result(data: bytes | str) -> tuple[Document, tuple[ProductGroup, ...]]
         token_id = _require(rt, "token_id", where)
         if not isinstance(token_id, int) or isinstance(token_id, bool):
             raise SchemaError(f"{where}: token_id must be an integer")
+        if token_id != i:
+            raise SchemaError(
+                f"{where}: token_id {token_id} is duplicated or out of order "
+                "(ids must be dense 0..n-1)"
+            )
         text = _require(rt, "text", where)
         if not isinstance(text, str) or not text:
             raise SchemaError(f"{where}: text must be a non-empty string")
@@ -420,9 +412,8 @@ def parse_result(data: bytes | str) -> tuple[Document, tuple[ProductGroup, ...]]
                 raise SchemaError(f"{where}: {name} must be a list of integers")
         if not isinstance(incomplete, bool):
             raise SchemaError(f"{where}: incomplete must be a boolean")
-        valid_ids = frozenset(t.token_id for t in doc.tokens)
         for tid in token_ids:
-            if tid not in valid_ids:
+            if not 0 <= tid < len(tokens):
                 raise TokenReferenceError(f"{where}: token_ids references unknown token id {tid}")
         groups.append(
             ProductGroup(

@@ -23,7 +23,7 @@ still open at the end of the document is emitted flagged ``incomplete``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Sequence
 
 from .model import (
     BBox,
@@ -32,6 +32,7 @@ from .model import (
     Line,
     ProductGroup,
     Token,
+    reading_order,
     union_bbox,
 )
 
@@ -53,17 +54,6 @@ class GroupingConfig:
             raise ValueError(
                 f"y_overlap_threshold must be in (0, 1], got {self.y_overlap_threshold}"
             )
-
-
-@runtime_checkable
-class LineDetector(Protocol):
-    """Splits a document into text lines.
-
-    Implementations must place every labeled token in exactly one line;
-    the geometric detector below covers *all* tokens, labeled or not.
-    """
-
-    def detect(self, doc: Document) -> list[Line]: ...
 
 
 def vertical_overlap_ratio(a: BBox, b: BBox) -> float:
@@ -130,16 +120,6 @@ def detect_lines_geometric(doc: Document, config: GroupingConfig | None = None) 
         members.sort(key=lambda t: (t.bbox.x_min, t.token_id))
         lines.append(Line(index=index, token_ids=tuple(t.token_id for t in members)))
     return lines
-
-
-class GeometricLineDetector:
-    """:func:`detect_lines_geometric` wrapped as a LineDetector."""
-
-    def __init__(self, config: GroupingConfig | None = None) -> None:
-        self.config = config or GroupingConfig()
-
-    def detect(self, doc: Document) -> list[Line]:
-        return detect_lines_geometric(doc, self.config)
 
 
 def _line_labels(line: Line, doc: Document) -> set[EntityLabel]:
@@ -220,10 +200,6 @@ class EntityAssignment:
     price_id: int | None = None
 
 
-def _reading_order(tok: Token) -> tuple[float, float, int]:
-    return (tok.bbox.y_min, tok.bbox.x_min, tok.token_id)
-
-
 def assign_entities(group: ProductGroup, doc: Document) -> EntityAssignment:
     """Resolve which group tokens fill each entity role.
 
@@ -249,9 +225,9 @@ def assign_entities(group: ProductGroup, doc: Document) -> EntityAssignment:
         candidates = scalars[label]
         if not candidates:
             return None
-        return min(candidates, key=_reading_order).token_id
+        return min(candidates, key=reading_order).token_id
 
-    descriptions.sort(key=_reading_order)
+    descriptions.sort(key=reading_order)
     return EntityAssignment(
         group_id=group.group_id,
         description_ids=tuple(t.token_id for t in descriptions),

@@ -46,8 +46,8 @@ class LabelSource(str, Enum):
     GROUND_TRUTH = "ground_truth"
 
 
-# Labels that mark a token as an entity of interest.
-ENTITY_LABELS: tuple[EntityLabel, ...] = (
+# The labels that mark a token as an entity of interest, in report order.
+ENTITY_ORDER: tuple[EntityLabel, ...] = (
     EntityLabel.DESCRIPTION,
     EntityLabel.CODE,
     EntityLabel.QUANTITY,
@@ -125,6 +125,11 @@ class Token:
     @property
     def is_tagged(self) -> bool:
         return self.label is not EntityLabel.UNTAGGED
+
+
+def reading_order(tok: Token) -> tuple[float, float, int]:
+    """Sort key for reading order: top-most, then left-most, then lowest id."""
+    return (tok.bbox.y_min, tok.bbox.x_min, tok.token_id)
 
 
 @dataclass(frozen=True, slots=True)

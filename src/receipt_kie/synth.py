@@ -219,19 +219,6 @@ def _generate_doc(
     doc = Document(
         doc_id=doc_id, tokens=tokens, page_width=_PAGE_WIDTH, page_height=page_height
     )
-    # Resolve the *_value fields the same way parse_ground_truth would.
-    resolved = tuple(
-        GroundTruthProduct(
-            description_ids=p.description_ids,
-            code_id=p.code_id,
-            quantity_id=p.quantity_id,
-            price_id=p.price_id,
-            code_value=doc.token(p.code_id).text if p.code_id is not None else None,
-            quantity_value=doc.token(p.quantity_id).text if p.quantity_id is not None else None,
-            price_value=doc.token(p.price_id).text if p.price_id is not None else None,
-        )
-        for p in products
-    )
     ocr_payload = {
         "doc_id": doc_id,
         "page": {"width": _PAGE_WIDTH, "height": page_height},
@@ -240,7 +227,7 @@ def _generate_doc(
             for w in words
         ],
     }
-    return doc, resolved, ocr_payload
+    return doc, tuple(products), ocr_payload
 
 
 def _doc_records(spec: CorpusSpec) -> list[tuple[Document, tuple[GroundTruthProduct, ...], dict[str, Any]]]:

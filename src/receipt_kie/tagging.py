@@ -17,17 +17,14 @@ Document and never touches geometry or text.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import struct
 from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 
+from .corrections import NumericParseConfig, _split_number
 from .errors import LabelConflictError, SchemaError, TokenReferenceError
 from .ingest import _loads, _require
-from .model import Document, EntityLabel, LabelSource, Token
-
-_DIGITS = frozenset("0123456789")
+from .model import ENTITY_ORDER, Document, EntityLabel, LabelSource, Token
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,50 +73,6 @@ def fuse_sequences(
 
 
 @runtime_checkable
-class Encoder(Protocol):
-    """Anything that can embed a segment (text or image crop bytes)."""
-
-    @property
-    def dim(self) -> int: ...
-
-    def encode(self, segment: str | bytes) -> EmbeddingVector: ...
-
-
-class HashEncoder:
-    """Deterministic stand-in encoder for tests and demos.
-
-    Embeds a segment by seeding a keyed BLAKE2 stream with it and mapping
-    the digest to floats in [-1, 1). The same (seed, segment) pair always
-    produces the same vector, on every platform.
-    """
-
-    def __init__(self, dim: int, seed: int = 0) -> None:
-        if dim <= 0:
-            raise ValueError(f"dim must be positive, got {dim}")
-        self._dim = dim
-        self._key = seed.to_bytes(8, "little", signed=False)
-
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    def encode(self, segment: str | bytes) -> EmbeddingVector:
-        data = segment.encode("utf-8") if isinstance(segment, str) else segment
-        values: list[float] = []
-        counter = 0
-        while len(values) < self._dim:
-            digest = hashlib.blake2b(
-                data + counter.to_bytes(4, "little"), key=self._key, digest_size=32
-            ).digest()
-            for (chunk,) in struct.iter_unpack("<Q", digest):
-                if len(values) >= self._dim:
-                    break
-                values.append(chunk / 2**63 - 1.0)
-            counter += 1
-        return EmbeddingVector.of(values)
-
-
-@runtime_checkable
 class Tagger(Protocol):
     """A stage that labels tokens. Must preserve ids, text, and geometry."""
 
@@ -152,30 +105,10 @@ class TagRuleConfig:
             raise ValueError("min_code_length must be at least 1")
 
 
-def _strip_currency(text: str) -> str:
-    import unicodedata
-
-    start, end = 0, len(text)
-    while start < end and unicodedata.category(text[start]) == "Sc":
-        start += 1
-    while end > start and unicodedata.category(text[end - 1]) == "Sc":
-        end -= 1
-    return text[start:end]
-
-
-def _is_decimal_number(text: str) -> bool:
-    """True for digits with exactly one '.' or ',' and a fractional part."""
-    seps = [i for i, ch in enumerate(text) if ch in ".,"]
-    if len(seps) != 1:
-        return False
-    int_part, frac_part = text[: seps[0]], text[seps[0] + 1 :]
-    if not frac_part or not _DIGITS.issuperset(frac_part):
-        return False
-    return _DIGITS.issuperset(int_part)  # integer part may be empty ("".issuperset -> True)
-
-
-def _is_plain_integer(text: str) -> bool:
-    return bool(text) and _DIGITS.issuperset(text)
+# The tagger reads numbers with the correction rules' lexer but strips only
+# currency signs, so "*12345" is no code to it. It caps no digit run except
+# in the quantity rule.
+_TAG_NUMBERS = NumericParseConfig(strip_chars="")
 
 
 def _alpha_majority(text: str) -> bool:
@@ -203,18 +136,19 @@ def heuristic_tag(doc: Document, config: TagRuleConfig | None = None) -> Documen
     qty_lo, qty_hi = cfg.quantity_band
     tokens: list[Token] = []
     for tok in doc.tokens:
-        stripped = _strip_currency(tok.text)
+        digits, fraction = _split_number(tok.text, _TAG_NUMBERS) or ("", None)
+        is_integer = bool(digits) and fraction is None
         label = EntityLabel.UNTAGGED
-        if _is_decimal_number(stripped) and tok.bbox.x_min >= cfg.price_band_min_x:
+        if fraction is not None and tok.bbox.x_min >= cfg.price_band_min_x:
             label = EntityLabel.PRICE
         elif (
-            _is_plain_integer(stripped)
-            and len(stripped) <= 18  # keep int() cheap on garbage input
-            and int(stripped) <= cfg.max_quantity
+            is_integer
+            and len(digits) <= 18  # keep int() cheap on garbage input
+            and int(digits) <= cfg.max_quantity
             and qty_lo <= tok.bbox.x_min < qty_hi
         ):
             label = EntityLabel.QUANTITY
-        elif _is_plain_integer(stripped) and len(stripped) >= cfg.min_code_length:
+        elif is_integer and len(digits) >= cfg.min_code_length:
             label = EntityLabel.CODE
         elif _alpha_majority(tok.text):
             label = EntityLabel.DESCRIPTION
@@ -237,10 +171,7 @@ class HeuristicTagger:
         return heuristic_tag(doc, self.config)
 
 
-_IMPORTABLE_LABELS = {
-    label.value: label
-    for label in (EntityLabel.DESCRIPTION, EntityLabel.CODE, EntityLabel.QUANTITY, EntityLabel.PRICE)
-}
+_IMPORTABLE_LABELS = {label.value: label for label in ENTITY_ORDER}
 
 
 def import_predictions(doc: Document, data: bytes | str) -> Document:

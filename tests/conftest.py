@@ -51,18 +51,12 @@ def receipt_truth() -> tuple[GroundTruthProduct, ...]:
             code_id=3,
             quantity_id=4,
             price_id=7,
-            code_value="4902102",
-            quantity_value="2",
-            price_value="138.00",
         ),
         GroundTruthProduct(
             description_ids=(8,),
             code_id=9,
             quantity_id=10,
             price_id=11,
-            code_value="8004520",
-            quantity_value="1",
-            price_value="9.99",
         ),
     )
 

@@ -171,3 +171,57 @@ def oracle_price(pool: list[tuple[int, str]]) -> tuple[int, float] | None:
         if v == largest:
             return tid, v
     raise AssertionError("unreachable")
+
+
+# --------------------------------------------------------------------------
+# Heuristic tagger oracle: the five rules of the tagger's docstring, first
+# match wins, with the tagger's own reading of numbers. Only currency signs
+# are stripped (never "*#:"), digit runs have no length cap, and the
+# quantity rule alone passes over runs longer than 18 digits.
+
+
+def _strip_currency_signs(text: str) -> str:
+    while text and unicodedata.category(text[0]) == "Sc":
+        text = text[1:]
+    while text and unicodedata.category(text[-1]) == "Sc":
+        text = text[:-1]
+    return text
+
+
+def _ascii_digits(s: str) -> bool:
+    return all(c in "0123456789" for c in s)
+
+
+def oracle_heuristic_label(
+    text: str,
+    x_min: float,
+    price_band_min_x: float = 0.65,
+    quantity_band: tuple[float, float] = (0.45, 0.70),
+    max_quantity: int = 99,
+    min_code_length: int = 5,
+) -> EntityLabel:
+    s = _strip_currency_signs(text)
+    separators = [i for i, c in enumerate(s) if c in ".,"]
+    is_decimal = False
+    if len(separators) == 1:
+        head, tail = s[: separators[0]], s[separators[0] + 1 :]
+        is_decimal = tail != "" and _ascii_digits(tail) and _ascii_digits(head)
+    is_integer = s != "" and _ascii_digits(s)
+    # 1. a decimal number whose left edge sits in the price column
+    if is_decimal and x_min >= price_band_min_x:
+        return PRICE
+    # 2. a small integer inside the quantity band
+    if (
+        is_integer
+        and len(s) <= 18
+        and int(s) <= max_quantity
+        and quantity_band[0] <= x_min < quantity_band[1]
+    ):
+        return QTY
+    # 3. a long enough digit run, anywhere
+    if is_integer and len(s) >= min_code_length:
+        return CODE
+    # 4. more than half of the raw text is letters
+    if sum(1 for c in text if c.isalpha()) * 2 > len(text):
+        return DESC
+    return EntityLabel.UNTAGGED

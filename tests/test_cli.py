@@ -18,6 +18,15 @@ def run_cli(*argv: str) -> int:
     return main([str(a) for a in argv])
 
 
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, so stderr shows what a user sees."""
+    return subprocess.run(
+        [sys.executable, "-m", "receipt_kie", *(str(a) for a in argv)],
+        capture_output=True,
+        text=True,
+    )
+
+
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory) -> Path:
     """A small corrupted corpus: clean OCR + truth, plus pred/ with noised
@@ -94,19 +103,6 @@ class TestDecodeCommand:
             assert set(entry) == {"doc_id", "group_id", "entity", "token_id", "parsed_value"}
         assert [e["doc_id"] for e in entries] == sorted(e["doc_id"] for e in entries)
 
-    def test_decode_is_deterministic_across_jobs_settings(self, corpus_dir, tmp_path):
-        for sub, jobs in (("serial", "1"), ("parallel", "4")):
-            assert run_cli(
-                "decode", corpus_dir / "pred", "--out", tmp_path / sub,
-                "--tagger", "import", "--predictions", corpus_dir / "pred",
-                "--jobs", jobs,
-            ) == 0
-        serial = sorted((tmp_path / "serial").iterdir())
-        parallel = sorted((tmp_path / "parallel").iterdir())
-        assert [p.name for p in serial] == [p.name for p in parallel]
-        for a, b in zip(serial, parallel):
-            assert a.read_bytes() == b.read_bytes()
-
     def test_no_corrections_flag(self, corpus_dir, tmp_path):
         out = tmp_path / "plain"
         assert run_cli(
@@ -118,6 +114,32 @@ class TestDecodeCommand:
         for path in out.glob("*.result.json"):
             payload = json.loads(path.read_text())
             assert all(product["corrected"] == [] for product in payload["products"])
+
+    @pytest.mark.parametrize("damage", ["truncated", "missing"])
+    def test_bad_predictions_file_is_one_error_line(self, corpus_dir, tmp_path, damage):
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        doc_id = manifest["doc_ids"][0]
+        pred = tmp_path / f"{doc_id}.pred.json"
+        if damage == "truncated":
+            pred.write_bytes((corpus_dir / "pred" / f"{doc_id}.pred.json").read_bytes()[:40])
+        proc = run_module(
+            "decode", corpus_dir / "pred" / f"{doc_id}.json", "--out", tmp_path / "out",
+            "--tagger", "import", "--predictions", pred,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flag", [("--y-overlap", "0"), ("--y-overlap", "1.5"),
+                 ("--decimal-separators", ""), ("--decimal-separators", "1")],
+    )
+    def test_invalid_flag_values_are_usage_errors(self, corpus_dir, tmp_path, flag):
+        proc = run_module("decode", corpus_dir, "--out", tmp_path / "out", *flag)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_import_tagger_requires_predictions(self, corpus_dir, tmp_path):
         assert run_cli(
@@ -226,6 +248,21 @@ class TestEvalCommand:
         assert run_cli(
             "eval", "--results", results_dir, "--truth", corpus_dir, "--mode", "strict"
         ) == 0
+
+    def test_results_with_non_dense_token_ids_fail(self, corpus_dir, results_dir, tmp_path):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        for path in results_dir.glob("*.result.json"):
+            (bad / path.name).write_bytes(path.read_bytes())
+        victim = sorted(bad.glob("*.result.json"))[0]
+        payload = json.loads(victim.read_text())
+        payload["tokens"][1]["token_id"] = 0
+        victim.write_text(json.dumps(payload))
+        proc = run_module("eval", "--results", bad, "--truth", corpus_dir)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert "token 1" in proc.stderr
 
     def test_missing_truth_directory_fails(self, results_dir, tmp_path):
         empty = tmp_path / "no-truth"

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from receipt_kie.corrections import (
     CorrectionRecord,
     NumericParseConfig,
-    UntaggedWordPool,
     apply_corrections,
     correct_code,
     correct_price,
@@ -155,13 +154,6 @@ def pool_doc(entries, doc_id="pool"):
 
 U = EntityLabel.UNTAGGED
 D = EntityLabel.DESCRIPTION
-
-
-class TestUntaggedWordPool:
-    def test_pool_keeps_reading_order_and_skips_labeled(self):
-        doc, group = pool_doc([("COOKIES", D), ("4902102", U), ("2", U)])
-        pool = UntaggedWordPool.from_group(group, doc)
-        assert pool.entries == ((1, "4902102"), (2, "2"))
 
 
 class TestCorrectCode:

@@ -190,7 +190,6 @@ class TestScoreWholeProducts:
             receipt_truth[0],
             GroundTruthProduct(
                 description_ids=(8,), quantity_id=10, price_id=11,
-                quantity_value="1", price_value="9.99",
             ),
         )
         labeled = apply_truth_labels(receipt_doc, receipt_truth, source=LabelSource.MODEL)

@@ -20,7 +20,7 @@ from receipt_kie.ingest import (
     serialize_result,
     write_ground_truth_json,
 )
-from receipt_kie.layout import GeometricLineDetector, group_product_lines
+from receipt_kie.layout import detect_lines_geometric, group_product_lines
 from receipt_kie.model import BBox, EntityLabel, LabelSource
 
 from helpers import make_doc, make_token
@@ -130,9 +130,9 @@ class TestParseGroundTruth:
         }
         (product,) = parse_ground_truth(json.dumps(raw), receipt_doc)
         assert product.description_ids == (1, 2)
-        assert product.code_value == "4902102"
-        assert product.quantity_value == "2"
-        assert product.price_value == "138.00"
+        assert receipt_doc.token(product.code_id).text == "4902102"
+        assert receipt_doc.token(product.quantity_id).text == "2"
+        assert receipt_doc.token(product.price_id).text == "138.00"
 
     def test_doc_id_mismatch(self, receipt_doc):
         raw = {"doc_id": "other", "products": []}
@@ -200,7 +200,7 @@ class TestNormalizeText:
 
 class TestResultRoundTrip:
     def _decode(self, doc):
-        lines = GeometricLineDetector().detect(doc)
+        lines = detect_lines_geometric(doc)
         return group_product_lines(doc, lines)
 
     def test_exact_round_trip(self, labeled_receipt):
@@ -232,6 +232,15 @@ class TestResultRoundTrip:
         payload = json.loads(text)
         payload["products"][0]["token_ids"] = [9999]
         with pytest.raises(TokenReferenceError, match="9999"):
+            parse_result(json.dumps(payload))
+
+    @pytest.mark.parametrize("ids", [[0, 2], [0, 0]])
+    def test_token_ids_must_be_dense(self, labeled_receipt, ids):
+        payload = json.loads(serialize_result(labeled_receipt, []))
+        payload["tokens"] = payload["tokens"][:2]
+        for tok, token_id in zip(payload["tokens"], ids):
+            tok["token_id"] = token_id
+        with pytest.raises(SchemaError, match=rf"token 1: token_id {ids[1]}"):
             parse_result(json.dumps(payload))
 
     def test_non_ascii_text_survives(self):

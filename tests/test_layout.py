@@ -6,9 +6,7 @@ import pytest
 
 from receipt_kie.layout import (
     EntityAssignment,
-    GeometricLineDetector,
     GroupingConfig,
-    LineDetector,
     assign_entities,
     detect_lines_geometric,
     group_product_lines,
@@ -117,9 +115,6 @@ class TestDetectLines:
 
     def test_empty_document(self):
         assert detect_lines_geometric(make_doc([])) == []
-
-    def test_detector_satisfies_protocol(self):
-        assert isinstance(GeometricLineDetector(), LineDetector)
 
     def test_matches_brute_force_on_random_layouts(self):
         rng = random.Random(1302)

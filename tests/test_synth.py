@@ -5,7 +5,7 @@ import json
 import pytest
 
 from receipt_kie.corrections import apply_corrections, parse_float, parse_integer
-from receipt_kie.ingest import parse_ground_truth, parse_ocr
+from receipt_kie.ingest import parse_ground_truth, parse_ocr, write_ground_truth_json
 from receipt_kie.layout import detect_lines_geometric, group_product_lines
 from receipt_kie.model import Document, EntityLabel, Token, validate_document
 from receipt_kie.synth import (
@@ -61,22 +61,21 @@ class TestGeneration:
             assert all(tok.label is EntityLabel.UNTAGGED for tok in doc.tokens)
 
     def test_truth_values_match_token_texts(self, corpus):
+        # the generated truth is what parse_ground_truth reads back from the
+        # written annotation against the same document
         for doc, products in corpus:
-            for product in products:
-                assert product.code_value == (
-                    doc.token(product.code_id).text if product.code_id is not None else None
-                )
-                assert product.quantity_value == doc.token(product.quantity_id).text
-                assert product.price_value == doc.token(product.price_id).text
+            written = write_ground_truth_json(doc.doc_id, products)
+            assert parse_ground_truth(written, doc) == products
 
     def test_entity_shapes(self, corpus):
-        for _, products in corpus:
+        for doc, products in corpus:
             for product in products:
-                if product.code_value is not None:
-                    assert 5 <= len(product.code_value) <= 8
-                    assert parse_integer(product.code_value) is not None
-                assert 1 <= int(product.quantity_value) <= 9
-                assert parse_float(product.price_value) is not None
+                if product.code_id is not None:
+                    code = doc.token(product.code_id).text
+                    assert 5 <= len(code) <= 8
+                    assert parse_integer(code) is not None
+                assert 1 <= int(doc.token(product.quantity_id).text) <= 9
+                assert parse_float(doc.token(product.price_id).text) is not None
 
     def test_product_count_respects_the_range(self):
         narrow = CorpusSpec(seed=5, n_docs=20, products_per_doc=(2, 3))
@@ -107,7 +106,7 @@ class TestBusinessRulesByConstruction:
                     if (v := parse_integer(tok.text)) is not None
                 ]
                 if product.code_id is not None:
-                    assert max(ints) == int(product.code_value)
+                    assert max(ints) == int(doc.token(product.code_id).text)
 
     def test_quantity_is_the_smallest_integer_on_its_line(self, corpus):
         for doc, products in corpus:
@@ -117,7 +116,7 @@ class TestBusinessRulesByConstruction:
                     for tok in numbers_line_tokens(doc, product)
                     if (v := parse_integer(tok.text)) is not None
                 ]
-                assert min(ints) == int(product.quantity_value)
+                assert min(ints) == int(doc.token(product.quantity_id).text)
 
     def test_department_number_sits_strictly_between(self, corpus):
         # the untagged 3-digit helper keeps both guards satisfiable after
@@ -132,9 +131,9 @@ class TestBusinessRulesByConstruction:
                     and (v := parse_integer(tok.text)) is not None
                 ]
                 assert len(dept) == 1
-                assert int(product.quantity_value) < dept[0]
-                if product.code_value is not None:
-                    assert dept[0] < int(product.code_value)
+                assert int(doc.token(product.quantity_id).text) < dept[0]
+                if product.code_id is not None:
+                    assert dept[0] < int(doc.token(product.code_id).text)
 
     def test_price_is_the_largest_decimal_without_adversarial_products(self, plain_corpus):
         for doc, products in plain_corpus:
@@ -144,7 +143,7 @@ class TestBusinessRulesByConstruction:
                     for tok in numbers_line_tokens(doc, product)
                     if (v := parse_float(tok.text)) is not None
                 ]
-                assert max(floats) == pytest.approx(float(product.price_value))
+                assert max(floats) == pytest.approx(float(doc.token(product.price_id).text))
 
     def test_adversarial_products_put_a_larger_decimal_on_the_line(self):
         # crank the rate to make violations near-certain, then check each
@@ -152,7 +151,7 @@ class TestBusinessRulesByConstruction:
         spec = CorpusSpec(seed=97, n_docs=15, adversarial_rate=1.0)
         for doc, products in generate_corpus(spec):
             for product in products:
-                price = float(product.price_value)
+                price = float(doc.token(product.price_id).text)
                 bigger = [
                     v
                     for tok in numbers_line_tokens(doc, product)

@@ -4,14 +4,14 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from receipt_kie.corrections import parse_float, parse_integer
 from receipt_kie.errors import LabelConflictError, SchemaError, TokenReferenceError
-from receipt_kie.model import EntityLabel, LabelSource
+from receipt_kie.model import BBox, Document, EntityLabel, LabelSource, Token
 from receipt_kie.tagging import (
     EmbeddingVector,
-    HashEncoder,
     HeuristicTagger,
     PredictionImportTagger,
     TagRuleConfig,
@@ -23,6 +23,7 @@ from receipt_kie.tagging import (
 )
 
 from helpers import make_doc, make_token
+from reference_impls import oracle_heuristic_label
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -86,29 +87,6 @@ class TestFusion:
     def test_sequence_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
             fuse_sequences([EmbeddingVector.of([1.0])], [])
-
-
-class TestHashEncoder:
-    def test_deterministic_across_instances(self):
-        a = HashEncoder(dim=16, seed=7).encode("COOKIES")
-        b = HashEncoder(dim=16, seed=7).encode("COOKIES")
-        assert a == b
-
-    def test_seed_changes_output(self):
-        assert HashEncoder(16, seed=1).encode("X") != HashEncoder(16, seed=2).encode("X")
-
-    def test_values_bounded(self):
-        v = HashEncoder(dim=40, seed=3).encode(b"\x00\x01")
-        assert v.dim == 40
-        assert all(-1.0 <= x < 1.0 for x in v.values)
-
-    def test_str_and_utf8_bytes_agree(self):
-        enc = HashEncoder(8, seed=5)
-        assert enc.encode("Café") == enc.encode("Café".encode("utf-8"))
-
-    def test_bad_dim_rejected(self):
-        with pytest.raises(ValueError):
-            HashEncoder(0)
 
 
 class TestHeuristicRules:
@@ -210,6 +188,65 @@ class TestHeuristicTagOnFixture:
         )
         tagged = heuristic_tag(forced)
         assert tagged.token(6).label is EntityLabel.UNTAGGED
+
+
+TAG_TEXT_PIECES = st.one_of(
+    st.sampled_from(list("0123456789.,*#:$€xAB")),
+    st.integers(min_value=16, max_value=22).map(lambda n: "9" * n),
+    st.integers(min_value=16, max_value=22).map(lambda n: "0" * (n - 1) + "5"),
+)
+TAG_TEXTS = st.lists(TAG_TEXT_PIECES, min_size=1, max_size=6).map("".join)
+# Left edges on and around both band boundaries: quantity [0.45, 0.70),
+# price from 0.65.
+TAG_X = st.one_of(
+    st.sampled_from([0.0, 0.3, 0.449, 0.45, 0.5, 0.649, 0.65, 0.699, 0.7, 0.9]),
+    st.floats(min_value=0.0, max_value=0.95),
+)
+LONG_INT = "1" * 19
+LONG_DECIMAL = "1" * 19 + ".50"
+
+
+class TestHeuristicTagMatchesReference:
+    """heuristic_tag against a literal transcription of its rules."""
+
+    @given(st.lists(st.tuples(TAG_TEXTS, TAG_X), min_size=1, max_size=8))
+    @example([("*12345", 0.1), ("12.50*", 0.8), (LONG_INT, 0.1), (LONG_DECIMAL, 0.8)])
+    @example([("0" * 17 + "5", 0.5), ("0" * 18 + "5", 0.5), ("$9.99", 0.7), ("#7:", 0.5)])
+    def test_labels_match_the_reference(self, words):
+        doc = Document(
+            "diff",
+            tuple(
+                Token(i, text, BBox(x, 0.1 * i / len(words), x + 0.05, 0.1 * i / len(words) + 0.02))
+                for i, (text, x) in enumerate(words)
+            ),
+            600,
+            400,
+        )
+        tagged = heuristic_tag(doc)
+        for tok, (text, x) in zip(tagged.tokens, words):
+            expected = oracle_heuristic_label(text, x)
+            assert tok.label is expected, (text, x)
+            assert tok.source is (None if expected is EntityLabel.UNTAGGED else LabelSource.HEURISTIC)
+
+    @pytest.mark.parametrize(
+        ("text", "x0", "label", "parsed"),
+        [
+            # the tagger strips only currency signs; the parsers also "*#:"
+            ("*12345", 40, EntityLabel.UNTAGGED, 12345),
+            ("12.50*", 480, EntityLabel.UNTAGGED, 12.5),
+            # the parsers cap digit runs at 18; the code and price rules do not
+            (LONG_INT, 40, EntityLabel.CODE, None),
+            (LONG_DECIMAL, 480, EntityLabel.PRICE, None),
+            # the quantity rule keeps its own 18-digit cap before int()
+            ("0" * 17 + "5", 300, EntityLabel.QUANTITY, 5),
+            ("0" * 18 + "5", 300, EntityLabel.CODE, None),
+        ],
+    )
+    def test_tagger_and_parsers_read_numbers_differently(self, text, x0, label, parsed):
+        doc = make_doc([make_token(0, text, x0, 100)])
+        assert heuristic_tag(doc).tokens[0].label is label
+        read = parse_float(text) if "." in text else parse_integer(text)
+        assert read == parsed
 
 
 class TestImportPredictions:
