@@ -23,6 +23,7 @@ import json
 import logging
 import os
 import sys
+from collections.abc import Iterator, Mapping
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -63,7 +64,8 @@ _LOG_LEVELS = {
     "debug": logging.DEBUG,
 }
 
-_RESERVED_SUFFIXES = (".truth.json", ".pred.json", ".result.json")
+_PRED_SUFFIX = ".pred.json"
+_RESERVED_SUFFIXES = (".truth.json", _PRED_SUFFIX, ".result.json")
 
 
 def _configure_logging() -> None:
@@ -141,17 +143,37 @@ def _decode_one(
     return doc.doc_id, serialize_result(tagged, groups), records
 
 
-def _load_prediction_payloads(predictions: Path) -> dict[str, bytes]:
+class _PredictionDir(Mapping[str, bytes]):
+    """The ``<doc_id>.pred.json`` files of a directory, each read only when
+    its document is looked up."""
+
+    def __init__(self, root: Path) -> None:
+        self._root = root
+
+    def __getitem__(self, doc_id: str) -> bytes:
+        name = f"{doc_id}{_PRED_SUFFIX}"
+        path = self._root / name
+        # A doc id naming another directory ("../x") is not in this one.
+        if Path(name).name != name or not path.is_file():
+            raise KeyError(doc_id)
+        return path.read_bytes()
+
+    def __iter__(self) -> Iterator[str]:
+        paths = sorted(self._root.glob(f"*{_PRED_SUFFIX}"))
+        return (path.name[: -len(_PRED_SUFFIX)] for path in paths)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+
+def _load_prediction_payloads(predictions: Path) -> Mapping[str, bytes]:
     """Map doc ids to prediction payloads.
 
     ``predictions`` may be a single file, keyed by the doc id it names, or
     a directory holding ``<doc_id>.pred.json`` files.
     """
     if predictions.is_dir():
-        return {
-            path.name[: -len(".pred.json")]: path.read_bytes()
-            for path in sorted(predictions.glob("*.pred.json"))
-        }
+        return _PredictionDir(predictions)
     data = predictions.read_bytes()
     raw = _loads(data)
     if not isinstance(raw, dict):
@@ -246,8 +268,14 @@ def _load_results(results: Sequence[str]) -> dict[str, DocPrediction]:
         else:
             paths.append(path)
     predictions: dict[str, DocPrediction] = {}
+    seen: dict[str, Path] = {}
     for path in paths:
         doc, groups = parse_result(path.read_bytes())
+        if doc.doc_id in seen:
+            raise CorpusMismatchError(
+                f"{path}: duplicate doc_id {doc.doc_id!r} (already read from {seen[doc.doc_id]})"
+            )
+        seen[doc.doc_id] = path
         predictions[doc.doc_id] = DocPrediction.from_groups(doc, groups)
     return predictions
 

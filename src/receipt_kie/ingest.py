@@ -261,10 +261,15 @@ def _bbox_from_json(raw: Any, where: str) -> BBox:
     coords = []
     for key in ("x_min", "y_min", "x_max", "y_max"):
         value = _require(raw, key, where)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        # JSON numbers decode to exactly int or float; a bool is neither.
+        if type(value) is not float and type(value) is not int:
             raise SchemaError(f"{where}: bbox.{key} must be a number")
         coords.append(float(value))
-    return BBox(*coords)
+    bbox = BBox(*coords)
+    # Also rejects NaN and infinities, which the JSON reader accepts.
+    if not bbox.is_valid():
+        raise SchemaError(f"{where}: bbox {coords} is not a box within the unit page")
+    return bbox
 
 
 def serialize_result(doc: Document, groups: Sequence[ProductGroup]) -> str:
@@ -410,6 +415,10 @@ def parse_result(data: bytes | str) -> tuple[Document, tuple[ProductGroup, ...]]
                 isinstance(v, int) and not isinstance(v, bool) for v in ids
             ):
                 raise SchemaError(f"{where}: {name} must be a list of integers")
+        if line_indices != sorted(set(line_indices)) or (line_indices and line_indices[0] < 0):
+            raise SchemaError(
+                f"{where}: line_indices must be non-negative and increasing, got {line_indices}"
+            )
         if not isinstance(incomplete, bool):
             raise SchemaError(f"{where}: incomplete must be a boolean")
         for tid in token_ids:

@@ -76,7 +76,8 @@ def detect_lines_geometric(doc: Document, config: GroupingConfig | None = None) 
 
     Lines come back ordered top to bottom (by mean y-center), each with
     its tokens ordered left to right by x_min. ``Line.index`` equals the
-    line's position in the returned list.
+    line's position in the returned list. Only pairs whose intervals meet
+    are compared, so on a page of text lines the cost is near-linear.
     """
     cfg = config or GroupingConfig()
     tokens = doc.tokens
@@ -99,9 +100,20 @@ def detect_lines_geometric(doc: Document, config: GroupingConfig | None = None) 
         if ri != rj:
             parent[rj] = ri
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if vertical_overlap_ratio(tokens[i].bbox, tokens[j].bbox) >= cfg.y_overlap_threshold:
+    # Sweep in y_min order: once a later box starts strictly below box i
+    # ends, their intersection is negative, the ratio is 0 and so is every
+    # later box's. A box that only touches (intersection 0) is still
+    # compared, because a zero-height box counts as full overlap.
+    boxes = [tok.bbox for tok in tokens]
+    order = sorted(range(n), key=lambda i: boxes[i].y_min)
+    for pos, i in enumerate(order):
+        a = boxes[i]
+        for k in range(pos + 1, n):
+            j = order[k]
+            b = boxes[j]
+            if b.y_min > a.y_max:
+                break
+            if vertical_overlap_ratio(a, b) >= cfg.y_overlap_threshold:
                 union(i, j)
 
     clusters: dict[int, list[Token]] = {}

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Mapping, Protocol, Sequence, runtime_checkable
 
 from .corrections import NumericParseConfig, _split_number
 from .errors import LabelConflictError, SchemaError, TokenReferenceError
@@ -240,11 +240,12 @@ class PredictionImportTagger:
     """A Tagger backed by per-document prediction files.
 
     Construct with a mapping from doc_id to the raw JSON payload for that
-    document. ``tag`` fails with TokenReferenceError for unknown docs.
+    document; only the tagged documents' payloads are looked up. ``tag``
+    fails with TokenReferenceError for unknown docs.
     """
 
-    def __init__(self, payloads: dict[str, bytes | str]) -> None:
-        self._payloads = dict(payloads)
+    def __init__(self, payloads: Mapping[str, bytes | str]) -> None:
+        self._payloads = payloads
 
     def tag(self, doc: Document) -> Document:
         try:

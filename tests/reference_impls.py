@@ -53,6 +53,56 @@ def brute_force_lines(doc: Document, threshold: float = 0.4) -> set[frozenset[in
 
 
 # --------------------------------------------------------------------------
+# Ordered line oracle: the all-pairs union-find that compares every pair of
+# tokens, with the package's line ordering (mean y-center, then the least
+# x_min per line; (x_min, token_id) inside a line). It returns
+# [(line index, token ids)], so it checks the clustering and the ordering.
+
+
+def oracle_detect_lines(doc: Document, threshold: float = 0.4) -> list[tuple[int, tuple[int, ...]]]:
+    tokens = doc.tokens
+    n = len(tokens)
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def overlap_ratio(a, b) -> float:
+        intersection = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+        if intersection < 0.0:
+            return 0.0
+        shorter = min(a.y_max - a.y_min, b.y_max - b.y_min)
+        if shorter <= 0.0:
+            return 1.0
+        return min(1.0, intersection / shorter)
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if overlap_ratio(tokens[i].bbox, tokens[j].bbox) >= threshold:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+
+    clusters: dict[int, list] = {}
+    for i, tok in enumerate(tokens):
+        clusters.setdefault(find(i), []).append(tok)
+    ordered = sorted(
+        clusters.values(),
+        key=lambda members: (
+            sum((t.bbox.y_min + t.bbox.y_max) / 2.0 for t in members) / len(members),
+            min(t.bbox.x_min for t in members),
+        ),
+    )
+    return [
+        (index, tuple(t.token_id for t in sorted(members, key=lambda t: (t.bbox.x_min, t.token_id))))
+        for index, members in enumerate(ordered)
+    ]
+
+
+# --------------------------------------------------------------------------
 # Grouping oracle: the three scan steps transcribed over abstract line
 # contents (a sequence of label sets), with nothing else.
 

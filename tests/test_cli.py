@@ -156,6 +156,48 @@ class TestDecodeCommand:
         (dup_dir / "two.json").write_bytes(payload)
         assert run_cli("decode", dup_dir, "--out", tmp_path / "out") == 1
 
+    def test_predictions_directory_reads_only_the_decoded_documents(
+        self, corpus_dir, results_dir, tmp_path
+    ):
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        doc_id = manifest["doc_ids"][0]
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        name = f"{doc_id}.pred.json"
+        (preds / name).write_bytes((corpus_dir / "pred" / name).read_bytes())
+        # an entry no decoded document asks for, which cannot be read
+        (preds / "unrelated.pred.json").mkdir()
+        out = tmp_path / "out"
+        assert run_cli(
+            "decode", corpus_dir / "pred" / f"{doc_id}.json", "--out", out,
+            "--tagger", "import", "--predictions", preds,
+        ) == 0
+        result = f"{doc_id}.result.json"
+        assert (out / result).read_bytes() == (results_dir / result).read_bytes()
+
+    def test_bad_file_in_predictions_directory_fails_its_document_only(
+        self, corpus_dir, tmp_path
+    ):
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        good, truncated, missing = manifest["doc_ids"][:3]
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        for doc_id in (good, truncated):
+            name = f"{doc_id}.pred.json"
+            (preds / name).write_bytes((corpus_dir / "pred" / name).read_bytes())
+        (preds / f"{truncated}.pred.json").write_text("{")
+        inputs = [corpus_dir / "pred" / f"{doc_id}.json" for doc_id in (good, truncated, missing)]
+        out = tmp_path / "out"
+        proc = run_module(
+            "decode", *inputs, "--out", out, "--tagger", "import", "--predictions", preds
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        errors = proc.stderr.splitlines()
+        assert len(errors) == 2
+        assert truncated in errors[0] and missing in errors[1]
+        assert [p.name for p in out.glob("*.result.json")] == [f"{good}.result.json"]
+
     def test_empty_input_directory_is_a_warning_not_an_error(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -263,6 +305,21 @@ class TestEvalCommand:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
         assert "token 1" in proc.stderr
+
+    def test_duplicate_results_fail(self, corpus_dir, results_dir, tmp_path):
+        dup = tmp_path / "dup"
+        dup.mkdir()
+        for path in results_dir.glob("*.result.json"):
+            (dup / path.name).write_bytes(path.read_bytes())
+        original = sorted(dup.glob("*.result.json"))[-1]
+        copy = dup / "copy.result.json"
+        copy.write_bytes(original.read_bytes())
+        proc = run_module("eval", "--results", dup, "--truth", corpus_dir)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        [error] = proc.stderr.splitlines()
+        assert "duplicate doc_id" in error
+        assert str(original) in error and str(copy) in error
 
     def test_missing_truth_directory_fails(self, results_dir, tmp_path):
         empty = tmp_path / "no-truth"

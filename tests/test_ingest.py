@@ -243,6 +243,42 @@ class TestResultRoundTrip:
         with pytest.raises(SchemaError, match=rf"token 1: token_id {ids[1]}"):
             parse_result(json.dumps(payload))
 
+    @pytest.mark.parametrize("indices", [[-1], [-1, 0], [2, 1], [1, 1]])
+    def test_line_indices_must_be_non_negative_and_increasing(self, labeled_receipt, indices):
+        payload = json.loads(serialize_result(labeled_receipt, self._decode(labeled_receipt)))
+        payload["products"][1]["line_indices"] = indices
+        with pytest.raises(SchemaError, match=r"product 1: line_indices"):
+            parse_result(json.dumps(payload))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -0.25, 1.5])
+    def test_token_bbox_must_lie_within_the_page(self, labeled_receipt, value):
+        payload = json.loads(serialize_result(labeled_receipt, []))
+        payload["tokens"][3]["bbox"]["y_max"] = value
+        # json.dumps writes NaN and Infinity, which the reader accepts
+        with pytest.raises(SchemaError, match=r"token 3: bbox"):
+            parse_result(json.dumps(payload))
+
+    @pytest.mark.parametrize("value", [True, "0.5", None, [0.5]])
+    def test_token_bbox_coordinates_must_be_numbers(self, labeled_receipt, value):
+        payload = json.loads(serialize_result(labeled_receipt, []))
+        payload["tokens"][2]["bbox"]["x_min"] = value
+        with pytest.raises(SchemaError, match=r"token 2: bbox.x_min must be a number"):
+            parse_result(json.dumps(payload))
+
+    def test_token_bbox_must_not_be_inverted(self, labeled_receipt):
+        payload = json.loads(serialize_result(labeled_receipt, []))
+        box = payload["tokens"][0]["bbox"]
+        box["x_min"], box["x_max"] = box["x_max"], box["x_min"]
+        with pytest.raises(SchemaError, match=r"token 0: bbox"):
+            parse_result(json.dumps(payload))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1.5])
+    def test_group_bbox_must_lie_within_the_page(self, labeled_receipt, value):
+        payload = json.loads(serialize_result(labeled_receipt, self._decode(labeled_receipt)))
+        payload["products"][0]["bbox"]["x_max"] = value
+        with pytest.raises(SchemaError, match=r"product 0: bbox"):
+            parse_result(json.dumps(payload))
+
     def test_non_ascii_text_survives(self):
         doc = make_doc([make_token(0, "Café", 10, 10, label=EntityLabel.DESCRIPTION)])
         text = serialize_result(doc, [])

@@ -3,7 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from receipt_kie import layout
 from receipt_kie.layout import (
     EntityAssignment,
     GroupingConfig,
@@ -12,10 +15,19 @@ from receipt_kie.layout import (
     group_product_lines,
     vertical_overlap_ratio,
 )
-from receipt_kie.model import BBox, EntityLabel, ProductGroup, union_bbox
+from receipt_kie.model import BBox, Document, EntityLabel, ProductGroup, Token, union_bbox
+from receipt_kie.synth import CorpusSpec, generate_corpus
 
 from helpers import TOKEN_H, make_doc, make_token, norm_box
-from reference_impls import CODE, DESC, PRICE, QTY, brute_force_lines, literal_grouping
+from reference_impls import (
+    CODE,
+    DESC,
+    PRICE,
+    QTY,
+    brute_force_lines,
+    literal_grouping,
+    oracle_detect_lines,
+)
 
 
 class TestVerticalOverlapRatio:
@@ -157,6 +169,89 @@ class TestDetectLines:
                     (sum(b.y_center for b in boxes) / len(boxes), min(b.x_min for b in boxes))
                 )
             assert keys == sorted(keys)
+
+
+def grid_page(seed: int, n: int, grid: int) -> Document:
+    """``n`` tokens with corners snapped to a ``grid`` x ``grid`` lattice.
+
+    A coarse grid gives many tied ``y_min`` values and intervals that only
+    touch; at least one box in six has zero height.
+    """
+    rng = random.Random(seed)
+    tokens = []
+    for i in range(n):
+        y0 = rng.randrange(grid + 1)
+        height = rng.choice((0, 1, 1, 2, 3, rng.randrange(grid + 1)))
+        x0 = rng.randrange(grid)
+        tokens.append(
+            Token(
+                token_id=i,
+                text="T",
+                bbox=BBox(
+                    x0 / grid, y0 / grid, min(grid, x0 + rng.randint(1, 3)) / grid,
+                    min(grid, y0 + height) / grid,
+                ),
+            )
+        )
+    return make_doc(tokens, doc_id=f"grid-{seed}")
+
+
+THRESHOLDS = st.one_of(
+    st.sampled_from([0.1, 0.4, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+
+
+class TestDetectLinesMatchesAllPairs:
+    """The sweep must return exactly the all-pairs loop's ordered lines."""
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=0, max_value=300),
+        grid=st.sampled_from([2, 5, 20, 100, 10**6]),
+        threshold=THRESHOLDS,
+    )
+    @example(seed=0, n=300, grid=5, threshold=1.0)
+    @example(seed=1, n=300, grid=20, threshold=0.1)
+    def test_random_grid_pages(self, seed, n, grid, threshold):
+        doc = grid_page(seed, n, grid)
+        lines = detect_lines_geometric(doc, GroupingConfig(threshold))
+        assert [(line.index, line.token_ids) for line in lines] == oracle_detect_lines(doc, threshold)
+
+    @pytest.mark.parametrize("threshold", [0.1, 0.4, 1.0])
+    def test_zero_height_box_touching_the_next_interval_still_links(self, threshold):
+        # The flat box's y_max equals the lower box's y_min: intersection 0
+        # and ratio 1.0, so the sweep must not stop before comparing them.
+        doc = make_doc(
+            [
+                Token(0, "FLAT", BBox(0.1, 0.3, 0.2, 0.3)),
+                Token(1, "BELOW", BBox(0.3, 0.3, 0.4, 0.4)),
+                Token(2, "ABOVE", BBox(0.5, 0.2, 0.6, 0.3)),
+            ]
+        )
+        lines = detect_lines_geometric(doc, GroupingConfig(threshold))
+        assert [(line.index, line.token_ids) for line in lines] == oracle_detect_lines(doc, threshold)
+        assert [line.token_ids for line in lines] == [(0, 1, 2)]
+
+
+def test_line_detection_makes_a_linear_number_of_overlap_tests(monkeypatch):
+    # Counting calls instead of timing: all pairs would be about n**2 / 2,
+    # some ten million calls on this page.
+    [(doc, _)] = generate_corpus(CorpusSpec(seed=0, n_docs=1, products_per_doc=(500, 500)))
+    n = len(doc.tokens)
+    assert n > 4000
+    calls = 0
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return vertical_overlap_ratio(a, b)
+
+    monkeypatch.setattr(layout, "vertical_overlap_ratio", counting)
+    lines = detect_lines_geometric(doc)
+    assert calls < 4 * n
+    assert sorted(tid for line in lines for tid in line.token_ids) == list(range(n))
 
 
 # --------------------------------------------------------------------------
