@@ -39,12 +39,10 @@ from .evaluation import (
     EvalReport,
     MatchMode,
     build_report,
-    match_entity,
     score_entities,
     score_whole_products,
 )
 from .ingest import (
-    GroundTruthProduct,
     apply_truth_labels,
     parse_ground_truth,
     parse_ocr,
@@ -52,7 +50,6 @@ from .ingest import (
     serialize_result,
 )
 from .layout import (
-    EntityAssignment,
     GroupingConfig,
     assign_entities,
     detect_lines_geometric,
@@ -64,6 +61,7 @@ from .model import (
     EntityLabel,
     LabelSource,
     Line,
+    Product,
     ProductGroup,
     Token,
     union_bbox,
@@ -80,10 +78,6 @@ from .synth import (
 )
 from .tagging import (
     EmbeddingVector,
-    HeuristicTagger,
-    PredictionImportTagger,
-    TagRuleConfig,
-    Tagger,
     fuse_embeddings,
     fuse_sequences,
     heuristic_tag,
@@ -101,25 +95,20 @@ __all__ = [
     "DocPrediction",
     "Document",
     "EmbeddingVector",
-    "EntityAssignment",
     "EntityCounts",
     "EntityLabel",
     "EvalReport",
-    "GroundTruthProduct",
     "GroupingConfig",
-    "HeuristicTagger",
     "LabelConflictError",
     "LabelSource",
     "Line",
     "MalformedJsonError",
     "MatchMode",
     "NumericParseConfig",
-    "PredictionImportTagger",
+    "Product",
     "ProductGroup",
     "ReceiptKieError",
     "SchemaError",
-    "TagRuleConfig",
-    "Tagger",
     "Token",
     "TokenReferenceError",
     "apply_corrections",
@@ -138,7 +127,6 @@ __all__ = [
     "group_product_lines",
     "heuristic_tag",
     "import_predictions",
-    "match_entity",
     "parse_float",
     "parse_ground_truth",
     "parse_integer",

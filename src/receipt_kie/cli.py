@@ -23,13 +23,12 @@ import json
 import logging
 import os
 import sys
-from collections.abc import Iterator, Mapping
 from pathlib import Path
 from typing import Callable, Sequence
 
-from . import __version__
+from . import __version__, tagging
 from .corrections import NumericParseConfig, apply_corrections
-from .errors import CorpusMismatchError, ReceiptKieError, SchemaError
+from .errors import CorpusMismatchError, ReceiptKieError, SchemaError, TokenReferenceError
 from .evaluation import (
     ENTITY_ORDER,
     ENTITY_PLURALS,
@@ -38,6 +37,7 @@ from .evaluation import (
     MatchMode,
     TruthEntry,
     build_report,
+    format_rows,
 )
 from .ingest import (
     _loads,
@@ -49,10 +49,9 @@ from .ingest import (
     serialize_result,
 )
 from .layout import GroupingConfig, detect_lines_geometric, group_product_lines
-from .model import EntityLabel
+from .model import Document, EntityLabel
 from .render import render_svg
 from .synth import CorpusSpec, CorruptionSpec, write_corpus
-from .tagging import HeuristicTagger, PredictionImportTagger, TagRuleConfig
 
 log = logging.getLogger("receipt_kie.cli")
 
@@ -128,13 +127,13 @@ def _parse_rate_flags(pairs: Sequence[str], allowed: dict[str, str], flag: str) 
 
 def _decode_one(
     path: Path,
-    tagger: HeuristicTagger | PredictionImportTagger,
+    tag: Callable[[Document], Document],
     grouping: GroupingConfig,
     parse_cfg: NumericParseConfig,
     corrections_enabled: bool,
 ) -> tuple[str, str, list]:
     doc = parse_ocr(path.read_bytes())
-    tagged = tagger.tag(doc)
+    tagged = tag(doc)
     lines = detect_lines_geometric(tagged, grouping)
     groups = group_product_lines(tagged, lines)
     records: list = []
@@ -143,42 +142,33 @@ def _decode_one(
     return doc.doc_id, serialize_result(tagged, groups), records
 
 
-class _PredictionDir(Mapping[str, bytes]):
-    """The ``<doc_id>.pred.json`` files of a directory, each read only when
-    its document is looked up."""
+def _import_tagger(predictions: Path) -> Callable[[Document], Document]:
+    """The tag function of ``--tagger import``.
 
-    def __init__(self, root: Path) -> None:
-        self._root = root
-
-    def __getitem__(self, doc_id: str) -> bytes:
-        name = f"{doc_id}{_PRED_SUFFIX}"
-        path = self._root / name
-        # A doc id naming another directory ("../x") is not in this one.
-        if Path(name).name != name or not path.is_file():
-            raise KeyError(doc_id)
-        return path.read_bytes()
-
-    def __iter__(self) -> Iterator[str]:
-        paths = sorted(self._root.glob(f"*{_PRED_SUFFIX}"))
-        return (path.name[: -len(_PRED_SUFFIX)] for path in paths)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
-
-def _load_prediction_payloads(predictions: Path) -> Mapping[str, bytes]:
-    """Map doc ids to prediction payloads.
-
-    ``predictions`` may be a single file, keyed by the doc id it names, or
-    a directory holding ``<doc_id>.pred.json`` files.
+    ``predictions`` is either one file, read here, for the doc id it names,
+    or a directory whose ``<doc_id>.pred.json`` is read only when that
+    document is tagged. A document without predictions fails with
+    TokenReferenceError.
     """
-    if predictions.is_dir():
-        return _PredictionDir(predictions)
-    data = predictions.read_bytes()
-    raw = _loads(data)
-    if not isinstance(raw, dict):
-        raise SchemaError("top level: expected a JSON object")
-    return {str(_require(raw, "doc_id", "top level")): data}
+    single: tuple[str, bytes] | None = None
+    if not predictions.is_dir():
+        data = predictions.read_bytes()
+        raw = _loads(data)
+        if not isinstance(raw, dict):
+            raise SchemaError("top level: expected a JSON object")
+        single = (str(_require(raw, "doc_id", "top level")), data)
+
+    def tag(doc: Document) -> Document:
+        if single is None:
+            path = predictions / f"{doc.doc_id}{_PRED_SUFFIX}"
+            payload = path.read_bytes() if path.is_file() else None
+        else:
+            payload = single[1] if doc.doc_id == single[0] else None
+        if payload is None:
+            raise TokenReferenceError(f"no predictions loaded for doc_id {doc.doc_id!r}")
+        return tagging.import_predictions(doc, payload)
+
+    return tag
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
@@ -198,13 +188,12 @@ def cmd_decode(args: argparse.Namespace) -> int:
             log.error("--tagger import requires --predictions")
             return 1
         try:
-            payloads = _load_prediction_payloads(Path(args.predictions))
+            tag = _import_tagger(Path(args.predictions))
         except (ReceiptKieError, OSError) as exc:
             log.error("%s: %s", args.predictions, exc)
             return 1
-        tagger: HeuristicTagger | PredictionImportTagger = PredictionImportTagger(payloads)
     else:
-        tagger = HeuristicTagger(TagRuleConfig())
+        tag = tagging.heuristic_tag
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -214,7 +203,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     for path in inputs:
         try:
             doc_id, payload, records = _decode_one(
-                path, tagger, grouping, parse_cfg, not args.no_corrections
+                path, tag, grouping, parse_cfg, not args.no_corrections
             )
         except (ReceiptKieError, OSError, ValueError) as exc:
             failures += 1
@@ -301,24 +290,11 @@ _MIN_F1_NAMES = {
 
 
 def _comparison_table(rows: list[tuple[str, EvalReport]]) -> str:
-    headers = ["run", *(ENTITY_PLURALS[label] for label in ENTITY_ORDER), "whole products"]
-    table = [headers]
+    table = [["run", *(ENTITY_PLURALS[label] for label in ENTITY_ORDER), "whole products"]]
     for name, report in rows:
-        cells = [name]
-        for label in ENTITY_ORDER:
-            cells.append(f"{report.entities[label].f1:.3f}")
-        cells.append(f"{report.whole_products.f1:.3f}")
-        table.append(cells)
-    widths = [max(len(row[col]) for row in table) for col in range(len(headers))]
-    out = []
-    for row in table:
-        out.append(
-            "  ".join(
-                row[col].ljust(widths[col]) if col == 0 else row[col].rjust(widths[col])
-                for col in range(len(row))
-            )
-        )
-    return "\n".join(out)
+        f1s = [report.entities[label].f1 for label in ENTITY_ORDER]
+        table.append([name, *(f"{f1:.3f}" for f1 in [*f1s, report.whole_products.f1])])
+    return format_rows(table)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

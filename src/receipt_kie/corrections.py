@@ -34,23 +34,24 @@ from .model import Document, EntityLabel, LabelSource, ProductGroup, Token, read
 
 _DIGITS = frozenset("0123456789")
 
+# Longer digit runs are OCR garbage to the parsers, and not worth an int().
+MAX_INTEGER_DIGITS = 18
+
 
 @dataclass(frozen=True, slots=True)
 class NumericParseConfig:
     """Lexical rules for reading numbers out of OCR tokens.
 
-    ``strip_chars`` (plus, when ``strip_currency`` is set, anything in the
-    Unicode "Sc" currency-symbol category) are removed from both ends of a
-    token before parsing — receipts decorate numbers with ``*``, ``#``,
-    ``:`` and currency marks. ``decimal_separators`` lists the characters
-    accepted between the integer and fractional part; a token is a decimal
-    number only if exactly one of them occurs.
+    ``strip_chars``, and anything in the Unicode "Sc" currency-symbol
+    category, are removed from both ends of a token before parsing —
+    receipts decorate numbers with ``*``, ``#``, ``:`` and currency marks.
+    ``decimal_separators`` lists the characters accepted between the
+    integer and fractional part; a token is a decimal number only if
+    exactly one of them occurs.
     """
 
     decimal_separators: tuple[str, ...] = (".", ",")
-    strip_currency: bool = True
     strip_chars: str = "*#:"
-    max_integer_digits: int = 18
 
     def __post_init__(self) -> None:
         if not self.decimal_separators:
@@ -60,8 +61,6 @@ class NumericParseConfig:
                 raise ValueError(f"decimal separators are single characters, got {sep!r}")
             if sep in _DIGITS:
                 raise ValueError(f"digit {sep!r} cannot be a decimal separator")
-        if self.max_integer_digits < 1:
-            raise ValueError("max_integer_digits must be at least 1")
 
 
 DEFAULT_PARSE_CONFIG = NumericParseConfig()
@@ -78,9 +77,7 @@ def _split_number(text: str, config: NumericParseConfig) -> tuple[str, str | Non
     """
 
     def strippable(ch: str) -> bool:
-        if ch in config.strip_chars:
-            return True
-        return config.strip_currency and unicodedata.category(ch) == "Sc"
+        return ch in config.strip_chars or unicodedata.category(ch) == "Sc"
 
     start, end = 0, len(text)
     while start < end and strippable(text[start]):
@@ -104,11 +101,11 @@ def parse_integer(text: str, config: NumericParseConfig = DEFAULT_PARSE_CONFIG) 
 
     After decoration stripping the token must consist solely of ASCII
     digits — no signs, no separators ("2x" and "138.00" are not
-    integers). Digit runs longer than ``max_integer_digits`` are rejected
+    integers). Digit runs longer than ``MAX_INTEGER_DIGITS`` are rejected
     as OCR garbage rather than parsed.
     """
     number = _split_number(text, config)
-    if number is None or number[1] is not None or len(number[0]) > config.max_integer_digits:
+    if number is None or number[1] is not None or len(number[0]) > MAX_INTEGER_DIGITS:
         return None
     return int(number[0])
 
@@ -124,7 +121,7 @@ def parse_float(text: str, config: NumericParseConfig = DEFAULT_PARSE_CONFIG) ->
     config, so it is rejected outright).
     """
     number = _split_number(text, config)
-    if number is None or number[1] is None or len(number[0]) > config.max_integer_digits:
+    if number is None or number[1] is None or len(number[0]) > MAX_INTEGER_DIGITS:
         return None
     int_part, frac_part = number
     value = float((int_part or "0") + "." + frac_part)

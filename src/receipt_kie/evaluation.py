@@ -21,9 +21,9 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 from .errors import CorpusMismatchError
-from .ingest import GroundTruthProduct, normalize_text
-from .layout import EntityAssignment, assign_entities
-from .model import ENTITY_ORDER, Document, EntityLabel, ProductGroup, Token
+from .ingest import normalize_text
+from .layout import assign_entities
+from .model import ENTITY_ORDER, Document, EntityLabel, Product, ProductGroup
 
 # Report keys and table rows name entities in the plural; the CLI accepts
 # these names and the singular label values alike.
@@ -77,29 +77,17 @@ class EntityCounts:
         }
 
 
-def match_entity(predicted: Token, truth: Token, mode: MatchMode) -> bool:
-    """Does a predicted token match a ground-truth token?
-
-    Same token id and same label always required; STRICT_OCR additionally
-    requires NFC-equal text.
-    """
-    if predicted.token_id != truth.token_id or predicted.label is not truth.label:
-        return False
-    if mode is MatchMode.STRICT_OCR:
-        return normalize_text(predicted.text) == normalize_text(truth.text)
-    return True
-
-
-TruthEntry = tuple[Document, Sequence[GroundTruthProduct]]
+TruthEntry = tuple[Document, Sequence[Product]]
 
 
 @dataclass(frozen=True, slots=True)
 class DocPrediction:
-    """One decoded document: the labeled tokens plus its product groups."""
+    """One decoded document: the labeled tokens plus its product groups
+    and the product each group resolves to."""
 
     document: Document
     groups: tuple[ProductGroup, ...]
-    assignments: tuple[EntityAssignment, ...]
+    assignments: tuple[Product, ...]
 
     @classmethod
     def from_groups(cls, document: Document, groups: Sequence[ProductGroup]) -> "DocPrediction":
@@ -108,20 +96,6 @@ class DocPrediction:
             groups=tuple(groups),
             assignments=tuple(assign_entities(g, document) for g in groups),
         )
-
-
-def _truth_label_map(products: Sequence[GroundTruthProduct]) -> dict[int, EntityLabel]:
-    labels: dict[int, EntityLabel] = {}
-    for product in products:
-        for tid in product.description_ids:
-            labels[tid] = EntityLabel.DESCRIPTION
-        if product.code_id is not None:
-            labels[product.code_id] = EntityLabel.CODE
-        if product.quantity_id is not None:
-            labels[product.quantity_id] = EntityLabel.QUANTITY
-        if product.price_id is not None:
-            labels[product.price_id] = EntityLabel.PRICE
-    return labels
 
 
 def _check_aligned(predictions: Mapping[str, object], truth: Mapping[str, TruthEntry]) -> None:
@@ -158,7 +132,7 @@ def score_entities(
     for doc_id in sorted(truth):
         pred_doc = predictions[doc_id]
         truth_doc, products = truth[doc_id]
-        truth_labels = _truth_label_map(products)
+        truth_labels = {tid: label for p in products for tid, label in p.labeled_ids()}
         pred_labels = {
             tok.token_id: tok.label for tok in pred_doc.tokens if tok.is_tagged
         }
@@ -177,33 +151,20 @@ def score_entities(
     return totals
 
 
-def _assignment_matches_product(
-    assignment: EntityAssignment,
-    product: GroundTruthProduct,
+def _product_matches(
+    predicted: Product,
+    truth: Product,
     pred_doc: Document,
     truth_doc: Document,
     mode: MatchMode,
 ) -> bool:
     """All of the truth product's fields reproduced, nothing spurious."""
-    if set(assignment.description_ids) != set(product.description_ids):
+    if predicted.scalar_ids() != truth.scalar_ids():
+        return False  # a scalar entity missed, wrong or spurious
+    if set(predicted.description_ids) != set(truth.description_ids):
         return False
     if mode is MatchMode.STRICT_OCR:
-        for tid in product.description_ids:
-            if not _texts_match(pred_doc, truth_doc, tid):
-                return False
-    for predicted_id, truth_id in (
-        (assignment.code_id, product.code_id),
-        (assignment.quantity_id, product.quantity_id),
-        (assignment.price_id, product.price_id),
-    ):
-        if truth_id is None:
-            if predicted_id is not None:
-                return False  # spurious extra entity
-            continue
-        if predicted_id != truth_id:
-            return False
-        if mode is MatchMode.STRICT_OCR and not _texts_match(pred_doc, truth_doc, truth_id):
-            return False
+        return all(_texts_match(pred_doc, truth_doc, tid) for tid, _ in truth.labeled_ids())
     return True
 
 
@@ -245,9 +206,9 @@ def score_whole_products(
         matched_products: set[int] = set()
         for pi, claimants in claims.items():
             # Larger overlap wins; ties go to the smaller group id.
-            claimants.sort(key=lambda c: (-c[0], pred.assignments[c[1]].group_id))
+            claimants.sort(key=lambda c: (-c[0], pred.groups[c[1]].group_id))
             _, pos = claimants[0]
-            if _assignment_matches_product(
+            if _product_matches(
                 pred.assignments[pos], products[pi], pred.document, truth_doc, mode
             ):
                 tp += 1
@@ -280,39 +241,27 @@ class EvalReport:
         }
 
     def format_table(self) -> str:
-        rows = [("entity", "precision", "recall", "f1", "tp", "fp", "fn")]
-        for label in ENTITY_ORDER:
-            c = self.entities[label]
+        rows = [["entity", "precision", "recall", "f1", "tp", "fp", "fn"]]
+        named = [(ENTITY_PLURALS[label], self.entities[label]) for label in ENTITY_ORDER]
+        for name, c in [*named, ("whole products", self.whole_products)]:
             rows.append(
-                (
-                    ENTITY_PLURALS[label],
-                    f"{c.precision:.3f}",
-                    f"{c.recall:.3f}",
-                    f"{c.f1:.3f}",
-                    str(c.tp),
-                    str(c.fp),
-                    str(c.fn),
-                )
+                [name, f"{c.precision:.3f}", f"{c.recall:.3f}", f"{c.f1:.3f}",
+                 str(c.tp), str(c.fp), str(c.fn)]
             )
-        w = self.whole_products
-        rows.append(
-            (
-                "whole products",
-                f"{w.precision:.3f}",
-                f"{w.recall:.3f}",
-                f"{w.f1:.3f}",
-                str(w.tp),
-                str(w.fp),
-                str(w.fn),
-            )
+        return format_rows(rows)
+
+
+def format_rows(rows: Sequence[Sequence[str]]) -> str:
+    """A plain-text table: the first column left-aligned, the others
+    right-aligned, cells joined by two spaces."""
+    widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
+    return "\n".join(
+        "  ".join(
+            cell.ljust(widths[0]) if col == 0 else cell.rjust(widths[col])
+            for col, cell in enumerate(row)
         )
-        widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
-        lines = []
-        for row in rows:
-            cells = [row[0].ljust(widths[0])]
-            cells += [row[col].rjust(widths[col]) for col in range(1, len(row))]
-            lines.append("  ".join(cells))
-        return "\n".join(lines)
+        for row in rows
+    )
 
 
 def build_report(

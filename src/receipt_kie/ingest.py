@@ -15,39 +15,26 @@ deterministic (sorted keys) so identical inputs produce identical bytes.
 from __future__ import annotations
 
 import json
+import sys
 import unicodedata
-from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from .errors import MalformedJsonError, SchemaError, TokenReferenceError
-from .model import BBox, Document, EntityLabel, LabelSource, ProductGroup, Token
+from .model import (
+    SCALAR_ENTITIES,
+    BBox,
+    Document,
+    EntityLabel,
+    LabelSource,
+    Product,
+    ProductGroup,
+    Token,
+)
 
 
 def normalize_text(text: str) -> str:
     """Unicode NFC normalization, the canonical form for text comparison."""
     return unicodedata.normalize("NFC", text)
-
-
-@dataclass(frozen=True, slots=True)
-class GroundTruthProduct:
-    """One annotated product: token ids per entity role.
-
-    ``description_ids`` is never empty; the other roles are optional
-    because receipts do not always print a code (and damaged annotations
-    may lack any field).
-    """
-
-    description_ids: tuple[int, ...]
-    code_id: int | None = None
-    quantity_id: int | None = None
-    price_id: int | None = None
-
-    def entity_ids(self) -> tuple[int, ...]:
-        ids = list(self.description_ids)
-        for opt in (self.code_id, self.quantity_id, self.price_id):
-            if opt is not None:
-                ids.append(opt)
-        return tuple(ids)
 
 
 def _loads(data: bytes | str) -> Any:
@@ -63,6 +50,10 @@ def _loads(data: bytes | str) -> Any:
     except json.JSONDecodeError as e:
         offset = len(text[: e.pos].encode("utf-8"))
         raise MalformedJsonError(e.msg, offset) from e
+    except ValueError as e:  # an integer literal past the interpreter's digit limit
+        raise MalformedJsonError("integer literal has too many digits", 0) from e
+    except RecursionError as e:
+        raise MalformedJsonError("arrays or objects nested too deeply", 0) from e
 
 
 def _require(obj: Mapping[str, Any], key: str, where: str) -> Any:
@@ -79,7 +70,23 @@ def _page_dims(raw: Any) -> tuple[int, int]:
     for name, value in (("width", width), ("height", height)):
         if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
             raise SchemaError(f"page.{name}: expected a positive integer, got {value!r}")
+        if value > sys.float_info.max:  # coordinates are divided by it as floats
+            raise SchemaError(f"page.{name}: too large for a page size")
     return width, height
+
+
+def _confidence(obj: Mapping[str, Any], where: str) -> float | None:
+    """The optional ``confidence`` field of ``obj``: a number in [0, 1]."""
+    value = obj.get("confidence")
+    if value is None:
+        return None
+    # JSON numbers decode to exactly int or float; a bool is neither.
+    if type(value) is not float and type(value) is not int:
+        raise SchemaError(f"{where}: confidence must be a number")
+    # Compared before conversion, so a huge integer cannot overflow; NaN fails.
+    if not 0 <= value <= 1:
+        raise SchemaError(f"{where}: confidence {value} outside [0, 1]")
+    return float(value)
 
 
 def parse_ocr(data: bytes | str) -> Document:
@@ -88,14 +95,23 @@ def parse_ocr(data: bytes | str) -> Document:
     Pixel polygons are collapsed to their axis-aligned envelope and
     normalized by the page dimensions, so token boxes land in the unit
     square (top-left origin, y down). Any coordinate outside the page is
-    a schema error naming the word index.
+    a schema error naming the word index. The doc id must be usable as a
+    file name: not empty, ``.`` or ``..``, and free of ``/``, ``\\`` and
+    NUL.
     """
     raw = _loads(data)
     if not isinstance(raw, dict):
         raise SchemaError("top level: expected a JSON object")
     doc_id = _require(raw, "doc_id", "top level")
-    if not isinstance(doc_id, str) or not doc_id:
-        raise SchemaError(f"doc_id: expected a non-empty string, got {doc_id!r}")
+    # Results are written to <doc_id>.result.json: the id must name a file.
+    if (
+        not isinstance(doc_id, str)
+        or doc_id in ("", ".", "..")
+        or "/" in doc_id
+        or "\\" in doc_id
+        or "\0" in doc_id
+    ):
+        raise SchemaError(f"doc_id: expected a plain file name, got {doc_id!r}")
     width, height = _page_dims(_require(raw, "page", "top level"))
     words = _require(raw, "words", "top level")
     if not isinstance(words, list):
@@ -121,23 +137,24 @@ def parse_ocr(data: bytes | str) -> Document:
                 or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in vertex)
             ):
                 raise SchemaError(f"{where}: vertex {j} must be an [x, y] number pair")
-            x, y = float(vertex[0]), float(vertex[1])
+            try:
+                x, y = float(vertex[0]), float(vertex[1])
+            except OverflowError:
+                raise SchemaError(f"{where}: vertex {j} outside the {width}x{height} page") from None
             if not (0 <= x <= width) or not (0 <= y <= height):
                 raise SchemaError(
                     f"{where}: vertex {j} ({x}, {y}) outside the {width}x{height} page"
                 )
             xs.append(x)
             ys.append(y)
-        confidence = word.get("confidence")
-        if confidence is not None:
-            if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
-                raise SchemaError(f"{where}: confidence must be a number")
-            confidence = float(confidence)
-            if not (0.0 <= confidence <= 1.0):
-                raise SchemaError(f"{where}: confidence {confidence} outside [0, 1]")
+        confidence = _confidence(word, where)
         bbox = BBox(min(xs) / width, min(ys) / height, max(xs) / width, max(ys) / height)
         tokens.append(Token(token_id=i, text=text, bbox=bbox, confidence=confidence))
     return Document(doc_id=doc_id, tokens=tuple(tokens), page_width=width, page_height=height)
+
+
+# The ground-truth field of each scalar entity, in SCALAR_ENTITIES order.
+_SCALAR_KEYS = tuple(f"{label.value}_id" for label in SCALAR_ENTITIES)
 
 
 def _optional_token_id(
@@ -153,7 +170,7 @@ def _optional_token_id(
     return value
 
 
-def parse_ground_truth(data: bytes | str, doc: Document) -> tuple[GroundTruthProduct, ...]:
+def parse_ground_truth(data: bytes | str, doc: Document) -> tuple[Product, ...]:
     """Parse a ground-truth annotation file against its document.
 
     All referenced token ids must exist in ``doc`` and no id may belong to
@@ -173,7 +190,7 @@ def parse_ground_truth(data: bytes | str, doc: Document) -> tuple[GroundTruthPro
 
     valid_ids = frozenset(t.token_id for t in doc.tokens)
     claimed: dict[int, int] = {}  # token id -> product index that owns it
-    products: list[GroundTruthProduct] = []
+    products: list[Product] = []
     for pi, rp in enumerate(raw_products):
         where = f"product {pi}"
         if not isinstance(rp, dict):
@@ -190,13 +207,11 @@ def parse_ground_truth(data: bytes | str, doc: Document) -> tuple[GroundTruthPro
                     f"{where}: description_ids references unknown token id {tid}"
                 )
             desc_ids.append(tid)
-        product = GroundTruthProduct(
-            description_ids=tuple(desc_ids),
-            code_id=_optional_token_id(rp, "code_id", where, valid_ids),
-            quantity_id=_optional_token_id(rp, "quantity_id", where, valid_ids),
-            price_id=_optional_token_id(rp, "price_id", where, valid_ids),
+        product = Product(
+            tuple(desc_ids),
+            *[_optional_token_id(rp, key, where, valid_ids) for key in _SCALAR_KEYS],
         )
-        for tid in product.entity_ids():
+        for tid, _ in product.labeled_ids():
             if tid in claimed:
                 raise SchemaError(
                     f"{where}: token id {tid} already belongs to product {claimed[tid]}"
@@ -208,7 +223,7 @@ def parse_ground_truth(data: bytes | str, doc: Document) -> tuple[GroundTruthPro
 
 def apply_truth_labels(
     doc: Document,
-    products: Sequence[GroundTruthProduct],
+    products: Sequence[Product],
     source: LabelSource = LabelSource.GROUND_TRUTH,
 ) -> Document:
     """Return a copy of ``doc`` labeled according to ``products``.
@@ -225,14 +240,8 @@ def apply_truth_labels(
         labels[tid] = label
 
     for product in products:
-        for tid in product.description_ids:
-            _claim(tid, EntityLabel.DESCRIPTION)
-        if product.code_id is not None:
-            _claim(product.code_id, EntityLabel.CODE)
-        if product.quantity_id is not None:
-            _claim(product.quantity_id, EntityLabel.QUANTITY)
-        if product.price_id is not None:
-            _claim(product.price_id, EntityLabel.PRICE)
+        for tid, label in product.labeled_ids():
+            _claim(tid, label)
 
     tokens = []
     for tok in doc.tokens:
@@ -264,7 +273,10 @@ def _bbox_from_json(raw: Any, where: str) -> BBox:
         # JSON numbers decode to exactly int or float; a bool is neither.
         if type(value) is not float and type(value) is not int:
             raise SchemaError(f"{where}: bbox.{key} must be a number")
-        coords.append(float(value))
+        try:
+            coords.append(float(value))
+        except OverflowError:
+            raise SchemaError(f"{where}: bbox.{key} is not within the unit page") from None
     bbox = BBox(*coords)
     # Also rejects NaN and infinities, which the JSON reader accepts.
     if not bbox.is_valid():
@@ -300,19 +312,15 @@ def serialize_result(doc: Document, groups: Sequence[ProductGroup]) -> str:
 
     product_objs = []
     for group in groups:
-        assignment = assign_entities(group, doc)
-        entities: dict[str, Any] = {"description": list(assignment.description_ids)}
+        product = assign_entities(group, doc)
+        entities: dict[str, Any] = {"description": list(product.description_ids)}
         corrected: list[str] = []
-        for name, tid in (
-            ("code", assignment.code_id),
-            ("quantity", assignment.quantity_id),
-            ("price", assignment.price_id),
-        ):
+        for label, tid in zip(SCALAR_ENTITIES, product.scalar_ids()):
             if tid is None:
                 continue
-            entities[name] = tid
+            entities[label.value] = tid
             if doc.token(tid).source is LabelSource.CORRECTION:
-                corrected.append(name)
+                corrected.append(label.value)
         product_objs.append(
             {
                 "group_id": group.group_id,
@@ -374,16 +382,14 @@ def parse_result(data: bytes | str) -> tuple[Document, tuple[ProductGroup, ...]]
         if not isinstance(text, str) or not text:
             raise SchemaError(f"{where}: text must be a non-empty string")
         label_raw = _require(rt, "label", where)
-        if label_raw not in _LABELS_BY_VALUE:
+        if not isinstance(label_raw, str) or label_raw not in _LABELS_BY_VALUE:
             raise SchemaError(f"{where}: unknown label {label_raw!r}")
         source_raw = rt.get("source")
-        if source_raw is not None and source_raw not in _SOURCES_BY_VALUE:
+        if source_raw is not None and (
+            not isinstance(source_raw, str) or source_raw not in _SOURCES_BY_VALUE
+        ):
             raise SchemaError(f"{where}: unknown label source {source_raw!r}")
-        confidence = rt.get("confidence")
-        if confidence is not None:
-            if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
-                raise SchemaError(f"{where}: confidence must be a number")
-            confidence = float(confidence)
+        confidence = _confidence(rt, where)
         tokens.append(
             Token(
                 token_id=token_id,
@@ -445,16 +451,13 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
 
 
-def write_ground_truth_json(doc_id: str, products: Sequence[GroundTruthProduct]) -> str:
+def write_ground_truth_json(doc_id: str, products: Sequence[Product]) -> str:
     """Serialize ground-truth products to the annotation schema."""
     objs = []
     for product in products:
         obj: dict[str, Any] = {"description_ids": list(product.description_ids)}
-        if product.code_id is not None:
-            obj["code_id"] = product.code_id
-        if product.quantity_id is not None:
-            obj["quantity_id"] = product.quantity_id
-        if product.price_id is not None:
-            obj["price_id"] = product.price_id
+        for key, tid in zip(_SCALAR_KEYS, product.scalar_ids()):
+            if tid is not None:
+                obj[key] = tid
         objs.append(obj)
     return canonical_json({"doc_id": doc_id, "products": objs})

@@ -26,18 +26,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .model import (
+    SCALAR_ENTITIES,
     BBox,
     Document,
     EntityLabel,
     Line,
+    Product,
     ProductGroup,
     Token,
     reading_order,
     union_bbox,
-)
-
-_NON_DESC_ENTITIES = frozenset(
-    {EntityLabel.CODE, EntityLabel.QUANTITY, EntityLabel.PRICE}
 )
 
 
@@ -174,7 +172,7 @@ def group_product_lines(doc: Document, lines: Sequence[Line]) -> list[ProductGro
         closed = False
         while j < n:
             members.append(lines[j])
-            if _line_labels(lines[j], doc) & _NON_DESC_ENTITIES:
+            if not _line_labels(lines[j], doc).isdisjoint(SCALAR_ENTITIES):
                 closed = True
                 break
             j += 1
@@ -197,35 +195,17 @@ def _make_group(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class EntityAssignment:
-    """The entity roles resolved for one product group.
-
-    ``description_ids`` lists every description token in reading order;
-    the scalar roles hold at most one token id each.
-    """
-
-    group_id: int
-    description_ids: tuple[int, ...]
-    code_id: int | None = None
-    quantity_id: int | None = None
-    price_id: int | None = None
-
-
-def assign_entities(group: ProductGroup, doc: Document) -> EntityAssignment:
+def assign_entities(group: ProductGroup, doc: Document) -> Product:
     """Resolve which group tokens fill each entity role.
 
-    Descriptions keep all their tokens. For code, quantity, and price a
-    group should hold at most one labeled token each; when a stray extra
-    appears (imperfect tagging), the top-most, then left-most one wins —
-    receipts put the governing figure first in reading order.
+    Descriptions keep all their tokens, in reading order. For code,
+    quantity, and price a group should hold at most one labeled token
+    each; when a stray extra appears (imperfect tagging), the top-most,
+    then left-most one wins — receipts put the governing figure first in
+    reading order.
     """
     descriptions: list[Token] = []
-    scalars: dict[EntityLabel, list[Token]] = {
-        EntityLabel.CODE: [],
-        EntityLabel.QUANTITY: [],
-        EntityLabel.PRICE: [],
-    }
+    scalars: dict[EntityLabel, list[Token]] = {label: [] for label in SCALAR_ENTITIES}
     for tid in group.token_ids:
         tok = doc.token(tid)
         if tok.label is EntityLabel.DESCRIPTION:
@@ -233,17 +213,11 @@ def assign_entities(group: ProductGroup, doc: Document) -> EntityAssignment:
         elif tok.label in scalars:
             scalars[tok.label].append(tok)
 
-    def pick(label: EntityLabel) -> int | None:
-        candidates = scalars[label]
-        if not candidates:
-            return None
-        return min(candidates, key=reading_order).token_id
-
     descriptions.sort(key=reading_order)
-    return EntityAssignment(
-        group_id=group.group_id,
-        description_ids=tuple(t.token_id for t in descriptions),
-        code_id=pick(EntityLabel.CODE),
-        quantity_id=pick(EntityLabel.QUANTITY),
-        price_id=pick(EntityLabel.PRICE),
+    return Product(
+        tuple(t.token_id for t in descriptions),
+        *(
+            min(candidates, key=reading_order).token_id if candidates else None
+            for candidates in scalars.values()
+        ),
     )

@@ -54,6 +54,14 @@ ENTITY_ORDER: tuple[EntityLabel, ...] = (
     EntityLabel.PRICE,
 )
 
+# The entities a product holds at most one token of, in the order of the
+# scalar fields of :class:`Product` and of the correction rules.
+SCALAR_ENTITIES: tuple[EntityLabel, ...] = (
+    EntityLabel.CODE,
+    EntityLabel.QUANTITY,
+    EntityLabel.PRICE,
+)
+
 
 @dataclass(frozen=True, slots=True)
 class BBox:
@@ -194,6 +202,36 @@ class ProductGroup:
     token_ids: tuple[int, ...]
     bbox: BBox
     incomplete: bool = False
+
+
+@dataclass(frozen=True, slots=True)
+class Product:
+    """One product record: its description tokens and at most one token per
+    scalar entity, as token ids.
+
+    Ground-truth annotations and the entities resolved for a product group
+    (:func:`receipt_kie.layout.assign_entities`) are both products. The
+    scalar fields follow :data:`SCALAR_ENTITIES` order. An annotated
+    product always has a description; a group may resolve none.
+    """
+
+    description_ids: tuple[int, ...]
+    code_id: int | None = None
+    quantity_id: int | None = None
+    price_id: int | None = None
+
+    def scalar_ids(self) -> tuple[int | None, int | None, int | None]:
+        """The code, quantity and price ids, in :data:`SCALAR_ENTITIES` order."""
+        return (self.code_id, self.quantity_id, self.price_id)
+
+    def labeled_ids(self) -> list[tuple[int, EntityLabel]]:
+        """Every token id of the product with its entity label: the
+        descriptions, then each scalar entity that is set."""
+        pairs = [(tid, EntityLabel.DESCRIPTION) for tid in self.description_ids]
+        for label, tid in zip(SCALAR_ENTITIES, self.scalar_ids()):
+            if tid is not None:
+                pairs.append((tid, label))
+        return pairs
 
 
 def validate_document(doc: Document) -> list[str]:

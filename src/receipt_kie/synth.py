@@ -32,13 +32,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
-from .ingest import (
-    GroundTruthProduct,
-    apply_truth_labels,
-    canonical_json,
-    write_ground_truth_json,
-)
-from .model import BBox, Document, EntityLabel, LabelSource, Token
+from .ingest import apply_truth_labels, canonical_json, write_ground_truth_json
+from .model import BBox, Document, EntityLabel, LabelSource, Product, Token
 
 _VOCAB = (
     "MILK", "BREAD", "COFFEE", "SHAMPOO", "SOAP", "RICE", "PASTA", "CHEESE",
@@ -137,9 +132,9 @@ def _cents(cents: int) -> str:
 
 def _generate_doc(
     doc_id: str, rng: random.Random, spec: CorpusSpec
-) -> tuple[Document, tuple[GroundTruthProduct, ...], dict[str, Any]]:
+) -> tuple[Document, tuple[Product, ...], dict[str, Any]]:
     words: list[_PixelWord] = []
-    products: list[GroundTruthProduct] = []
+    products: list[Product] = []
     line_no = 0
 
     def line_y() -> int:
@@ -190,7 +185,7 @@ def _generate_doc(
         total_cents += price_cents
 
         products.append(
-            GroundTruthProduct(
+            Product(
                 description_ids=tuple(desc_ids),
                 code_id=code_id,
                 quantity_id=quantity_id,
@@ -230,7 +225,7 @@ def _generate_doc(
     return doc, tuple(products), ocr_payload
 
 
-def _doc_records(spec: CorpusSpec) -> list[tuple[Document, tuple[GroundTruthProduct, ...], dict[str, Any]]]:
+def _doc_records(spec: CorpusSpec) -> list[tuple[Document, tuple[Product, ...], dict[str, Any]]]:
     rng = random.Random(spec.seed)
     records = []
     for i in range(spec.n_docs):
@@ -239,7 +234,7 @@ def _doc_records(spec: CorpusSpec) -> list[tuple[Document, tuple[GroundTruthProd
     return records
 
 
-def generate_corpus(spec: CorpusSpec) -> list[tuple[Document, tuple[GroundTruthProduct, ...]]]:
+def generate_corpus(spec: CorpusSpec) -> list[tuple[Document, tuple[Product, ...]]]:
     """Generate the corpus: (clean document, ground truth) per doc.
 
     Documents come back with all tokens untagged, exactly as
@@ -250,7 +245,7 @@ def generate_corpus(spec: CorpusSpec) -> list[tuple[Document, tuple[GroundTruthP
 
 
 def as_model_predictions(
-    doc: Document, products: Sequence[GroundTruthProduct]
+    doc: Document, products: Sequence[Product]
 ) -> Document:
     """Label a clean document with its ground truth as if a perfect model
     had tagged it (``source=MODEL``) — the starting point for corruption."""

@@ -8,22 +8,21 @@ training artifact and lives outside this package. What lives here is its
   text embeddings of equal shape combined by element-wise addition;
 * :func:`import_predictions`, which loads a model's token labels from a
   JSON file; and
-* :class:`HeuristicTagger`, a dependency-free geometric/lexical tagger
-  good enough to exercise the full pipeline without any model.
+* :func:`heuristic_tag`, a dependency-free geometric/lexical tagger good
+  enough to exercise the full pipeline without any model.
 
-Both taggers implement the same interface: ``tag(doc)`` returns a new
-Document and never touches geometry or text.
+Both taggers return a new Document and never touch geometry or text.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Sequence
 
-from .corrections import NumericParseConfig, _split_number
+from .corrections import MAX_INTEGER_DIGITS, NumericParseConfig, _split_number
 from .errors import LabelConflictError, SchemaError, TokenReferenceError
-from .ingest import _loads, _require
+from .ingest import _confidence, _loads, _require
 from .model import ENTITY_ORDER, Document, EntityLabel, LabelSource, Token
 
 
@@ -72,38 +71,13 @@ def fuse_sequences(
     return tuple(fuse_embeddings(a, b) for a, b in zip(image_seq, text_seq))
 
 
-@runtime_checkable
-class Tagger(Protocol):
-    """A stage that labels tokens. Must preserve ids, text, and geometry."""
-
-    def tag(self, doc: Document) -> Document: ...
-
-
-@dataclass(frozen=True, slots=True)
-class TagRuleConfig:
-    """Knobs for the heuristic tagger's column bands and lexical rules.
-
-    Bands are page-normalized x positions tested against a token's left
-    edge. Defaults fit a typical single-column receipt: totals in the
-    right-most ~third of the page, quantities mid-line.
-    """
-
-    price_band_min_x: float = 0.65
-    quantity_band: tuple[float, float] = (0.45, 0.70)
-    max_quantity: int = 99
-    min_code_length: int = 5
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.price_band_min_x <= 1.0):
-            raise ValueError(f"price_band_min_x {self.price_band_min_x} outside [0, 1]")
-        lo, hi = self.quantity_band
-        if not (0.0 <= lo < hi <= 1.0):
-            raise ValueError(f"quantity_band {self.quantity_band} is not a sub-interval of [0, 1]")
-        if self.max_quantity < 1:
-            raise ValueError("max_quantity must be at least 1")
-        if self.min_code_length < 1:
-            raise ValueError("min_code_length must be at least 1")
-
+# Column bands are page-normalized x positions tested against a token's
+# left edge. They fit a typical single-column receipt: totals in the
+# right-most third of the page, quantities mid-line.
+_PRICE_BAND_MIN_X = 0.65
+_QUANTITY_BAND = (0.45, 0.70)
+_MAX_QUANTITY = 99
+_MIN_CODE_LENGTH = 5
 
 # The tagger reads numbers with the correction rules' lexer but strips only
 # currency signs, so "*12345" is no code to it. It caps no digit run except
@@ -116,39 +90,39 @@ def _alpha_majority(text: str) -> bool:
     return alpha * 2 > len(text)
 
 
-def heuristic_tag(doc: Document, config: TagRuleConfig | None = None) -> Document:
+def heuristic_tag(doc: Document) -> Document:
     """Label tokens with position/lexicon rules; no model involved.
 
     Rule order per token (first match wins):
 
-    1. decimal number with a fractional part whose left edge sits in the
-       right-most column band -> PRICE
-    2. small integer (<= max_quantity) in the quantity band -> QUANTITY
-    3. digit run of at least min_code_length characters -> CODE
+    1. decimal number with a fractional part whose left edge sits at or
+       right of x = 0.65 -> PRICE
+    2. integer of at most 99 whose left edge sits in [0.45, 0.70)
+       -> QUANTITY
+    3. digit run of at least 5 characters -> CODE
     4. alphabetic-majority text -> DESCRIPTION
     5. otherwise untagged
 
     Pre-existing labels are discarded; output labels carry
-    ``source=HEURISTIC``. Deterministic: same document and config, same
-    labels, bit for bit.
+    ``source=HEURISTIC``. Deterministic: same document, same labels, bit
+    for bit.
     """
-    cfg = config or TagRuleConfig()
-    qty_lo, qty_hi = cfg.quantity_band
+    qty_lo, qty_hi = _QUANTITY_BAND
     tokens: list[Token] = []
     for tok in doc.tokens:
         digits, fraction = _split_number(tok.text, _TAG_NUMBERS) or ("", None)
         is_integer = bool(digits) and fraction is None
         label = EntityLabel.UNTAGGED
-        if fraction is not None and tok.bbox.x_min >= cfg.price_band_min_x:
+        if fraction is not None and tok.bbox.x_min >= _PRICE_BAND_MIN_X:
             label = EntityLabel.PRICE
         elif (
             is_integer
-            and len(digits) <= 18  # keep int() cheap on garbage input
-            and int(digits) <= cfg.max_quantity
+            and len(digits) <= MAX_INTEGER_DIGITS
+            and int(digits) <= _MAX_QUANTITY
             and qty_lo <= tok.bbox.x_min < qty_hi
         ):
             label = EntityLabel.QUANTITY
-        elif is_integer and len(digits) >= cfg.min_code_length:
+        elif is_integer and len(digits) >= _MIN_CODE_LENGTH:
             label = EntityLabel.CODE
         elif _alpha_majority(tok.text):
             label = EntityLabel.DESCRIPTION
@@ -159,16 +133,6 @@ def heuristic_tag(doc: Document, config: TagRuleConfig | None = None) -> Documen
                 Token(tok.token_id, tok.text, tok.bbox, label, LabelSource.HEURISTIC, None)
             )
     return doc.with_tokens(tokens)
-
-
-class HeuristicTagger:
-    """:func:`heuristic_tag` wrapped as a Tagger."""
-
-    def __init__(self, config: TagRuleConfig | None = None) -> None:
-        self.config = config or TagRuleConfig()
-
-    def tag(self, doc: Document) -> Document:
-        return heuristic_tag(doc, self.config)
 
 
 _IMPORTABLE_LABELS = {label.value: label for label in ENTITY_ORDER}
@@ -207,16 +171,10 @@ def import_predictions(doc: Document, data: bytes | str) -> Document:
         if token_id not in valid_ids:
             raise TokenReferenceError(f"{where}: unknown token id {token_id}")
         label_raw = _require(entry, "label", where)
-        if label_raw not in _IMPORTABLE_LABELS:
+        if not isinstance(label_raw, str) or label_raw not in _IMPORTABLE_LABELS:
             raise SchemaError(f"{where}: unknown label {label_raw!r}")
         label = _IMPORTABLE_LABELS[label_raw]
-        confidence = entry.get("confidence")
-        if confidence is not None:
-            if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
-                raise SchemaError(f"{where}: confidence must be a number")
-            confidence = float(confidence)
-            if not (0.0 <= confidence <= 1.0):
-                raise SchemaError(f"{where}: confidence {confidence} outside [0, 1]")
+        confidence = _confidence(entry, where)
         if token_id in assigned and assigned[token_id][0] is not label:
             raise LabelConflictError(
                 f"{where}: token id {token_id} labeled both "
@@ -235,21 +193,3 @@ def import_predictions(doc: Document, data: bytes | str) -> Document:
             tokens.append(Token(tok.token_id, tok.text, tok.bbox, EntityLabel.UNTAGGED, None, None))
     return doc.with_tokens(tokens)
 
-
-class PredictionImportTagger:
-    """A Tagger backed by per-document prediction files.
-
-    Construct with a mapping from doc_id to the raw JSON payload for that
-    document; only the tagged documents' payloads are looked up. ``tag``
-    fails with TokenReferenceError for unknown docs.
-    """
-
-    def __init__(self, payloads: Mapping[str, bytes | str]) -> None:
-        self._payloads = payloads
-
-    def tag(self, doc: Document) -> Document:
-        try:
-            payload = self._payloads[doc.doc_id]
-        except KeyError:
-            raise TokenReferenceError(f"no predictions loaded for doc_id {doc.doc_id!r}") from None
-        return import_predictions(doc, payload)

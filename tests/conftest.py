@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from receipt_kie.ingest import GroundTruthProduct, apply_truth_labels
-from receipt_kie.model import Document, LabelSource
+from receipt_kie.ingest import apply_truth_labels
+from receipt_kie.model import Document, LabelSource, Product
 
 from helpers import make_doc, make_token
 
@@ -44,15 +44,15 @@ def receipt_doc() -> Document:
 
 
 @pytest.fixture()
-def receipt_truth() -> tuple[GroundTruthProduct, ...]:
+def receipt_truth() -> tuple[Product, ...]:
     return (
-        GroundTruthProduct(
+        Product(
             description_ids=(1, 2),
             code_id=3,
             quantity_id=4,
             price_id=7,
         ),
-        GroundTruthProduct(
+        Product(
             description_ids=(8,),
             code_id=9,
             quantity_id=10,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import json
 import subprocess
 import sys
@@ -198,6 +199,42 @@ class TestDecodeCommand:
         assert truncated in errors[0] and missing in errors[1]
         assert [p.name for p in out.glob("*.result.json")] == [f"{good}.result.json"]
 
+    def test_single_predictions_file_tags_only_its_document(self, corpus_dir, tmp_path):
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        first, second = manifest["doc_ids"][:2]
+        out = tmp_path / "out"
+        proc = run_module(
+            "decode", *(corpus_dir / "pred" / f"{doc_id}.json" for doc_id in (first, second)),
+            "--out", out, "--tagger", "import",
+            "--predictions", corpus_dir / "pred" / f"{first}.pred.json",
+        )
+        assert proc.returncode == 1
+        [error] = proc.stderr.splitlines()
+        assert f"no predictions loaded for doc_id {second!r}" in error
+        assert [p.name for p in out.glob("*.result.json")] == [f"{first}.result.json"]
+
+    def test_doc_id_cannot_leave_the_output_directory(self, tmp_path):
+        ocr = tmp_path / "in.json"
+        ocr.write_text(json.dumps(dict(RENDER_OCR, doc_id="../escaped")))
+        proc = run_module("decode", ocr, "--out", tmp_path / "esc" / "out")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        [error] = proc.stderr.splitlines()
+        assert "doc_id" in error
+        written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+        assert written == ["esc", "esc/out", "esc/out/corrections.jsonl", "in.json"]
+
+    def test_coordinate_too_large_for_a_float_is_one_error_line(self, tmp_path):
+        payload = json.loads(json.dumps(RENDER_OCR))
+        payload["words"][0]["polygon"][0] = [10**400, 80]
+        ocr = tmp_path / "in.json"
+        ocr.write_text(json.dumps(payload))
+        proc = run_module("decode", ocr, "--out", tmp_path / "out")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        [error] = proc.stderr.splitlines()
+        assert "word 0: vertex 0" in error
+
     def test_empty_input_directory_is_a_warning_not_an_error(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -321,6 +358,18 @@ class TestEvalCommand:
         assert "duplicate doc_id" in error
         assert str(original) in error and str(copy) in error
 
+    def test_integer_past_the_digit_limit_is_one_error_line(self, corpus_dir, results_dir, tmp_path):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        for path in results_dir.glob("*.result.json"):
+            (bad / path.name).write_bytes(path.read_bytes())
+        sorted(bad.glob("*.result.json"))[0].write_text('{"doc_id": ' + "9" * 5000 + "}")
+        proc = run_module("eval", "--results", bad, "--truth", corpus_dir)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        [error] = proc.stderr.splitlines()
+        assert "too many digits" in error
+
     def test_missing_truth_directory_fails(self, results_dir, tmp_path):
         empty = tmp_path / "no-truth"
         empty.mkdir()
@@ -439,6 +488,33 @@ class TestRenderCommand:
         assert run_cli("render", result_path, ocr_path) == 0
         out = capsys.readouterr().out
         assert out.startswith("<svg") and out.rstrip().endswith("</svg>")
+
+
+def test_benchmark_trace_points_see_every_layer(corpus_dir, tmp_path, monkeypatch):
+    """perfbench wraps package functions at the module names the CLI looks
+    them up by; a renamed or import-bound function would read as zero."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    tracer = importlib.import_module("child").make_tracer()
+    doc_id = json.loads((corpus_dir / "manifest.json").read_text())["doc_ids"][0]
+    ocr = corpus_dir / "pred" / f"{doc_id}.json"
+    tracer.install()
+    try:
+        for tagger in (["heuristic"], ["import", "--predictions", corpus_dir / "pred"]):
+            argv = ["decode", ocr, "--out", tmp_path / tagger[0], "--tagger", *tagger]
+            assert tracer.root("cli.main", main, [str(a) for a in argv]) == 0
+    finally:
+        tracer.uninstall()
+    spans, _ = tracer.take()
+    assert {span[0] for span in spans} >= {
+        "cli.main",
+        "ingest.parse_ocr",
+        "tagging.heuristic_tag",
+        "tagging.import_predictions",
+        "layout.detect_lines_geometric",
+        "corrections.apply_corrections",
+        "ingest.serialize_result",
+    }
 
 
 class TestModuleEntryPoint:

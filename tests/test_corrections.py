@@ -62,9 +62,9 @@ class TestParseInteger:
         assert parse_integer(text) is None
 
     def test_strip_chars_are_configurable(self):
-        bare = NumericParseConfig(strip_chars="", strip_currency=False)
+        bare = NumericParseConfig(strip_chars="")
         assert parse_integer("*2*", bare) is None
-        assert parse_integer("$2", bare) is None
+        assert parse_integer("$2", bare) == 2  # currency signs are always stripped
         assert parse_integer("2", bare) == 2
 
 

@@ -10,13 +10,12 @@ from receipt_kie.evaluation import (
     EvalReport,
     MatchMode,
     build_report,
-    match_entity,
     score_entities,
     score_whole_products,
 )
-from receipt_kie.ingest import GroundTruthProduct, apply_truth_labels
+from receipt_kie.ingest import apply_truth_labels
 from receipt_kie.layout import detect_lines_geometric, group_product_lines
-from receipt_kie.model import EntityLabel, LabelSource, ProductGroup, Token, union_bbox
+from receipt_kie.model import EntityLabel, LabelSource, Product, ProductGroup, Token, union_bbox
 
 from helpers import make_doc, make_token
 
@@ -39,32 +38,6 @@ class TestEntityCounts:
     def test_addition(self):
         total = EntityCounts(1, 2, 3) + EntityCounts(4, 5, 6)
         assert (total.tp, total.fp, total.fn) == (5, 7, 9)
-
-
-class TestMatchEntity:
-    def box_token(self, text, label, token_id=0):
-        return make_token(token_id, text, 40, 100, label=label)
-
-    def test_tag_only_ignores_text(self):
-        pred = self.box_token("8O04520", EntityLabel.CODE)  # OCR-garbled text
-        truth = self.box_token("8004520", EntityLabel.CODE)
-        assert match_entity(pred, truth, MatchMode.TAG_ONLY)
-        assert not match_entity(pred, truth, MatchMode.STRICT_OCR)
-
-    def test_label_must_match_in_both_modes(self):
-        pred = self.box_token("2", EntityLabel.QUANTITY)
-        truth = self.box_token("2", EntityLabel.CODE)
-        assert not match_entity(pred, truth, MatchMode.TAG_ONLY)
-
-    def test_token_id_must_match(self):
-        pred = self.box_token("2", EntityLabel.QUANTITY, token_id=1)
-        truth = self.box_token("2", EntityLabel.QUANTITY, token_id=2)
-        assert not match_entity(pred, truth, MatchMode.TAG_ONLY)
-
-    def test_strict_mode_compares_nfc_forms(self):
-        pred = self.box_token("Café", EntityLabel.DESCRIPTION)
-        truth = self.box_token("Café", EntityLabel.DESCRIPTION)
-        assert match_entity(pred, truth, MatchMode.STRICT_OCR)
 
 
 def truth_for(doc, products):
@@ -137,6 +110,37 @@ class TestScoreEntities:
         # the garbled token is simultaneously a spurious prediction and a miss
         assert strict_counts[EntityLabel.CODE] == EntityCounts(tp=1, fp=1, fn=1)
 
+    def test_label_on_another_token_is_fp_and_fn(self, receipt_doc, receipt_truth, labeled_receipt):
+        # the code label moves from its token (3) to an untagged one (6)
+        moved = labeled_receipt.with_tokens(
+            [
+                Token(tok.token_id, tok.text, tok.bbox, label, source, None)
+                for tok in labeled_receipt.tokens
+                for label, source in [
+                    (EntityLabel.UNTAGGED, None) if tok.token_id == 3
+                    else (EntityLabel.CODE, LabelSource.MODEL) if tok.token_id == 6
+                    else (tok.label, tok.source)
+                ]
+            ]
+        )
+        for mode in MatchMode:
+            counts = score_entities(
+                {receipt_doc.doc_id: moved}, truth_for(receipt_doc, receipt_truth), mode
+            )
+            assert counts[EntityLabel.CODE] == EntityCounts(tp=1, fp=1, fn=1)
+
+    def test_strict_mode_compares_nfc_forms(self):
+        truth_doc = make_doc([make_token(0, "Caf\u00e9", 40, 100)])
+        pred_doc = make_doc(
+            [make_token(0, "Cafe\u0301", 40, 100, label=EntityLabel.DESCRIPTION)]
+        )
+        counts = score_entities(
+            {pred_doc.doc_id: pred_doc},
+            truth_for(truth_doc, [Product(description_ids=(0,))]),
+            MatchMode.STRICT_OCR,
+        )
+        assert counts[EntityLabel.DESCRIPTION] == EntityCounts(tp=1, fp=0, fn=0)
+
     def test_misaligned_corpora_rejected(self, receipt_doc, receipt_truth, labeled_receipt):
         with pytest.raises(CorpusMismatchError, match="receipt-fixture"):
             score_entities({}, truth_for(receipt_doc, receipt_truth))
@@ -188,7 +192,7 @@ class TestScoreWholeProducts:
         # truth's second product has no code; predicting one must sink it
         truth_without_code = (
             receipt_truth[0],
-            GroundTruthProduct(
+            Product(
                 description_ids=(8,), quantity_id=10, price_id=11,
             ),
         )
@@ -268,7 +272,7 @@ class TestScoreWholeProducts:
         ]
         doc = make_doc(tokens, doc_id="competing")
         truth = [
-            GroundTruthProduct(description_ids=(0, 1), quantity_id=2, price_id=3)
+            Product(description_ids=(0, 1), quantity_id=2, price_id=3)
         ]
         group_a = ProductGroup(
             0, (0,), (0, 1), union_bbox(t.bbox for t in tokens[:2]), False
@@ -293,7 +297,7 @@ class TestScoreWholeProducts:
             make_token(3, "9.99", 480, 80, label=EntityLabel.PRICE),
         ]
         doc = make_doc(tokens, doc_id="competing-2")
-        truth = [GroundTruthProduct(description_ids=(0, 1), quantity_id=2, price_id=3)]
+        truth = [Product(description_ids=(0, 1), quantity_id=2, price_id=3)]
         full = ProductGroup(0, (0, 1), (0, 1, 2, 3), union_bbox(t.bbox for t in tokens), False)
         partial = ProductGroup(1, (0,), (1,), tokens[1].bbox, True)
         counts = score_whole_products(

@@ -3,14 +3,16 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from receipt_kie.errors import (
     MalformedJsonError,
+    ReceiptKieError,
     SchemaError,
     TokenReferenceError,
 )
 from receipt_kie.ingest import (
-    GroundTruthProduct,
     apply_truth_labels,
     canonical_json,
     normalize_text,
@@ -21,7 +23,8 @@ from receipt_kie.ingest import (
     write_ground_truth_json,
 )
 from receipt_kie.layout import detect_lines_geometric, group_product_lines
-from receipt_kie.model import BBox, EntityLabel, LabelSource
+from receipt_kie.model import BBox, EntityLabel, LabelSource, Product
+from receipt_kie.tagging import import_predictions
 
 from helpers import make_doc, make_token
 
@@ -113,6 +116,27 @@ class TestParseOcr:
         with pytest.raises(SchemaError, match=missing):
             parse_ocr(json.dumps(payload))
 
+    @pytest.mark.parametrize("doc_id", ["", ".", "..", "../escaped", "a/b", "/abs", "a\\b", "a\0b"])
+    def test_doc_id_must_be_a_plain_file_name(self, doc_id):
+        with pytest.raises(SchemaError, match="doc_id: expected a plain file name"):
+            parse_ocr(json.dumps(ocr_payload(doc_id=doc_id)))
+
+    def test_integer_past_the_digit_limit_is_malformed_json(self):
+        with pytest.raises(MalformedJsonError, match="too many digits"):
+            parse_ocr(b'{"doc_id": ' + b"9" * 5000 + b"}")
+
+    @pytest.mark.parametrize("where", ["vertex", "confidence", "page"])
+    def test_integer_too_large_for_a_float_is_a_schema_error(self, where):
+        payload = ocr_payload()
+        if where == "vertex":
+            payload["words"][0]["polygon"][1] = [10**400, 10]
+        elif where == "confidence":
+            payload["words"][0]["confidence"] = 10**400
+        else:
+            payload["page"]["width"] = 10**400
+        with pytest.raises(SchemaError, match="page" if where == "page" else "word 0"):
+            parse_ocr(json.dumps(payload))
+
     def test_unknown_fields_are_ignored(self):
         payload = ocr_payload(pipeline_version="v2")
         payload["words"][0]["angle"] = 0.3
@@ -183,7 +207,7 @@ class TestApplyTruthLabels:
 
     def test_conflicting_claims_rejected(self, receipt_doc):
         products = [
-            GroundTruthProduct(description_ids=(1,), code_id=1),
+            Product(description_ids=(1,), code_id=1),
         ]
         with pytest.raises(ValueError, match="token 1"):
             apply_truth_labels(receipt_doc, products)
@@ -258,6 +282,22 @@ class TestResultRoundTrip:
         with pytest.raises(SchemaError, match=r"token 3: bbox"):
             parse_result(json.dumps(payload))
 
+    def test_token_bbox_coordinate_too_large_for_a_float(self, labeled_receipt):
+        payload = json.loads(serialize_result(labeled_receipt, []))
+        payload["tokens"][1]["bbox"]["x_max"] = 10**400
+        with pytest.raises(SchemaError, match=r"token 1: bbox.x_max"):
+            parse_result(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), 5.0, -3, 10**400, True, "0.5"],
+        ids=["nan", "5.0", "-3", "400-digits", "true", "string"],
+    )
+    def test_token_confidence_must_be_a_number_in_the_unit_interval(self, labeled_receipt, value):
+        payload = json.loads(serialize_result(labeled_receipt, []))
+        payload["tokens"][2]["confidence"] = value
+        with pytest.raises(SchemaError, match=r"token 2: confidence"):
+            parse_result(json.dumps(payload))
+
     @pytest.mark.parametrize("value", [True, "0.5", None, [0.5]])
     def test_token_bbox_coordinates_must_be_numbers(self, labeled_receipt, value):
         payload = json.loads(serialize_result(labeled_receipt, []))
@@ -292,3 +332,102 @@ class TestCanonicalJson:
         out = canonical_json({"b": 1, "a": 2})
         assert out.index('"a"') < out.index('"b"')
         assert out.endswith("\n")
+
+
+# Every parser, given any byte string, returns or raises a ReceiptKieError.
+# Inputs are raw bytes, or JSON shaped like the parser's schema where each
+# field holds either a value of the expected shape or any JSON value.
+_ANY_JSON = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(min_value=-2, max_value=200),
+        st.just(10**400),
+        st.floats(),
+        st.sampled_from(["doc-1", "", "..", "code", "description", "model", "A"]),
+    ),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _record(**fields):
+    """Objects with every field of a schema record, each holding a value of
+    the expected shape two times in three, so draws reach the later checks."""
+    return st.fixed_dictionaries({key: st.one_of(value, value, _ANY_JSON) for key, value in fields.items()})
+
+
+_NUMBER = st.one_of(st.integers(min_value=-1, max_value=120), st.floats(), st.just(10**400))
+_ID = st.integers(min_value=-1, max_value=4)
+_IDS = st.lists(_ID, max_size=3)
+_LABEL = st.sampled_from([label.value for label in EntityLabel] + ["total"])
+_PAGE = _record(width=_NUMBER, height=_NUMBER)
+_BOX = _record(x_min=_NUMBER, y_min=_NUMBER, x_max=_NUMBER, y_max=_NUMBER)
+_SHAPED = {
+    "ocr": _record(
+        doc_id=st.sampled_from(["doc-1", "..", "a/b"]),
+        page=_PAGE,
+        words=st.lists(
+            _record(
+                text=st.text(max_size=3),
+                polygon=st.lists(st.lists(_NUMBER, max_size=3), max_size=4),
+                confidence=_NUMBER,
+            ),
+            max_size=3,
+        ),
+    ),
+    "ground_truth": _record(
+        doc_id=st.just("doc-1"),
+        products=st.lists(
+            _record(description_ids=_IDS, code_id=_ID, quantity_id=_ID, price_id=_ID), max_size=3
+        ),
+    ),
+    "predictions": _record(
+        doc_id=st.just("doc-1"),
+        labels=st.lists(_record(token_id=_ID, label=_LABEL, confidence=_NUMBER), max_size=3),
+    ),
+    "result": _record(
+        doc_id=st.just("doc-1"),
+        page=_PAGE,
+        tokens=st.lists(
+            _record(
+                token_id=_ID,
+                text=st.text(max_size=3),
+                label=_LABEL,
+                source=st.sampled_from([source.value for source in LabelSource]),
+                confidence=_NUMBER,
+                bbox=_BOX,
+            ),
+            max_size=3,
+        ),
+        products=st.lists(
+            _record(group_id=_ID, line_indices=_IDS, token_ids=_IDS, incomplete=st.booleans(), bbox=_BOX),
+            max_size=2,
+        ),
+    ),
+}
+_TARGET = make_doc([make_token(i, "A", 10 * i, 10) for i in range(3)])
+_PARSERS = {
+    "ocr": parse_ocr,
+    "ground_truth": lambda data: parse_ground_truth(data, _TARGET),
+    "predictions": lambda data: import_predictions(_TARGET, data),
+    "result": parse_result,
+}
+_HOSTILE = [b"", b"\xff\xfe", b"9" * 5000, b"[" * 100_000, b'{"doc_id": "doc-1"}']
+
+
+@pytest.mark.parametrize("schema", sorted(_PARSERS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_parsers_return_or_raise_a_package_error(schema, data):
+    raw = data.draw(
+        st.one_of(
+            st.binary(max_size=40),
+            st.sampled_from(_HOSTILE),
+            _SHAPED[schema].map(lambda value: json.dumps(value).encode("utf-8")),
+        )
+    )
+    try:
+        _PARSERS[schema](raw)
+    except ReceiptKieError:
+        pass

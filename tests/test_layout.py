@@ -8,14 +8,21 @@ from hypothesis import strategies as st
 
 from receipt_kie import layout
 from receipt_kie.layout import (
-    EntityAssignment,
     GroupingConfig,
     assign_entities,
     detect_lines_geometric,
     group_product_lines,
     vertical_overlap_ratio,
 )
-from receipt_kie.model import BBox, Document, EntityLabel, ProductGroup, Token, union_bbox
+from receipt_kie.model import (
+    BBox,
+    Document,
+    EntityLabel,
+    Product,
+    ProductGroup,
+    Token,
+    union_bbox,
+)
 from receipt_kie.synth import CorpusSpec, generate_corpus
 
 from helpers import TOKEN_H, make_doc, make_token, norm_box
@@ -374,9 +381,7 @@ class TestAssignEntities:
         lines = detect_lines_geometric(labeled_receipt)
         first, second = group_product_lines(labeled_receipt, lines)
         a = assign_entities(first, labeled_receipt)
-        assert a == EntityAssignment(
-            group_id=0, description_ids=(1, 2), code_id=3, quantity_id=4, price_id=7
-        )
+        assert a == Product(description_ids=(1, 2), code_id=3, quantity_id=4, price_id=7)
         b = assign_entities(second, labeled_receipt)
         assert b.description_ids == (8,)
         assert (b.code_id, b.quantity_id, b.price_id) == (9, 10, 11)

@@ -123,7 +123,7 @@ class TestBusinessRulesByConstruction:
         # any single drop
         for doc, products in corpus:
             for product in products:
-                entity_ids = set(product.entity_ids())
+                entity_ids = {tid for tid, _ in product.labeled_ids()}
                 dept = [
                     v
                     for tok in numbers_line_tokens(doc, product)
@@ -167,7 +167,7 @@ class TestBusinessRulesByConstruction:
             groups = group_product_lines(labeled, detect_lines_geometric(labeled))
             assert len(groups) == len(products)
             for group, product in zip(groups, products):
-                assert set(product.entity_ids()) <= set(group.token_ids)
+                assert {tid for tid, _ in product.labeled_ids()} <= set(group.token_ids)
                 assert not group.incomplete
 
     def test_no_corrections_fire_on_a_perfect_decode(self, plain_corpus):

@@ -12,10 +12,6 @@ from receipt_kie.errors import LabelConflictError, SchemaError, TokenReferenceEr
 from receipt_kie.model import BBox, Document, EntityLabel, LabelSource, Token
 from receipt_kie.tagging import (
     EmbeddingVector,
-    HeuristicTagger,
-    PredictionImportTagger,
-    TagRuleConfig,
-    Tagger,
     fuse_embeddings,
     fuse_sequences,
     heuristic_tag,
@@ -92,9 +88,9 @@ class TestFusion:
 class TestHeuristicRules:
     """Frozen expectations for the rule table, one token per rule."""
 
-    def tagged(self, text, x0, *, config=None):
+    def tagged(self, text, x0):
         doc = make_doc([make_token(0, text, x0, 100)])
-        return heuristic_tag(doc, config).tokens[0]
+        return heuristic_tag(doc).tokens[0]
 
     def test_decimal_in_price_band_is_price(self):
         assert self.tagged("138.00", 480).label is EntityLabel.PRICE
@@ -139,14 +135,6 @@ class TestHeuristicRules:
     def test_thousands_grouped_number_is_untagged(self):
         # two separators -> not a decimal number to this tagger
         assert self.tagged("1,150.00", 480).label is EntityLabel.UNTAGGED
-
-    def test_band_override_moves_the_price_column(self):
-        cfg = TagRuleConfig(price_band_min_x=0.5)
-        assert self.tagged("69.00", 360, config=cfg).label is EntityLabel.PRICE
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            TagRuleConfig(quantity_band=(0.7, 0.4))
 
 
 class TestHeuristicTagOnFixture:
@@ -314,33 +302,23 @@ class TestImportPredictions:
         tagged = import_predictions(receipt_doc, dup)
         assert tagged.token(3).label is EntityLabel.CODE
 
-    def test_confidence_out_of_range(self, receipt_doc):
-        bad = self.payload(labels=[{"token_id": 3, "label": "code", "confidence": -0.1}])
-        with pytest.raises(SchemaError, match="confidence"):
+    @pytest.mark.parametrize("confidence", [-0.1, 10**400, float("nan")], ids=["-0.1", "400-digits", "nan"])
+    def test_confidence_out_of_range(self, receipt_doc, confidence):
+        bad = self.payload(labels=[{"token_id": 3, "label": "code", "confidence": confidence}])
+        with pytest.raises(SchemaError, match="label 0: confidence"):
+            import_predictions(receipt_doc, bad)
+
+    def test_unhashable_label_is_a_schema_error(self, receipt_doc):
+        bad = self.payload(labels=[{"token_id": 3, "label": ["code"]}])
+        with pytest.raises(SchemaError, match="unknown label"):
             import_predictions(receipt_doc, bad)
 
 
-class TestTaggerConformance:
-    """Both taggers satisfy the Tagger protocol and leave ids, text, and
-    geometry untouched."""
-
-    def taggers(self, receipt_doc):
-        payloads = {
-            receipt_doc.doc_id: json.dumps(
-                {"doc_id": receipt_doc.doc_id, "labels": [{"token_id": 8, "label": "description"}]}
-            )
-        }
-        return [HeuristicTagger(), PredictionImportTagger(payloads)]
-
-    def test_protocol_and_preservation(self, receipt_doc):
-        before = [(t.token_id, t.text, t.bbox) for t in receipt_doc.tokens]
-        for tagger in self.taggers(receipt_doc):
-            assert isinstance(tagger, Tagger)
-            tagged = tagger.tag(receipt_doc)
-            assert tagged.doc_id == receipt_doc.doc_id
-            assert [(t.token_id, t.text, t.bbox) for t in tagged.tokens] == before
-
-    def test_import_tagger_unknown_doc(self):
-        tagger = PredictionImportTagger({})
-        with pytest.raises(TokenReferenceError, match="doc-1"):
-            tagger.tag(make_doc([make_token(0, "A", 10, 10)]))
+def test_taggers_keep_ids_text_and_geometry(receipt_doc):
+    payload = json.dumps(
+        {"doc_id": receipt_doc.doc_id, "labels": [{"token_id": 8, "label": "description"}]}
+    )
+    before = [(t.token_id, t.text, t.bbox) for t in receipt_doc.tokens]
+    for tagged in (heuristic_tag(receipt_doc), import_predictions(receipt_doc, payload)):
+        assert tagged.doc_id == receipt_doc.doc_id
+        assert [(t.token_id, t.text, t.bbox) for t in tagged.tokens] == before
