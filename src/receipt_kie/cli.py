@@ -24,11 +24,11 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from . import __version__, tagging
 from .corrections import NumericParseConfig, apply_corrections
-from .errors import CorpusMismatchError, ReceiptKieError, SchemaError, TokenReferenceError
+from .errors import CorpusMismatchError, ReceiptKieError, TokenReferenceError
 from .evaluation import (
     ENTITY_ORDER,
     ENTITY_PLURALS,
@@ -40,7 +40,7 @@ from .evaluation import (
     format_rows,
 )
 from .ingest import (
-    _loads,
+    _load_object,
     _require,
     canonical_json,
     parse_ground_truth,
@@ -121,6 +121,15 @@ def _parse_rate_flags(pairs: Sequence[str], allowed: dict[str, str], flag: str) 
     return out
 
 
+def _parse_file(path: Path, parse: Callable[..., Any], *args: Any) -> Any:
+    """``parse(contents of path, *args)``; a package error names the file."""
+    try:
+        return parse(path.read_bytes(), *args)
+    except ReceiptKieError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 # --------------------------------------------------------------------------
 # decode
 
@@ -153,10 +162,7 @@ def _import_tagger(predictions: Path) -> Callable[[Document], Document]:
     single: tuple[str, bytes] | None = None
     if not predictions.is_dir():
         data = predictions.read_bytes()
-        raw = _loads(data)
-        if not isinstance(raw, dict):
-            raise SchemaError("top level: expected a JSON object")
-        single = (str(_require(raw, "doc_id", "top level")), data)
+        single = (str(_require(_load_object(data), "doc_id", "top level")), data)
 
     def tag(doc: Document) -> Document:
         if single is None:
@@ -259,7 +265,7 @@ def _load_results(results: Sequence[str]) -> dict[str, DocPrediction]:
     predictions: dict[str, DocPrediction] = {}
     seen: dict[str, Path] = {}
     for path in paths:
-        doc, groups = parse_result(path.read_bytes())
+        doc, groups = _parse_file(path, parse_result)
         if doc.doc_id in seen:
             raise CorpusMismatchError(
                 f"{path}: duplicate doc_id {doc.doc_id!r} (already read from {seen[doc.doc_id]})"
@@ -276,8 +282,8 @@ def _load_truth(truth_dir: Path) -> dict[str, TruthEntry]:
         ocr_path = truth_dir / f"{doc_id}.json"
         if not ocr_path.exists():
             raise CorpusMismatchError(f"no OCR file next to {path.name}")
-        doc = parse_ocr(ocr_path.read_bytes())
-        products = parse_ground_truth(path.read_bytes(), doc)
+        doc = _parse_file(ocr_path, parse_ocr)
+        products = _parse_file(path, parse_ground_truth, doc)
         truth[doc_id] = (doc, products)
     return truth
 
@@ -388,8 +394,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     try:
-        doc, groups = parse_result(Path(args.result).read_bytes())
-        ocr_doc = parse_ocr(Path(args.ocr).read_bytes())
+        doc, groups = _parse_file(Path(args.result), parse_result)
+        ocr_doc = _parse_file(Path(args.ocr), parse_ocr)
     except (ReceiptKieError, OSError) as exc:
         log.error("%s", exc)
         return 1

@@ -38,20 +38,22 @@ _DIGITS = frozenset("0123456789")
 MAX_INTEGER_DIGITS = 18
 
 
+# Removed from both ends of a token before the rules parse it, along with
+# anything in the Unicode "Sc" currency-symbol category: receipts decorate
+# numbers with these and with currency marks.
+_RULE_STRIP_CHARS = "*#:"
+
+
 @dataclass(frozen=True, slots=True)
 class NumericParseConfig:
     """Lexical rules for reading numbers out of OCR tokens.
 
-    ``strip_chars``, and anything in the Unicode "Sc" currency-symbol
-    category, are removed from both ends of a token before parsing —
-    receipts decorate numbers with ``*``, ``#``, ``:`` and currency marks.
     ``decimal_separators`` lists the characters accepted between the
     integer and fractional part; a token is a decimal number only if
     exactly one of them occurs.
     """
 
     decimal_separators: tuple[str, ...] = (".", ",")
-    strip_chars: str = "*#:"
 
     def __post_init__(self) -> None:
         if not self.decimal_separators:
@@ -66,10 +68,13 @@ class NumericParseConfig:
 DEFAULT_PARSE_CONFIG = NumericParseConfig()
 
 
-def _split_number(text: str, config: NumericParseConfig) -> tuple[str, str | None] | None:
-    """The one numeric lexer: strip decorations from both ends of ``text``
-    and split the rest into its integer digits and, after exactly one
-    decimal separator, its fractional digits (None for a plain integer).
+def _split_number(
+    text: str, strip_chars: str, config: NumericParseConfig
+) -> tuple[str, str | None] | None:
+    """The one numeric lexer: strip ``strip_chars`` and currency symbols
+    from both ends of ``text`` and split the rest into its integer digits
+    and, after exactly one decimal separator, its fractional digits (None
+    for a plain integer).
 
     Returns None when the token is not a number. The integer part of a
     decimal may be empty (".50"); the fractional part may not. Digit runs
@@ -77,7 +82,7 @@ def _split_number(text: str, config: NumericParseConfig) -> tuple[str, str | Non
     """
 
     def strippable(ch: str) -> bool:
-        return ch in config.strip_chars or unicodedata.category(ch) == "Sc"
+        return ch in strip_chars or unicodedata.category(ch) == "Sc"
 
     start, end = 0, len(text)
     while start < end and strippable(text[start]):
@@ -104,7 +109,7 @@ def parse_integer(text: str, config: NumericParseConfig = DEFAULT_PARSE_CONFIG) 
     integers). Digit runs longer than ``MAX_INTEGER_DIGITS`` are rejected
     as OCR garbage rather than parsed.
     """
-    number = _split_number(text, config)
+    number = _split_number(text, _RULE_STRIP_CHARS, config)
     if number is None or number[1] is not None or len(number[0]) > MAX_INTEGER_DIGITS:
         return None
     return int(number[0])
@@ -120,7 +125,7 @@ def parse_float(text: str, config: NumericParseConfig = DEFAULT_PARSE_CONFIG) ->
     separator characters, which is ambiguous under a two-separator
     config, so it is rejected outright).
     """
-    number = _split_number(text, config)
+    number = _split_number(text, _RULE_STRIP_CHARS, config)
     if number is None or number[1] is None or len(number[0]) > MAX_INTEGER_DIGITS:
         return None
     int_part, frac_part = number

@@ -1,15 +1,17 @@
-"""Reading and writing the package's three JSON file formats.
+"""Reading and writing the package's four JSON file formats.
 
 * OCR input: ``{"doc_id", "page": {"width", "height"}, "words": [...]}``
   where each word carries a ``text`` and a pixel-coordinate ``polygon``.
 * Ground truth: per-document product annotations referencing token ids.
+* Predictions: a model's token labels, ``{"doc_id", "labels": [...]}``.
 * Results: a decoded document echo plus its product groups.
 
 Parsers are strict — malformed input raises one of the exception types in
 :mod:`receipt_kie.errors` naming the offending record — but unknown JSON
-fields are ignored so files produced by newer writers still load. Writers
-never emit fields outside the documented schema, and serialization is
-deterministic (sorted keys) so identical inputs produce identical bytes.
+fields are ignored so files produced by newer writers still load. All four
+readers share one set of field checks. Writers never emit fields outside
+the documented schema, and serialization is deterministic (sorted keys) so
+identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from __future__ import annotations
 import json
 import sys
 import unicodedata
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
-from .errors import MalformedJsonError, SchemaError, TokenReferenceError
+from .errors import LabelConflictError, MalformedJsonError, SchemaError, TokenReferenceError
 from .model import (
+    ENTITY_ORDER,
     SCALAR_ENTITIES,
     BBox,
     Document,
@@ -56,10 +59,71 @@ def _loads(data: bytes | str) -> Any:
         raise MalformedJsonError("arrays or objects nested too deeply", 0) from e
 
 
+def _load_object(data: bytes | str) -> dict[str, Any]:
+    raw = _loads(data)
+    if not isinstance(raw, dict):
+        raise SchemaError("top level: expected a JSON object")
+    return raw
+
+
 def _require(obj: Mapping[str, Any], key: str, where: str) -> Any:
     if key not in obj:
         raise SchemaError(f"{where}: missing required field {key!r}")
     return obj[key]
+
+
+def _records(raw: Mapping[str, Any], key: str, noun: str) -> Iterator[tuple[str, dict[str, Any]]]:
+    """Walk the required top-level list ``key``: yield each record, which
+    must be an object, with its location ``"<noun> <index>"``."""
+    items = _require(raw, key, "top level")
+    if not isinstance(items, list):
+        raise SchemaError(f"{key}: expected a list")
+    for i, obj in enumerate(items):
+        where = f"{noun} {i}"
+        if not isinstance(obj, dict):
+            raise SchemaError(f"{where}: expected an object")
+        yield where, obj
+
+
+def _is_number(value: Any) -> bool:
+    # JSON numbers decode to exactly int or float; a bool is neither.
+    return type(value) is float or type(value) is int
+
+
+def _text(obj: Mapping[str, Any], where: str) -> str:
+    text = _require(obj, "text", where)
+    if not isinstance(text, str) or not text:
+        raise SchemaError(f"{where}: text must be a non-empty string")
+    return text
+
+
+def _lookup(table: Mapping[str, Any], value: Any, where: str, what: str) -> Any:
+    """The entry of ``table`` named by the JSON string ``value``."""
+    if not isinstance(value, str) or value not in table:
+        raise SchemaError(f"{where}: unknown {what} {value!r}")
+    return table[value]
+
+
+def _doc_id(raw: Mapping[str, Any]) -> str:
+    doc_id = _require(raw, "doc_id", "top level")
+    # Results are written to <doc_id>.result.json: the id must name a file.
+    if (
+        not isinstance(doc_id, str)
+        or doc_id in ("", ".", "..")
+        or "/" in doc_id
+        or "\\" in doc_id
+        or "\0" in doc_id
+    ):
+        raise SchemaError(f"doc_id: expected a plain file name, got {doc_id!r}")
+    return doc_id
+
+
+def _check_doc_id(raw: Mapping[str, Any], doc: Document, what: str) -> None:
+    doc_id = _require(raw, "doc_id", "top level")
+    if doc_id != doc.doc_id:
+        raise TokenReferenceError(
+            f"{what} for doc_id {doc_id!r} but the document is {doc.doc_id!r}"
+        )
 
 
 def _page_dims(raw: Any) -> tuple[int, int]:
@@ -68,7 +132,7 @@ def _page_dims(raw: Any) -> tuple[int, int]:
     width = _require(raw, "width", "page")
     height = _require(raw, "height", "page")
     for name, value in (("width", width), ("height", height)):
-        if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+        if type(value) is not int or value <= 0:
             raise SchemaError(f"page.{name}: expected a positive integer, got {value!r}")
         if value > sys.float_info.max:  # coordinates are divided by it as floats
             raise SchemaError(f"page.{name}: too large for a page size")
@@ -80,8 +144,7 @@ def _confidence(obj: Mapping[str, Any], where: str) -> float | None:
     value = obj.get("confidence")
     if value is None:
         return None
-    # JSON numbers decode to exactly int or float; a bool is neither.
-    if type(value) is not float and type(value) is not int:
+    if not _is_number(value):
         raise SchemaError(f"{where}: confidence must be a number")
     # Compared before conversion, so a huge integer cannot overflow; NaN fails.
     if not 0 <= value <= 1:
@@ -99,43 +162,20 @@ def parse_ocr(data: bytes | str) -> Document:
     file name: not empty, ``.`` or ``..``, and free of ``/``, ``\\`` and
     NUL.
     """
-    raw = _loads(data)
-    if not isinstance(raw, dict):
-        raise SchemaError("top level: expected a JSON object")
-    doc_id = _require(raw, "doc_id", "top level")
-    # Results are written to <doc_id>.result.json: the id must name a file.
-    if (
-        not isinstance(doc_id, str)
-        or doc_id in ("", ".", "..")
-        or "/" in doc_id
-        or "\\" in doc_id
-        or "\0" in doc_id
-    ):
-        raise SchemaError(f"doc_id: expected a plain file name, got {doc_id!r}")
+    raw = _load_object(data)
+    doc_id = _doc_id(raw)
     width, height = _page_dims(_require(raw, "page", "top level"))
-    words = _require(raw, "words", "top level")
-    if not isinstance(words, list):
-        raise SchemaError("words: expected a list")
 
     tokens: list[Token] = []
-    for i, word in enumerate(words):
-        where = f"word {i}"
-        if not isinstance(word, dict):
-            raise SchemaError(f"{where}: expected an object")
-        text = _require(word, "text", where)
-        if not isinstance(text, str) or not text:
-            raise SchemaError(f"{where}: text must be a non-empty string")
+    for where, word in _records(raw, "words", "word"):
+        text = _text(word, where)
         polygon = _require(word, "polygon", where)
         if not isinstance(polygon, list) or len(polygon) < 3:
             raise SchemaError(f"{where}: polygon needs at least 3 vertices")
         xs: list[float] = []
         ys: list[float] = []
         for j, vertex in enumerate(polygon):
-            if (
-                not isinstance(vertex, (list, tuple))
-                or len(vertex) != 2
-                or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in vertex)
-            ):
+            if not isinstance(vertex, list) or len(vertex) != 2 or not all(map(_is_number, vertex)):
                 raise SchemaError(f"{where}: vertex {j} must be an [x, y] number pair")
             try:
                 x, y = float(vertex[0]), float(vertex[1])
@@ -149,7 +189,7 @@ def parse_ocr(data: bytes | str) -> Document:
             ys.append(y)
         confidence = _confidence(word, where)
         bbox = BBox(min(xs) / width, min(ys) / height, max(xs) / width, max(ys) / height)
-        tokens.append(Token(token_id=i, text=text, bbox=bbox, confidence=confidence))
+        tokens.append(Token(token_id=len(tokens), text=text, bbox=bbox, confidence=confidence))
     return Document(doc_id=doc_id, tokens=tuple(tokens), page_width=width, page_height=height)
 
 
@@ -163,7 +203,7 @@ def _optional_token_id(
     value = product.get(key)
     if value is None:
         return None
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is not int:
         raise SchemaError(f"{where}: {key} must be an integer token id")
     if value not in valid_ids:
         raise TokenReferenceError(f"{where}: {key} references unknown token id {value}")
@@ -176,39 +216,25 @@ def parse_ground_truth(data: bytes | str, doc: Document) -> tuple[Product, ...]:
     All referenced token ids must exist in ``doc`` and no id may belong to
     two products.
     """
-    raw = _loads(data)
-    if not isinstance(raw, dict):
-        raise SchemaError("top level: expected a JSON object")
-    doc_id = _require(raw, "doc_id", "top level")
-    if doc_id != doc.doc_id:
-        raise TokenReferenceError(
-            f"ground truth is for doc_id {doc_id!r} but the document is {doc.doc_id!r}"
-        )
-    raw_products = _require(raw, "products", "top level")
-    if not isinstance(raw_products, list):
-        raise SchemaError("products: expected a list")
+    raw = _load_object(data)
+    _check_doc_id(raw, doc, "ground truth is")
 
     valid_ids = frozenset(t.token_id for t in doc.tokens)
     claimed: dict[int, int] = {}  # token id -> product index that owns it
     products: list[Product] = []
-    for pi, rp in enumerate(raw_products):
-        where = f"product {pi}"
-        if not isinstance(rp, dict):
-            raise SchemaError(f"{where}: expected an object")
+    for where, rp in _records(raw, "products", "product"):
         raw_desc = _require(rp, "description_ids", where)
         if not isinstance(raw_desc, list) or not raw_desc:
             raise SchemaError(f"{where}: description_ids must be a non-empty list")
-        desc_ids: list[int] = []
         for tid in raw_desc:
-            if not isinstance(tid, int) or isinstance(tid, bool):
+            if type(tid) is not int:
                 raise SchemaError(f"{where}: description_ids entries must be integers")
             if tid not in valid_ids:
                 raise TokenReferenceError(
                     f"{where}: description_ids references unknown token id {tid}"
                 )
-            desc_ids.append(tid)
         product = Product(
-            tuple(desc_ids),
+            tuple(raw_desc),
             *[_optional_token_id(rp, key, where, valid_ids) for key in _SCALAR_KEYS],
         )
         for tid, _ in product.labeled_ids():
@@ -216,9 +242,53 @@ def parse_ground_truth(data: bytes | str, doc: Document) -> tuple[Product, ...]:
                 raise SchemaError(
                     f"{where}: token id {tid} already belongs to product {claimed[tid]}"
                 )
-            claimed[tid] = pi
+            claimed[tid] = len(products)
         products.append(product)
     return tuple(products)
+
+
+_IMPORTABLE_LABELS = {label.value: label for label in ENTITY_ORDER}
+
+
+def import_predictions(doc: Document, data: bytes | str) -> Document:
+    """Apply model predictions from a JSON file to ``doc``.
+
+    The file shape is ``{"doc_id", "labels": [{"token_id", "label",
+    "confidence"?}]}``. Every referenced token id must exist; a token id
+    listed twice with different labels is a conflict (duplicates with the
+    same label are tolerated). Tokens the file does not mention come back
+    untagged. Imported labels carry ``source=MODEL``.
+    """
+    raw = _load_object(data)
+    _check_doc_id(raw, doc, "predictions are")
+
+    valid_ids = frozenset(t.token_id for t in doc.tokens)
+    assigned: dict[int, tuple[EntityLabel, float | None]] = {}
+    for where, entry in _records(raw, "labels", "label"):
+        token_id = _require(entry, "token_id", where)
+        if type(token_id) is not int:
+            raise SchemaError(f"{where}: token_id must be an integer")
+        if token_id not in valid_ids:
+            raise TokenReferenceError(f"{where}: unknown token id {token_id}")
+        label = _lookup(_IMPORTABLE_LABELS, _require(entry, "label", where), where, "label")
+        confidence = _confidence(entry, where)
+        if token_id in assigned and assigned[token_id][0] is not label:
+            raise LabelConflictError(
+                f"{where}: token id {token_id} labeled both "
+                f"{assigned[token_id][0].value!r} and {label.value!r}"
+            )
+        assigned[token_id] = (label, confidence)
+
+    tokens: list[Token] = []
+    for tok in doc.tokens:
+        if tok.token_id in assigned:
+            label, confidence = assigned[tok.token_id]
+            tokens.append(
+                Token(tok.token_id, tok.text, tok.bbox, label, LabelSource.MODEL, confidence)
+            )
+        else:
+            tokens.append(Token(tok.token_id, tok.text, tok.bbox, EntityLabel.UNTAGGED, None, None))
+    return doc.with_tokens(tokens)
 
 
 def apply_truth_labels(
@@ -270,8 +340,7 @@ def _bbox_from_json(raw: Any, where: str) -> BBox:
     coords = []
     for key in ("x_min", "y_min", "x_max", "y_max"):
         value = _require(raw, key, where)
-        # JSON numbers decode to exactly int or float; a bool is neither.
-        if type(value) is not float and type(value) is not int:
+        if not _is_number(value):
             raise SchemaError(f"{where}: bbox.{key} must be a number")
         try:
             coords.append(float(value))
@@ -353,73 +422,42 @@ def parse_result(data: bytes | str) -> tuple[Document, tuple[ProductGroup, ...]]
     reproduces both the document and the groups field for field. The
     derived ``entities``/``corrected`` fields are ignored on read. Token
     ids must be dense ``0..n-1`` in file order, as every writer emits them.
+    The doc id follows the rule of :func:`parse_ocr`.
     """
-    raw = _loads(data)
-    if not isinstance(raw, dict):
-        raise SchemaError("top level: expected a JSON object")
-    doc_id = _require(raw, "doc_id", "top level")
-    if not isinstance(doc_id, str) or not doc_id:
-        raise SchemaError("doc_id: expected a non-empty string")
+    raw = _load_object(data)
+    doc_id = _doc_id(raw)
     width, height = _page_dims(_require(raw, "page", "top level"))
-    raw_tokens = _require(raw, "tokens", "top level")
-    if not isinstance(raw_tokens, list):
-        raise SchemaError("tokens: expected a list")
 
     tokens: list[Token] = []
-    for i, rt in enumerate(raw_tokens):
-        where = f"token {i}"
-        if not isinstance(rt, dict):
-            raise SchemaError(f"{where}: expected an object")
+    for where, rt in _records(raw, "tokens", "token"):
         token_id = _require(rt, "token_id", where)
-        if not isinstance(token_id, int) or isinstance(token_id, bool):
+        if type(token_id) is not int:
             raise SchemaError(f"{where}: token_id must be an integer")
-        if token_id != i:
+        if token_id != len(tokens):
             raise SchemaError(
                 f"{where}: token_id {token_id} is duplicated or out of order "
                 "(ids must be dense 0..n-1)"
             )
-        text = _require(rt, "text", where)
-        if not isinstance(text, str) or not text:
-            raise SchemaError(f"{where}: text must be a non-empty string")
-        label_raw = _require(rt, "label", where)
-        if not isinstance(label_raw, str) or label_raw not in _LABELS_BY_VALUE:
-            raise SchemaError(f"{where}: unknown label {label_raw!r}")
-        source_raw = rt.get("source")
-        if source_raw is not None and (
-            not isinstance(source_raw, str) or source_raw not in _SOURCES_BY_VALUE
-        ):
-            raise SchemaError(f"{where}: unknown label source {source_raw!r}")
+        text = _text(rt, where)
+        label = _lookup(_LABELS_BY_VALUE, _require(rt, "label", where), where, "label")
+        source = rt.get("source")
+        if source is not None:
+            source = _lookup(_SOURCES_BY_VALUE, source, where, "label source")
         confidence = _confidence(rt, where)
-        tokens.append(
-            Token(
-                token_id=token_id,
-                text=text,
-                bbox=_bbox_from_json(_require(rt, "bbox", where), where),
-                label=_LABELS_BY_VALUE[label_raw],
-                source=_SOURCES_BY_VALUE[source_raw] if source_raw is not None else None,
-                confidence=confidence,
-            )
-        )
+        bbox = _bbox_from_json(_require(rt, "bbox", where), where)
+        tokens.append(Token(token_id, text, bbox, label, source, confidence))
     doc = Document(doc_id=doc_id, tokens=tuple(tokens), page_width=width, page_height=height)
 
-    raw_products = _require(raw, "products", "top level")
-    if not isinstance(raw_products, list):
-        raise SchemaError("products: expected a list")
     groups: list[ProductGroup] = []
-    for gi, rp in enumerate(raw_products):
-        where = f"product {gi}"
-        if not isinstance(rp, dict):
-            raise SchemaError(f"{where}: expected an object")
+    for where, rp in _records(raw, "products", "product"):
         group_id = _require(rp, "group_id", where)
         line_indices = _require(rp, "line_indices", where)
         token_ids = _require(rp, "token_ids", where)
         incomplete = rp.get("incomplete", False)
-        if not isinstance(group_id, int) or isinstance(group_id, bool):
+        if type(group_id) is not int:
             raise SchemaError(f"{where}: group_id must be an integer")
         for name, ids in (("line_indices", line_indices), ("token_ids", token_ids)):
-            if not isinstance(ids, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in ids
-            ):
+            if not isinstance(ids, list) or not all(type(v) is int for v in ids):
                 raise SchemaError(f"{where}: {name} must be a list of integers")
         if line_indices != sorted(set(line_indices)) or (line_indices and line_indices[0] < 0):
             raise SchemaError(

@@ -81,10 +81,6 @@ class BBox:
         return self.y_max - self.y_min
 
     @property
-    def x_center(self) -> float:
-        return (self.x_min + self.x_max) / 2.0
-
-    @property
     def y_center(self) -> float:
         return (self.y_min + self.y_max) / 2.0
 
@@ -155,13 +151,11 @@ class Document:
             object.__setattr__(self, "tokens", tuple(self.tokens))
 
     def token(self, token_id: int) -> Token:
+        """The token with id ``token_id``, found by position: ids are dense
+        ``0..n-1`` (see :func:`validate_document`). Raises KeyError when the
+        token at that position carries another id."""
         tok = self.tokens[token_id]
         if tok.token_id != token_id:
-            # Ids are dense by invariant; fall back to a scan for documents
-            # that violate it rather than silently returning the wrong token.
-            for t in self.tokens:
-                if t.token_id == token_id:
-                    return t
             raise KeyError(token_id)
         return tok
 

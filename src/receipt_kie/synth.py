@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -93,24 +93,12 @@ class CorruptionSpec:
     ocr_noise_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "description_fn_rate",
-            "code_fn_rate",
-            "quantity_fn_rate",
-            "price_fn_rate",
-            "ocr_noise_rate",
-        ):
-            p = getattr(self, name)
+        for name, p in asdict(self).items():
             if not (0.0 <= p <= 1.0):
                 raise ValueError(f"{name} must be a probability, got {p}")
 
     def fn_rate(self, label: EntityLabel) -> float:
-        return {
-            EntityLabel.DESCRIPTION: self.description_fn_rate,
-            EntityLabel.CODE: self.code_fn_rate,
-            EntityLabel.QUANTITY: self.quantity_fn_rate,
-            EntityLabel.PRICE: self.price_fn_rate,
-        }[label]
+        return getattr(self, f"{label.value}_fn_rate")
 
 
 class _PixelWord:
@@ -343,22 +331,9 @@ def write_corpus(
         )
 
     manifest: dict[str, Any] = {
-        "seed": spec.seed,
-        "n_docs": spec.n_docs,
-        "products_per_doc": list(spec.products_per_doc),
-        "multiline_description_prob": spec.multiline_description_prob,
-        "code_presence_prob": spec.code_presence_prob,
-        "adversarial_rate": spec.adversarial_rate,
+        **asdict(spec),
         "doc_ids": doc_ids,
-        "corruption": None
-        if corruption is None
-        else {
-            "description_fn_rate": corruption.description_fn_rate,
-            "code_fn_rate": corruption.code_fn_rate,
-            "quantity_fn_rate": corruption.quantity_fn_rate,
-            "price_fn_rate": corruption.price_fn_rate,
-            "ocr_noise_rate": corruption.ocr_noise_rate,
-        },
+        "corruption": None if corruption is None else asdict(corruption),
     }
     (out_dir / "manifest.json").write_text(canonical_json(manifest), encoding="utf-8")
     return manifest

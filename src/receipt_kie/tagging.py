@@ -7,7 +7,8 @@ training artifact and lives outside this package. What lives here is its
 * the embedding fusion contract the encoder stack relies on — image and
   text embeddings of equal shape combined by element-wise addition;
 * :func:`import_predictions`, which loads a model's token labels from a
-  JSON file; and
+  JSON file (defined in :mod:`receipt_kie.ingest` with the other readers,
+  and re-exported here, where the CLI looks it up); and
 * :func:`heuristic_tag`, a dependency-free geometric/lexical tagger good
   enough to exercise the full pipeline without any model.
 
@@ -20,10 +21,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .corrections import MAX_INTEGER_DIGITS, NumericParseConfig, _split_number
-from .errors import LabelConflictError, SchemaError, TokenReferenceError
-from .ingest import _confidence, _loads, _require
-from .model import ENTITY_ORDER, Document, EntityLabel, LabelSource, Token
+from .corrections import DEFAULT_PARSE_CONFIG, MAX_INTEGER_DIGITS, _split_number
+from .ingest import import_predictions  # noqa: F401 (re-export)
+from .model import Document, EntityLabel, LabelSource, Token
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,7 +82,7 @@ _MIN_CODE_LENGTH = 5
 # The tagger reads numbers with the correction rules' lexer but strips only
 # currency signs, so "*12345" is no code to it. It caps no digit run except
 # in the quantity rule.
-_TAG_NUMBERS = NumericParseConfig(strip_chars="")
+_TAG_STRIP_CHARS = ""
 
 
 def _alpha_majority(text: str) -> bool:
@@ -110,7 +110,8 @@ def heuristic_tag(doc: Document) -> Document:
     qty_lo, qty_hi = _QUANTITY_BAND
     tokens: list[Token] = []
     for tok in doc.tokens:
-        digits, fraction = _split_number(tok.text, _TAG_NUMBERS) or ("", None)
+        number = _split_number(tok.text, _TAG_STRIP_CHARS, DEFAULT_PARSE_CONFIG)
+        digits, fraction = number or ("", None)
         is_integer = bool(digits) and fraction is None
         label = EntityLabel.UNTAGGED
         if fraction is not None and tok.bbox.x_min >= _PRICE_BAND_MIN_X:
@@ -133,63 +134,3 @@ def heuristic_tag(doc: Document) -> Document:
                 Token(tok.token_id, tok.text, tok.bbox, label, LabelSource.HEURISTIC, None)
             )
     return doc.with_tokens(tokens)
-
-
-_IMPORTABLE_LABELS = {label.value: label for label in ENTITY_ORDER}
-
-
-def import_predictions(doc: Document, data: bytes | str) -> Document:
-    """Apply model predictions from a JSON file to ``doc``.
-
-    The file shape is ``{"doc_id", "labels": [{"token_id", "label",
-    "confidence"?}]}``. Every referenced token id must exist; a token id
-    listed twice with different labels is a conflict (duplicates with the
-    same label are tolerated). Tokens the file does not mention come back
-    untagged. Imported labels carry ``source=MODEL``.
-    """
-    raw = _loads(data)
-    if not isinstance(raw, dict):
-        raise SchemaError("top level: expected a JSON object")
-    doc_id = _require(raw, "doc_id", "top level")
-    if doc_id != doc.doc_id:
-        raise TokenReferenceError(
-            f"predictions are for doc_id {doc_id!r} but the document is {doc.doc_id!r}"
-        )
-    raw_labels = _require(raw, "labels", "top level")
-    if not isinstance(raw_labels, list):
-        raise SchemaError("labels: expected a list")
-
-    valid_ids = frozenset(t.token_id for t in doc.tokens)
-    assigned: dict[int, tuple[EntityLabel, float | None]] = {}
-    for i, entry in enumerate(raw_labels):
-        where = f"label {i}"
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{where}: expected an object")
-        token_id = _require(entry, "token_id", where)
-        if not isinstance(token_id, int) or isinstance(token_id, bool):
-            raise SchemaError(f"{where}: token_id must be an integer")
-        if token_id not in valid_ids:
-            raise TokenReferenceError(f"{where}: unknown token id {token_id}")
-        label_raw = _require(entry, "label", where)
-        if not isinstance(label_raw, str) or label_raw not in _IMPORTABLE_LABELS:
-            raise SchemaError(f"{where}: unknown label {label_raw!r}")
-        label = _IMPORTABLE_LABELS[label_raw]
-        confidence = _confidence(entry, where)
-        if token_id in assigned and assigned[token_id][0] is not label:
-            raise LabelConflictError(
-                f"{where}: token id {token_id} labeled both "
-                f"{assigned[token_id][0].value!r} and {label.value!r}"
-            )
-        assigned[token_id] = (label, confidence)
-
-    tokens: list[Token] = []
-    for tok in doc.tokens:
-        if tok.token_id in assigned:
-            label, confidence = assigned[tok.token_id]
-            tokens.append(
-                Token(tok.token_id, tok.text, tok.bbox, label, LabelSource.MODEL, confidence)
-            )
-        else:
-            tokens.append(Token(tok.token_id, tok.text, tok.bbox, EntityLabel.UNTAGGED, None, None))
-    return doc.with_tokens(tokens)
-

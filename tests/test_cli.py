@@ -370,6 +370,16 @@ class TestEvalCommand:
         [error] = proc.stderr.splitlines()
         assert "too many digits" in error
 
+    def test_parse_error_names_the_file(self, corpus_dir, results_dir, tmp_path):
+        good, victim = sorted(results_dir.glob("*.result.json"))[:2]
+        bad = tmp_path / victim.name
+        payload = json.loads(victim.read_text())
+        payload["tokens"][0]["label"] = "bogus"
+        bad.write_text(json.dumps(payload))
+        proc = run_module("eval", "--results", good, bad, "--truth", corpus_dir)
+        assert proc.returncode == 1
+        assert proc.stderr == f"ERROR receipt_kie.cli: {bad}: token 0: unknown label 'bogus'\n"
+
     def test_missing_truth_directory_fails(self, results_dir, tmp_path):
         empty = tmp_path / "no-truth"
         empty.mkdir()

@@ -17,6 +17,7 @@ from receipt_kie.corrections import (
     parse_integer,
 )
 from receipt_kie.model import EntityLabel, LabelSource, ProductGroup, union_bbox
+from receipt_kie.tagging import heuristic_tag
 
 from helpers import make_doc, make_token
 from reference_impls import oracle_parse_float, oracle_parse_int
@@ -61,11 +62,13 @@ class TestParseInteger:
     def test_rejects(self, text):
         assert parse_integer(text) is None
 
-    def test_strip_chars_are_configurable(self):
-        bare = NumericParseConfig(strip_chars="")
-        assert parse_integer("*2*", bare) is None
-        assert parse_integer("$2", bare) == 2  # currency signs are always stripped
-        assert parse_integer("2", bare) == 2
+    def test_rules_strip_decorations_and_the_tagger_only_currency(self):
+        assert parse_integer("*2*") == 2
+        assert parse_integer("#12345:") == 12345
+        assert parse_integer("$2") == 2
+        doc = make_doc([make_token(0, "*12345", 40, 10), make_token(1, "$12345", 40, 60)])
+        tagged = heuristic_tag(doc)
+        assert [tok.label for tok in tagged] == [EntityLabel.UNTAGGED, EntityLabel.CODE]
 
 
 class TestParseFloat:

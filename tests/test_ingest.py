@@ -15,6 +15,7 @@ from receipt_kie.errors import (
 from receipt_kie.ingest import (
     apply_truth_labels,
     canonical_json,
+    import_predictions,
     normalize_text,
     parse_ground_truth,
     parse_ocr,
@@ -24,7 +25,6 @@ from receipt_kie.ingest import (
 )
 from receipt_kie.layout import detect_lines_geometric, group_product_lines
 from receipt_kie.model import BBox, EntityLabel, LabelSource, Product
-from receipt_kie.tagging import import_predictions
 
 from helpers import make_doc, make_token
 
@@ -265,6 +265,13 @@ class TestResultRoundTrip:
         for tok, token_id in zip(payload["tokens"], ids):
             tok["token_id"] = token_id
         with pytest.raises(SchemaError, match=rf"token 1: token_id {ids[1]}"):
+            parse_result(json.dumps(payload))
+
+    @pytest.mark.parametrize("doc_id", ["", "..", "../x", "a/b", "a\\b"])
+    def test_doc_id_must_be_a_plain_file_name(self, labeled_receipt, doc_id):
+        payload = json.loads(serialize_result(labeled_receipt, []))
+        payload["doc_id"] = doc_id
+        with pytest.raises(SchemaError, match="doc_id: expected a plain file name"):
             parse_result(json.dumps(payload))
 
     @pytest.mark.parametrize("indices", [[-1], [-1, 0], [2, 1], [1, 1]])

@@ -73,6 +73,14 @@ class TestUnionBBox:
             assert u.x_max >= b.x_max and u.y_max >= b.y_max
 
 
+class TestDocument:
+    def test_non_dense_ids_raise_key_error(self):
+        doc = make_doc([make_token(1, "A", 10, 10), make_token(0, "B", 60, 10)])
+        for token_id in (0, 1):
+            with pytest.raises(KeyError):
+                doc.token(token_id)
+
+
 class TestValidateDocument:
     def test_clean_document_has_no_violations(self):
         doc = make_doc([make_token(0, "A", 10, 10), make_token(1, "B", 60, 10)])
