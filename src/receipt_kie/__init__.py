@@ -65,7 +65,6 @@ from .model import (
     ProductGroup,
     Token,
     union_bbox,
-    validate_document,
 )
 from .render import render_svg
 from .synth import (
@@ -137,6 +136,5 @@ __all__ = [
     "score_whole_products",
     "serialize_result",
     "union_bbox",
-    "validate_document",
     "write_corpus",
 ]

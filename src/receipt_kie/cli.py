@@ -211,15 +211,13 @@ def cmd_decode(args: argparse.Namespace) -> int:
             doc_id, payload, records = _decode_one(
                 path, tag, grouping, parse_cfg, not args.no_corrections
             )
+            if doc_id in seen:
+                raise CorpusMismatchError(
+                    f"duplicate doc_id {doc_id!r} (already decoded from {seen[doc_id]})"
+                )
         except (ReceiptKieError, OSError, ValueError) as exc:
             failures += 1
             log.error("%s: %s", path, exc)
-            if args.fail_fast:
-                return 1
-            continue
-        if doc_id in seen:
-            failures += 1
-            log.error("%s: duplicate doc_id %r (already decoded from %s)", path, doc_id, seen[doc_id])
             if args.fail_fast:
                 return 1
             continue
@@ -254,7 +252,24 @@ def cmd_decode(args: argparse.Namespace) -> int:
 # eval
 
 
-def _load_results(results: Sequence[str]) -> dict[str, DocPrediction]:
+def _check_same_page(path: Path, doc: Document, truth_doc: Document) -> None:
+    """Refuse a result decoded from another page than its truth: the token
+    count and every token box must match. Texts are not compared, since
+    OCR noise changes them while the geometry stays."""
+    boxes = [tok.bbox for tok in doc.tokens]
+    truth_boxes = [tok.bbox for tok in truth_doc.tokens]
+    if boxes != truth_boxes:
+        pairs = enumerate(zip(boxes, truth_boxes))
+        first = next((i for i, (a, b) in pairs if a != b), min(len(boxes), len(truth_boxes)))
+        raise CorpusMismatchError(
+            f"{path}: not decoded from the truth page of doc_id {doc.doc_id!r}: "
+            f"token {first} differs ({len(boxes)} tokens, truth has {len(truth_boxes)})"
+        )
+
+
+def _load_results(
+    results: Sequence[str], truth: dict[str, TruthEntry]
+) -> dict[str, DocPrediction]:
     paths: list[Path] = []
     for raw in results:
         path = Path(raw)
@@ -271,6 +286,8 @@ def _load_results(results: Sequence[str]) -> dict[str, DocPrediction]:
                 f"{path}: duplicate doc_id {doc.doc_id!r} (already read from {seen[doc.doc_id]})"
             )
         seen[doc.doc_id] = path
+        if doc.doc_id in truth:
+            _check_same_page(path, doc, truth[doc.doc_id][0])
         predictions[doc.doc_id] = DocPrediction.from_groups(doc, groups)
     return predictions
 
@@ -313,7 +330,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     mode = MatchMode.STRICT_OCR if args.mode == "strict" else MatchMode.TAG_ONLY
     try:
         truth = _load_truth(Path(args.truth))
-        predictions = _load_results(args.results)
+        predictions = _load_results(args.results, truth)
         report = build_report(predictions, truth, mode)
     except (ReceiptKieError, OSError) as exc:
         log.error("%s", exc)
@@ -321,7 +338,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     if args.compare:
         try:
-            other = build_report(_load_results([args.compare]), truth, mode)
+            other = build_report(_load_results([args.compare], truth), truth, mode)
         except (ReceiptKieError, OSError) as exc:
             log.error("%s", exc)
             return 1

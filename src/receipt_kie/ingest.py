@@ -198,14 +198,14 @@ _SCALAR_KEYS = tuple(f"{label.value}_id" for label in SCALAR_ENTITIES)
 
 
 def _optional_token_id(
-    product: Mapping[str, Any], key: str, where: str, valid_ids: frozenset[int]
+    product: Mapping[str, Any], key: str, where: str, n_tokens: int
 ) -> int | None:
     value = product.get(key)
     if value is None:
         return None
     if type(value) is not int:
         raise SchemaError(f"{where}: {key} must be an integer token id")
-    if value not in valid_ids:
+    if not 0 <= value < n_tokens:
         raise TokenReferenceError(f"{where}: {key} references unknown token id {value}")
     return value
 
@@ -213,13 +213,13 @@ def _optional_token_id(
 def parse_ground_truth(data: bytes | str, doc: Document) -> tuple[Product, ...]:
     """Parse a ground-truth annotation file against its document.
 
-    All referenced token ids must exist in ``doc`` and no id may belong to
-    two products.
+    All referenced token ids must exist in ``doc`` (ids are positions) and
+    no id may belong to two products.
     """
     raw = _load_object(data)
     _check_doc_id(raw, doc, "ground truth is")
 
-    valid_ids = frozenset(t.token_id for t in doc.tokens)
+    n_tokens = len(doc.tokens)
     claimed: dict[int, int] = {}  # token id -> product index that owns it
     products: list[Product] = []
     for where, rp in _records(raw, "products", "product"):
@@ -229,13 +229,13 @@ def parse_ground_truth(data: bytes | str, doc: Document) -> tuple[Product, ...]:
         for tid in raw_desc:
             if type(tid) is not int:
                 raise SchemaError(f"{where}: description_ids entries must be integers")
-            if tid not in valid_ids:
+            if not 0 <= tid < n_tokens:
                 raise TokenReferenceError(
                     f"{where}: description_ids references unknown token id {tid}"
                 )
         product = Product(
             tuple(raw_desc),
-            *[_optional_token_id(rp, key, where, valid_ids) for key in _SCALAR_KEYS],
+            *[_optional_token_id(rp, key, where, n_tokens) for key in _SCALAR_KEYS],
         )
         for tid, _ in product.labeled_ids():
             if tid in claimed:
@@ -262,13 +262,13 @@ def import_predictions(doc: Document, data: bytes | str) -> Document:
     raw = _load_object(data)
     _check_doc_id(raw, doc, "predictions are")
 
-    valid_ids = frozenset(t.token_id for t in doc.tokens)
-    assigned: dict[int, tuple[EntityLabel, float | None]] = {}
+    n_tokens = len(doc.tokens)
+    assigned: dict[int, tuple[EntityLabel, LabelSource, float | None]] = {}
     for where, entry in _records(raw, "labels", "label"):
         token_id = _require(entry, "token_id", where)
         if type(token_id) is not int:
             raise SchemaError(f"{where}: token_id must be an integer")
-        if token_id not in valid_ids:
+        if not 0 <= token_id < n_tokens:
             raise TokenReferenceError(f"{where}: unknown token id {token_id}")
         label = _lookup(_IMPORTABLE_LABELS, _require(entry, "label", where), where, "label")
         confidence = _confidence(entry, where)
@@ -277,18 +277,8 @@ def import_predictions(doc: Document, data: bytes | str) -> Document:
                 f"{where}: token id {token_id} labeled both "
                 f"{assigned[token_id][0].value!r} and {label.value!r}"
             )
-        assigned[token_id] = (label, confidence)
-
-    tokens: list[Token] = []
-    for tok in doc.tokens:
-        if tok.token_id in assigned:
-            label, confidence = assigned[tok.token_id]
-            tokens.append(
-                Token(tok.token_id, tok.text, tok.bbox, label, LabelSource.MODEL, confidence)
-            )
-        else:
-            tokens.append(Token(tok.token_id, tok.text, tok.bbox, EntityLabel.UNTAGGED, None, None))
-    return doc.with_tokens(tokens)
+        assigned[token_id] = (label, LabelSource.MODEL, confidence)
+    return doc.relabel(assigned)
 
 
 def apply_truth_labels(
@@ -302,27 +292,15 @@ def apply_truth_labels(
     labels are discarded. Useful both for building the truth side of an
     evaluation and for simulating a perfect tagger (``source=MODEL``).
     """
-    labels: dict[int, EntityLabel] = {}
-
-    def _claim(tid: int, label: EntityLabel) -> None:
-        if tid in labels and labels[tid] is not label:
-            raise ValueError(f"token {tid} assigned both {labels[tid].value} and {label.value}")
-        labels[tid] = label
-
+    labels: dict[int, tuple[EntityLabel, LabelSource, None]] = {}
     for product in products:
         for tid, label in product.labeled_ids():
-            _claim(tid, label)
-
-    tokens = []
-    for tok in doc.tokens:
-        label = labels.get(tok.token_id)
-        if label is None:
-            tokens.append(
-                Token(tok.token_id, tok.text, tok.bbox, EntityLabel.UNTAGGED, None, None)
-            )
-        else:
-            tokens.append(Token(tok.token_id, tok.text, tok.bbox, label, source, None))
-    return doc.with_tokens(tokens)
+            if tid in labels and labels[tid][0] is not label:
+                raise ValueError(
+                    f"token {tid} assigned both {labels[tid][0].value} and {label.value}"
+                )
+            labels[tid] = (label, source, None)
+    return doc.relabel(labels)
 
 
 def _bbox_to_json(bbox: BBox) -> dict[str, float]:
@@ -421,7 +399,8 @@ def parse_result(data: bytes | str) -> tuple[Document, tuple[ProductGroup, ...]]
     Round-trips exactly: ``parse_result(serialize_result(doc, groups))``
     reproduces both the document and the groups field for field. The
     derived ``entities``/``corrected`` fields are ignored on read. Token
-    ids must be dense ``0..n-1`` in file order, as every writer emits them.
+    ids must be dense ``0..n-1`` in file order, as every writer emits them,
+    and a token must name its label source exactly when it is labeled.
     The doc id follows the rule of :func:`parse_ocr`.
     """
     raw = _load_object(data)
@@ -443,6 +422,12 @@ def parse_result(data: bytes | str) -> tuple[Document, tuple[ProductGroup, ...]]
         source = rt.get("source")
         if source is not None:
             source = _lookup(_SOURCES_BY_VALUE, source, where, "label source")
+        if (source is None) is not (label is EntityLabel.UNTAGGED):
+            raise SchemaError(
+                f"{where}: labeled token has no label source"
+                if source is None
+                else f"{where}: untagged token carries a label source"
+            )
         confidence = _confidence(rt, where)
         bbox = _bbox_from_json(_require(rt, "bbox", where), where)
         tokens.append(Token(token_id, text, bbox, label, source, confidence))

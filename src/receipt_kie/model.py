@@ -13,18 +13,13 @@ All types here are immutable value objects. Pipeline stages never mutate
 a document in place; they return a new one (see e.g.
 :func:`receipt_kie.corrections.apply_corrections`), which keeps shared
 documents safe to read concurrently.
-
-Constructors stay permissive on purpose: files are validated strictly at
-ingestion, while in-memory structural invariants are *reported* by
-:func:`validate_document` rather than enforced with asserts, so a broken
-document can be diagnosed instead of half-rejected.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Mapping
 
 
 class EntityLabel(str, Enum):
@@ -116,7 +111,11 @@ class Token:
     """One OCR word with its (possibly absent) entity label.
 
     ``label`` is UNTAGGED exactly when ``source`` is None; a labeled token
-    always records which stage produced the label.
+    always records which stage produced the label. The constructor does not
+    check this: the file readers in :mod:`receipt_kie.ingest` reject a
+    token that breaks it, and the labeling stages build their tokens with
+    :meth:`Document.relabel`, which gives a source only to the tokens it
+    labels.
     """
 
     token_id: int
@@ -138,35 +137,43 @@ def reading_order(tok: Token) -> tuple[float, float, int]:
 
 @dataclass(frozen=True, slots=True)
 class Document:
-    """An OCR'd page: an ordered, immutable sequence of tokens."""
+    """An OCR'd page: an ordered, immutable sequence of tokens.
+
+    Token ids are dense ``0..n-1`` in order, and a token carries a label
+    source exactly when it is labeled (see :class:`Token`). The readers in
+    :mod:`receipt_kie.ingest` check both for every file they load; the
+    labeling stages keep them by building their output with
+    :meth:`relabel`.
+    """
 
     doc_id: str
     tokens: tuple[Token, ...]
     page_width: int
     page_height: int
 
-    def __post_init__(self) -> None:
-        # Accept any iterable of tokens but store an immutable tuple.
-        if not isinstance(self.tokens, tuple):
-            object.__setattr__(self, "tokens", tuple(self.tokens))
-
     def token(self, token_id: int) -> Token:
-        """The token with id ``token_id``, found by position: ids are dense
-        ``0..n-1`` (see :func:`validate_document`). Raises KeyError when the
-        token at that position carries another id."""
+        """The token with id ``token_id``, found by position. Raises
+        KeyError when the token at that position carries another id."""
         tok = self.tokens[token_id]
         if tok.token_id != token_id:
             raise KeyError(token_id)
         return tok
 
-    def __iter__(self) -> Iterator[Token]:
-        return iter(self.tokens)
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
     def with_tokens(self, tokens: Iterable[Token]) -> "Document":
         return Document(self.doc_id, tuple(tokens), self.page_width, self.page_height)
+
+    def relabel(
+        self, labels: Mapping[int, tuple[EntityLabel, LabelSource, float | None]]
+    ) -> "Document":
+        """A copy whose tokens carry the ``(label, source, confidence)`` that
+        ``labels`` gives their id; each label there is an entity label, not
+        UNTAGGED. Every other token comes back untagged, with no source and
+        no confidence. Text and geometry are kept."""
+        untagged = (EntityLabel.UNTAGGED, None, None)
+        return self.with_tokens(
+            Token(tok.token_id, tok.text, tok.bbox, *labels.get(tok.token_id, untagged))
+            for tok in self.tokens
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,46 +233,3 @@ class Product:
             if tid is not None:
                 pairs.append((tid, label))
         return pairs
-
-
-def validate_document(doc: Document) -> list[str]:
-    """Check structural invariants, returning one message per violation.
-
-    An empty list means the document is well-formed. Unlike the ingestion
-    parsers this never raises: it is a diagnostic for documents that were
-    assembled in memory.
-    """
-    violations: list[str] = []
-    if not doc.doc_id:
-        violations.append("doc_id is empty")
-    if doc.page_width <= 0 or doc.page_height <= 0:
-        violations.append(
-            f"page dimensions must be positive, got {doc.page_width}x{doc.page_height}"
-        )
-
-    seen: set[int] = set()
-    for pos, tok in enumerate(doc.tokens):
-        name = f"token {tok.token_id}"
-        if tok.token_id in seen:
-            violations.append(f"{name}: duplicate token id")
-        seen.add(tok.token_id)
-        if tok.token_id != pos:
-            violations.append(
-                f"{name}: ids must be dense 0..n-1 in order (found at position {pos})"
-            )
-        if not tok.text:
-            violations.append(f"{name}: text is empty")
-        b = tok.bbox
-        if b.x_min > b.x_max or b.y_min > b.y_max:
-            violations.append(f"{name}: bbox is inverted ({b})")
-        elif not b.is_valid():
-            violations.append(f"{name}: bbox outside the unit square ({b})")
-        if tok.label is EntityLabel.UNTAGGED:
-            if tok.source is not None:
-                violations.append(f"{name}: untagged token carries a label source")
-        else:
-            if tok.source is None:
-                violations.append(f"{name}: labeled token has no label source")
-        if tok.confidence is not None and not (0.0 <= tok.confidence <= 1.0):
-            violations.append(f"{name}: confidence {tok.confidence} outside [0, 1]")
-    return violations

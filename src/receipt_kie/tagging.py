@@ -12,7 +12,8 @@ training artifact and lives outside this package. What lives here is its
 * :func:`heuristic_tag`, a dependency-free geometric/lexical tagger good
   enough to exercise the full pipeline without any model.
 
-Both taggers return a new Document and never touch geometry or text.
+Both taggers build their output with :meth:`~receipt_kie.model.Document.relabel`,
+so they return a new Document and never touch geometry or text.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .corrections import DEFAULT_PARSE_CONFIG, MAX_INTEGER_DIGITS, _split_number
 from .ingest import import_predictions  # noqa: F401 (re-export)
-from .model import Document, EntityLabel, LabelSource, Token
+from .model import Document, EntityLabel, LabelSource
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,21 +32,21 @@ class EmbeddingVector:
     """A fixed-dimension embedding; values are finite floats."""
 
     values: tuple[float, ...]
-    dim: int
 
     def __post_init__(self) -> None:
         if not isinstance(self.values, tuple):
             object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if len(self.values) != self.dim:
-            raise ValueError(f"dim={self.dim} but got {len(self.values)} values")
         for v in self.values:
             if not math.isfinite(v):
                 raise ValueError(f"embedding values must be finite, got {v!r}")
 
+    @property
+    def dim(self) -> int:
+        return len(self.values)
+
     @classmethod
     def of(cls, values: Iterable[float]) -> "EmbeddingVector":
-        vals = tuple(float(v) for v in values)
-        return cls(vals, len(vals))
+        return cls(tuple(float(v) for v in values))
 
 
 def fuse_embeddings(image: EmbeddingVector, text: EmbeddingVector) -> EmbeddingVector:
@@ -57,7 +58,7 @@ def fuse_embeddings(image: EmbeddingVector, text: EmbeddingVector) -> EmbeddingV
     """
     if image.dim != text.dim:
         raise ValueError(f"dimension mismatch: image dim {image.dim} vs text dim {text.dim}")
-    return EmbeddingVector(tuple(a + b for a, b in zip(image.values, text.values)), image.dim)
+    return EmbeddingVector(tuple(a + b for a, b in zip(image.values, text.values)))
 
 
 def fuse_sequences(
@@ -108,12 +109,11 @@ def heuristic_tag(doc: Document) -> Document:
     for bit.
     """
     qty_lo, qty_hi = _QUANTITY_BAND
-    tokens: list[Token] = []
+    labels: dict[int, tuple[EntityLabel, LabelSource, None]] = {}
     for tok in doc.tokens:
         number = _split_number(tok.text, _TAG_STRIP_CHARS, DEFAULT_PARSE_CONFIG)
         digits, fraction = number or ("", None)
         is_integer = bool(digits) and fraction is None
-        label = EntityLabel.UNTAGGED
         if fraction is not None and tok.bbox.x_min >= _PRICE_BAND_MIN_X:
             label = EntityLabel.PRICE
         elif (
@@ -127,10 +127,7 @@ def heuristic_tag(doc: Document) -> Document:
             label = EntityLabel.CODE
         elif _alpha_majority(tok.text):
             label = EntityLabel.DESCRIPTION
-        if label is EntityLabel.UNTAGGED:
-            tokens.append(Token(tok.token_id, tok.text, tok.bbox, EntityLabel.UNTAGGED, None, None))
         else:
-            tokens.append(
-                Token(tok.token_id, tok.text, tok.bbox, label, LabelSource.HEURISTIC, None)
-            )
-    return doc.with_tokens(tokens)
+            continue
+        labels[tok.token_id] = (label, LabelSource.HEURISTIC, None)
+    return doc.relabel(labels)

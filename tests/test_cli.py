@@ -157,6 +157,34 @@ class TestDecodeCommand:
         (dup_dir / "two.json").write_bytes(payload)
         assert run_cli("decode", dup_dir, "--out", tmp_path / "out") == 1
 
+    def test_fail_fast_stops_at_a_duplicate_doc_id(self, corpus_dir, tmp_path):
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        payload = (corpus_dir / f"{manifest['doc_ids'][0]}.json").read_bytes()
+        dup_dir = tmp_path / "dup"
+        dup_dir.mkdir()
+        for name in ("one.json", "two.json", "three.json"):
+            (dup_dir / name).write_bytes(payload)
+        out = tmp_path / "out"
+        proc = run_module("decode", dup_dir, "--out", out, "--fail-fast")
+        assert proc.returncode == 1
+        [error] = proc.stderr.splitlines()
+        assert error == (
+            f"ERROR receipt_kie.cli: {dup_dir / 'three.json'}: duplicate doc_id "
+            f"{manifest['doc_ids'][0]!r} (already decoded from {dup_dir / 'one.json'})"
+        )
+        assert len(list(out.glob("*.result.json"))) == 1
+        assert not (out / "corrections.jsonl").exists()
+
+    def test_fail_fast_stops_at_the_first_bad_input(self, corpus_dir, tmp_path):
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        mixed = tmp_path / "mixed"
+        mixed.mkdir()
+        (mixed / "bad.json").write_text("{not json")
+        (mixed / "good.json").write_bytes((corpus_dir / f"{manifest['doc_ids'][0]}.json").read_bytes())
+        out = tmp_path / "out"
+        assert run_cli("decode", mixed, "--out", out, "--fail-fast") == 1
+        assert list(out.iterdir()) == []
+
     def test_predictions_directory_reads_only_the_decoded_documents(
         self, corpus_dir, results_dir, tmp_path
     ):
@@ -357,6 +385,28 @@ class TestEvalCommand:
         [error] = proc.stderr.splitlines()
         assert "duplicate doc_id" in error
         assert str(original) in error and str(copy) in error
+
+    @pytest.mark.parametrize("damage", ["another-page", "nudged-box"])
+    def test_result_from_another_page_fails(self, corpus_dir, results_dir, tmp_path, damage):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        for path in results_dir.glob("*.result.json"):
+            (bad / path.name).write_bytes(path.read_bytes())
+        victim, donor = sorted(bad.glob("*.result.json"))[:2]
+        payload = json.loads(victim.read_text())
+        if damage == "another-page":
+            payload = {**json.loads(donor.read_text()), "doc_id": payload["doc_id"]}
+            token_id = 0
+        else:
+            token_id = 5
+            payload["tokens"][token_id]["bbox"]["y_min"] -= 0.001
+        victim.write_text(json.dumps(payload))
+        for flags in (["--results", bad], ["--results", results_dir, "--compare", bad]):
+            proc = run_module("eval", *flags, "--truth", corpus_dir)
+            assert proc.returncode == 1
+            [error] = proc.stderr.splitlines()
+            assert error.startswith(f"ERROR receipt_kie.cli: {victim}: not decoded from the truth page")
+            assert f"token {token_id} differs" in error
 
     def test_integer_past_the_digit_limit_is_one_error_line(self, corpus_dir, results_dir, tmp_path):
         bad = tmp_path / "bad"

@@ -68,7 +68,7 @@ class TestParseInteger:
         assert parse_integer("$2") == 2
         doc = make_doc([make_token(0, "*12345", 40, 10), make_token(1, "$12345", 40, 60)])
         tagged = heuristic_tag(doc)
-        assert [tok.label for tok in tagged] == [EntityLabel.UNTAGGED, EntityLabel.CODE]
+        assert [tok.label for tok in tagged.tokens] == [EntityLabel.UNTAGGED, EntityLabel.CODE]
 
 
 class TestParseFloat:

@@ -125,6 +125,11 @@ class TestParseOcr:
         with pytest.raises(MalformedJsonError, match="too many digits"):
             parse_ocr(b'{"doc_id": ' + b"9" * 5000 + b"}")
 
+    @pytest.mark.parametrize("size", [0, -600, 600.0])
+    def test_page_size_must_be_a_positive_integer(self, size):
+        with pytest.raises(SchemaError, match="page.height: expected a positive integer"):
+            parse_ocr(json.dumps(ocr_payload(page={"width": 100, "height": size})))
+
     @pytest.mark.parametrize("where", ["vertex", "confidence", "page"])
     def test_integer_too_large_for_a_float_is_a_schema_error(self, where):
         payload = ocr_payload()
@@ -287,6 +292,25 @@ class TestResultRoundTrip:
         payload["tokens"][3]["bbox"]["y_max"] = value
         # json.dumps writes NaN and Infinity, which the reader accepts
         with pytest.raises(SchemaError, match=r"token 3: bbox"):
+            parse_result(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"source": None}, "labeled token has no label source"),
+            ({"label": "untagged"}, "untagged token carries a label source"),
+            ({"text": ""}, "text must be a non-empty string"),
+        ],
+        ids=["label-without-source", "source-without-label", "empty-text"],
+    )
+    def test_token_errors_name_the_token(self, labeled_receipt, edit, message):
+        payload = json.loads(serialize_result(labeled_receipt, []))
+        token = payload["tokens"][1]
+        assert (token["label"], token["source"]) == ("description", "model")
+        token.update(edit)
+        if token["source"] is None:
+            del token["source"]
+        with pytest.raises(SchemaError, match=rf"token 1: {message}"):
             parse_result(json.dumps(payload))
 
     def test_token_bbox_coordinate_too_large_for_a_float(self, labeled_receipt):

@@ -4,16 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from receipt_kie.model import (
-    BBox,
-    EntityLabel,
-    LabelSource,
-    Token,
-    union_bbox,
-    validate_document,
-)
+from receipt_kie.model import BBox, union_bbox
 
-from helpers import make_doc, make_token, norm_box
+from helpers import make_doc, make_token
 
 
 def boxes(draw_coords=st.floats(0.0, 1.0, allow_nan=False)):
@@ -80,48 +73,3 @@ class TestDocument:
             with pytest.raises(KeyError):
                 doc.token(token_id)
 
-
-class TestValidateDocument:
-    def test_clean_document_has_no_violations(self):
-        doc = make_doc([make_token(0, "A", 10, 10), make_token(1, "B", 60, 10)])
-        assert validate_document(doc) == []
-
-    def test_inverted_bbox_is_reported_naming_the_token(self):
-        bad = Token(1, "B", BBox(0.5, 0.1, 0.2, 0.2))
-        doc = make_doc([make_token(0, "A", 10, 10), bad])
-        violations = validate_document(doc)
-        assert len(violations) == 1
-        assert "token 1" in violations[0]
-        assert "inverted" in violations[0]
-
-    def test_out_of_page_bbox_is_reported(self):
-        bad = Token(0, "A", BBox(0.0, 0.0, 1.5, 0.1))
-        violations = validate_document(make_doc([bad]))
-        assert any("unit square" in v for v in violations)
-
-    def test_duplicate_and_sparse_ids_are_reported(self):
-        doc = make_doc([make_token(0, "A", 10, 10), make_token(0, "B", 60, 10)])
-        violations = validate_document(doc)
-        assert any("duplicate" in v for v in violations)
-        assert any("dense" in v for v in violations)
-
-    def test_label_source_consistency(self):
-        untagged_with_source = Token(
-            0, "A", norm_box(10, 10, 40, 30), EntityLabel.UNTAGGED, LabelSource.MODEL
-        )
-        tagged_without_source = Token(
-            1, "B", norm_box(60, 10, 90, 30), EntityLabel.CODE, None
-        )
-        violations = validate_document(make_doc([untagged_with_source, tagged_without_source]))
-        assert len(violations) == 2
-
-    def test_empty_text_and_bad_confidence(self):
-        doc = make_doc(
-            [
-                Token(0, "", norm_box(10, 10, 40, 30)),
-                Token(1, "B", norm_box(60, 10, 90, 30), confidence=1.5),
-            ]
-        )
-        violations = validate_document(doc)
-        assert any("text is empty" in v for v in violations)
-        assert any("confidence" in v for v in violations)

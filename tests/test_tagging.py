@@ -30,10 +30,6 @@ class TestEmbeddingVector:
         assert v.dim == 3
         assert v.values == (1.0, 2.0, 3.0)
 
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            EmbeddingVector((1.0, 2.0), 3)
-
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
