@@ -23,8 +23,9 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence, TextIO
 
 from . import __version__, tagging
 from .corrections import NumericParseConfig, apply_corrections
@@ -121,6 +122,22 @@ def _parse_rate_flags(pairs: Sequence[str], allowed: dict[str, str], flag: str) 
     return out
 
 
+@contextmanager
+def _replacing(path: Path) -> Iterator[TextIO]:
+    """A text file to write ``path``'s new contents to. It is a temporary
+    file next to ``path``, renamed onto it once the block completes: a
+    crash mid-write leaves no truncated file under the final name, and a
+    failed write leaves no temporary file behind."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _parse_file(path: Path, parse: Callable[..., Any], *args: Any) -> Any:
     """``parse(contents of path, *args)``; a package error names the file."""
     try:
@@ -215,36 +232,41 @@ def cmd_decode(args: argparse.Namespace) -> int:
                 raise CorpusMismatchError(
                     f"duplicate doc_id {doc_id!r} (already decoded from {seen[doc_id]})"
                 )
+            with _replacing(out_dir / f"{doc_id}.result.json") as fh:
+                fh.write(payload)
         except (ReceiptKieError, OSError, ValueError) as exc:
             failures += 1
             log.error("%s: %s", path, exc)
             if args.fail_fast:
-                return 1
+                break  # the results already written still get their audit
             continue
         seen[doc_id] = path
-        (out_dir / f"{doc_id}.result.json").write_text(payload, encoding="utf-8")
         audit_entries.append((doc_id, records))
         log.info("decoded %s -> %s.result.json (%d corrections)", path, doc_id, len(records))
 
     audit_path = Path(args.audit) if args.audit else out_dir / "corrections.jsonl"
     audit_entries.sort(key=lambda e: e[0])
-    with audit_path.open("w", encoding="utf-8") as fh:
-        for doc_id, records in audit_entries:
-            for rec in records:
-                fh.write(
-                    json.dumps(
-                        {
-                            "doc_id": doc_id,
-                            "group_id": rec.group_id,
-                            "entity": rec.entity.value,
-                            "token_id": rec.token_id,
-                            "parsed_value": rec.parsed_value,
-                        },
-                        sort_keys=True,
-                        ensure_ascii=False,
+    try:
+        with _replacing(audit_path) as fh:
+            for doc_id, records in audit_entries:
+                for rec in records:
+                    fh.write(
+                        json.dumps(
+                            {
+                                "doc_id": doc_id,
+                                "group_id": rec.group_id,
+                                "entity": rec.entity.value,
+                                "token_id": rec.token_id,
+                                "parsed_value": rec.parsed_value,
+                            },
+                            sort_keys=True,
+                            ensure_ascii=False,
+                        )
+                        + "\n"
                     )
-                    + "\n"
-                )
+    except OSError as exc:
+        log.error("%s: %s", audit_path, exc)
+        return 1
     return 1 if failures else 0
 
 

@@ -10,8 +10,13 @@ Parsers are strict — malformed input raises one of the exception types in
 :mod:`receipt_kie.errors` naming the offending record — but unknown JSON
 fields are ignored so files produced by newer writers still load. All four
 readers share one set of field checks. Writers never emit fields outside
-the documented schema, and serialization is deterministic (sorted keys) so
-identical inputs produce identical bytes.
+the documented schema, and every file is written in one canonical form
+(sorted keys, two-space indent, non-ASCII kept) so identical inputs
+produce identical bytes. :func:`canonical_json` writes that form for any
+payload. :func:`serialize_result`, the one writer on the decode path,
+writes the result schema's canonical text itself, without building a
+payload; a test checks it byte for byte against :func:`canonical_json`
+of the payload it stands for.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import json
 import sys
 import unicodedata
+from json.encoder import encode_basestring as _quote
 from typing import Any, Iterator, Mapping, Sequence
 
 from .errors import LabelConflictError, MalformedJsonError, SchemaError, TokenReferenceError
@@ -85,9 +91,12 @@ def _records(raw: Mapping[str, Any], key: str, noun: str) -> Iterator[tuple[str,
         yield where, obj
 
 
+# JSON numbers decode to exactly int or float; a bool is neither.
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _is_number(value: Any) -> bool:
-    # JSON numbers decode to exactly int or float; a bool is neither.
-    return type(value) is float or type(value) is int
+    return type(value) in _NUMBER_TYPES
 
 
 def _text(obj: Mapping[str, Any], where: str) -> str:
@@ -165,6 +174,11 @@ def parse_ocr(data: bytes | str) -> Document:
     raw = _load_object(data)
     doc_id = _doc_id(raw)
     width, height = _page_dims(_require(raw, "page", "top level"))
+    # Coordinates are compared with the page size before any conversion, so
+    # a huge integer cannot overflow. Below 2**53 that exact test decides as
+    # the test of the coordinate's float does; on a larger page every vertex
+    # takes the float test.
+    exact = width < 2**53 and height < 2**53
 
     tokens: list[Token] = []
     for where, word in _records(raw, "words", "word"):
@@ -172,23 +186,35 @@ def parse_ocr(data: bytes | str) -> Document:
         polygon = _require(word, "polygon", where)
         if not isinstance(polygon, list) or len(polygon) < 3:
             raise SchemaError(f"{where}: polygon needs at least 3 vertices")
-        xs: list[float] = []
-        ys: list[float] = []
         for j, vertex in enumerate(polygon):
-            if not isinstance(vertex, list) or len(vertex) != 2 or not all(map(_is_number, vertex)):
+            if (
+                type(vertex) is not list
+                or len(vertex) != 2
+                or type(vertex[0]) not in _NUMBER_TYPES
+                or type(vertex[1]) not in _NUMBER_TYPES
+            ):
                 raise SchemaError(f"{where}: vertex {j} must be an [x, y] number pair")
-            try:
-                x, y = float(vertex[0]), float(vertex[1])
-            except OverflowError:
-                raise SchemaError(f"{where}: vertex {j} outside the {width}x{height} page") from None
-            if not (0 <= x <= width) or not (0 <= y <= height):
-                raise SchemaError(
-                    f"{where}: vertex {j} ({x}, {y}) outside the {width}x{height} page"
-                )
-            xs.append(x)
-            ys.append(y)
+            x, y = vertex
+            if not (exact and 0 <= x <= width and 0 <= y <= height):
+                try:
+                    fx, fy = float(x), float(y)
+                except OverflowError:
+                    raise SchemaError(f"{where}: vertex {j} outside the {width}x{height} page") from None
+                if not (0 <= fx <= width) or not (0 <= fy <= height):
+                    raise SchemaError(
+                        f"{where}: vertex {j} ({fx}, {fy}) outside the {width}x{height} page"
+                    )
         confidence = _confidence(word, where)
-        bbox = BBox(min(xs) / width, min(ys) / height, max(xs) / width, max(ys) / height)
+        # float is monotone, so the float of the least coordinate is the
+        # least of the coordinates' floats.
+        xs = [vertex[0] for vertex in polygon]
+        ys = [vertex[1] for vertex in polygon]
+        bbox = BBox(
+            float(min(xs)) / width,
+            float(min(ys)) / height,
+            float(max(xs)) / width,
+            float(max(ys)) / height,
+        )
         tokens.append(Token(token_id=len(tokens), text=text, bbox=bbox, confidence=confidence))
     return Document(doc_id=doc_id, tokens=tuple(tokens), page_width=width, page_height=height)
 
@@ -303,15 +329,6 @@ def apply_truth_labels(
     return doc.relabel(labels)
 
 
-def _bbox_to_json(bbox: BBox) -> dict[str, float]:
-    return {
-        "x_min": bbox.x_min,
-        "y_min": bbox.y_min,
-        "x_max": bbox.x_max,
-        "y_max": bbox.y_max,
-    }
-
-
 def _bbox_from_json(raw: Any, where: str) -> BBox:
     if not isinstance(raw, dict):
         raise SchemaError(f"{where}: bbox must be an object")
@@ -331,6 +348,27 @@ def _bbox_from_json(raw: Any, where: str) -> BBox:
     return bbox
 
 
+# The JSON string of each label and label source.
+_QUOTED = {member: _quote(member.value) for enum in (EntityLabel, LabelSource) for member in enum}
+
+
+def _box_text(bbox: BBox) -> str:
+    # A box is the value of a key six spaces in, in tokens and in products.
+    return (
+        f'{{\n        "x_max": {bbox.x_max!r},\n        "x_min": {bbox.x_min!r},\n'
+        f'        "y_max": {bbox.y_max!r},\n        "y_min": {bbox.y_min!r}\n      }}'
+    )
+
+
+def _list_text(items: Sequence[str], indent: str) -> str:
+    """The JSON list of the already written ``items``, laid out as
+    ``canonical_json`` does with its closing bracket after ``indent``."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
 def serialize_result(doc: Document, groups: Sequence[ProductGroup]) -> str:
     """Serialize a decoded document and its product groups to JSON.
 
@@ -338,55 +376,54 @@ def serialize_result(doc: Document, groups: Sequence[ProductGroup]) -> str:
     self-contained) and, per group, both the raw membership and the
     resolved entity assignment. ``corrected`` lists which of the group's
     entities were filled in by a correction rule.
+
+    The text is written directly in the form :func:`canonical_json` gives
+    the result payload: keys in sorted order, two-space indentation,
+    strings by ``json``'s own escaper and numbers by ``repr``, as
+    ``json.dumps`` writes them.
     """
     # Imported here: layout depends on the model only, but pulling it at
     # module import time would make ingest <-> layout ordering brittle.
     from .layout import assign_entities
 
-    token_objs = []
+    token_texts = []
     for tok in doc.tokens:
-        obj: dict[str, Any] = {
-            "token_id": tok.token_id,
-            "text": tok.text,
-            "bbox": _bbox_to_json(tok.bbox),
-            "label": tok.label.value,
-        }
-        if tok.source is not None:
-            obj["source"] = tok.source.value
-        if tok.confidence is not None:
-            obj["confidence"] = tok.confidence
-        token_objs.append(obj)
+        confidence = "" if tok.confidence is None else f'"confidence": {tok.confidence!r},\n      '
+        source = "" if tok.source is None else f'"source": {_QUOTED[tok.source]},\n      '
+        token_texts.append(
+            f'{{\n      "bbox": {_box_text(tok.bbox)},\n      {confidence}'
+            f'"label": {_QUOTED[tok.label]},\n      {source}"text": {_quote(tok.text)},\n'
+            f'      "token_id": {tok.token_id!r}\n    }}'
+        )
 
-    product_objs = []
+    product_texts = []
     for group in groups:
         product = assign_entities(group, doc)
-        entities: dict[str, Any] = {"description": list(product.description_ids)}
-        corrected: list[str] = []
+        entities = {"description": _list_text(list(map(repr, product.description_ids)), "        ")}
+        corrected = []
         for label, tid in zip(SCALAR_ENTITIES, product.scalar_ids()):
             if tid is None:
                 continue
-            entities[label.value] = tid
+            entities[label.value] = repr(tid)
             if doc.token(tid).source is LabelSource.CORRECTION:
-                corrected.append(label.value)
-        product_objs.append(
-            {
-                "group_id": group.group_id,
-                "line_indices": list(group.line_indices),
-                "token_ids": list(group.token_ids),
-                "bbox": _bbox_to_json(group.bbox),
-                "incomplete": group.incomplete,
-                "entities": entities,
-                "corrected": corrected,
-            }
+                corrected.append(_QUOTED[label])
+        entity_text = ",\n        ".join(f'"{name}": {entities[name]}' for name in sorted(entities))
+        product_texts.append(
+            f'{{\n      "bbox": {_box_text(group.bbox)},\n'
+            f'      "corrected": {_list_text(corrected, "      ")},\n'
+            f'      "entities": {{\n        {entity_text}\n      }},\n'
+            f'      "group_id": {group.group_id!r},\n'
+            f'      "incomplete": {"true" if group.incomplete else "false"},\n'
+            f'      "line_indices": {_list_text(list(map(repr, group.line_indices)), "      ")},\n'
+            f'      "token_ids": {_list_text(list(map(repr, group.token_ids)), "      ")}\n    }}'
         )
 
-    payload = {
-        "doc_id": doc.doc_id,
-        "page": {"width": doc.page_width, "height": doc.page_height},
-        "tokens": token_objs,
-        "products": product_objs,
-    }
-    return canonical_json(payload)
+    return (
+        f'{{\n  "doc_id": {_quote(doc.doc_id)},\n'
+        f'  "page": {{\n    "height": {doc.page_height!r},\n    "width": {doc.page_width!r}\n  }},\n'
+        f'  "products": {_list_text(product_texts, "  ")},\n'
+        f'  "tokens": {_list_text(token_texts, "  ")}\n}}\n'
+    )
 
 
 _LABELS_BY_VALUE = {label.value: label for label in EntityLabel}
@@ -468,8 +505,10 @@ def parse_result(data: bytes | str) -> tuple[Document, tuple[ProductGroup, ...]]
 def canonical_json(payload: Any) -> str:
     """The package-wide JSON writer: sorted keys, UTF-8 friendly, stable.
 
-    Every file this package writes goes through here so that identical
-    inputs always produce byte-identical outputs.
+    Every JSON file this package writes is in this form, so that identical
+    inputs always produce byte-identical outputs. Result files are the one
+    kind written without it: :func:`serialize_result` writes the same text
+    itself.
     """
     return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
 

@@ -74,8 +74,14 @@ def detect_lines_geometric(doc: Document, config: GroupingConfig | None = None) 
 
     Lines come back ordered top to bottom (by mean y-center), each with
     its tokens ordered left to right by x_min. ``Line.index`` equals the
-    line's position in the returned list. Only pairs whose intervals meet
-    are compared, so on a page of text lines the cost is near-linear.
+    line's position in the returned list.
+
+    Tokens with the same vertical interval are joined first, and only one
+    token per distinct interval is compared with others, and only where
+    the intervals meet. On a page of text lines the cost is near-linear,
+    and so is a row of any number of identical boxes. A row whose boxes
+    all differ slightly in height or offset (a jittered row) still
+    compares every pair of its boxes: quadratic in the row's length.
     """
     cfg = config or GroupingConfig()
     tokens = doc.tokens
@@ -98,15 +104,24 @@ def detect_lines_geometric(doc: Document, config: GroupingConfig | None = None) 
         if ri != rj:
             parent[rj] = ri
 
+    # Two boxes with the same (y_min, y_max) have ratio 1, which meets any
+    # threshold, and every other box has the same ratio to both: join them
+    # now and sweep over the first token of each interval only.
+    boxes = [tok.bbox for tok in tokens]
+    first_of_interval: dict[tuple[float, float], int] = {}
+    for i, box in enumerate(boxes):
+        first = first_of_interval.setdefault((box.y_min, box.y_max), i)
+        if first != i:
+            union(first, i)
+
     # Sweep in y_min order: once a later box starts strictly below box i
     # ends, their intersection is negative, the ratio is 0 and so is every
     # later box's. A box that only touches (intersection 0) is still
     # compared, because a zero-height box counts as full overlap.
-    boxes = [tok.bbox for tok in tokens]
-    order = sorted(range(n), key=lambda i: boxes[i].y_min)
+    order = sorted(first_of_interval.values(), key=lambda i: boxes[i].y_min)
     for pos, i in enumerate(order):
         a = boxes[i]
-        for k in range(pos + 1, n):
+        for k in range(pos + 1, len(order)):
             j = order[k]
             b = boxes[j]
             if b.y_min > a.y_max:

@@ -3,13 +3,37 @@
 Everything here is written from the rules as stated, in the most literal
 way possible, with no code shared with the package — the point is that a
 bug would have to be made twice, in two different shapes, to go unseen.
+The two file-format references at the end are the exception: each keeps
+an earlier, plainer version of one step of the package and shares the
+rest (field checks, entity resolution) with it.
 """
 
 from __future__ import annotations
 
 import unicodedata
+from typing import Any, Sequence
 
-from receipt_kie.model import Document, EntityLabel
+from receipt_kie.errors import SchemaError
+from receipt_kie.ingest import (
+    _confidence,
+    _doc_id,
+    _is_number,
+    _load_object,
+    _page_dims,
+    _records,
+    _require,
+    _text,
+)
+from receipt_kie.layout import assign_entities
+from receipt_kie.model import (
+    SCALAR_ENTITIES,
+    BBox,
+    Document,
+    EntityLabel,
+    LabelSource,
+    ProductGroup,
+    Token,
+)
 
 DESC = EntityLabel.DESCRIPTION
 CODE = EntityLabel.CODE
@@ -275,3 +299,95 @@ def oracle_heuristic_label(
     if sum(1 for c in text if c.isalpha()) * 2 > len(text):
         return DESC
     return EntityLabel.UNTAGGED
+
+
+# --------------------------------------------------------------------------
+# Result writer reference: the result payload as plain dicts and lists, for
+# ``canonical_json`` to write. ``serialize_result`` must give the same text.
+
+
+def _bbox_payload(bbox: BBox) -> dict[str, float]:
+    return {"x_min": bbox.x_min, "y_min": bbox.y_min, "x_max": bbox.x_max, "y_max": bbox.y_max}
+
+
+def reference_result_payload(doc: Document, groups: Sequence[ProductGroup]) -> dict[str, Any]:
+    token_objs = []
+    for tok in doc.tokens:
+        obj: dict[str, Any] = {
+            "token_id": tok.token_id,
+            "text": tok.text,
+            "bbox": _bbox_payload(tok.bbox),
+            "label": tok.label.value,
+        }
+        if tok.source is not None:
+            obj["source"] = tok.source.value
+        if tok.confidence is not None:
+            obj["confidence"] = tok.confidence
+        token_objs.append(obj)
+
+    product_objs = []
+    for group in groups:
+        product = assign_entities(group, doc)
+        entities: dict[str, Any] = {"description": list(product.description_ids)}
+        corrected: list[str] = []
+        for label, tid in zip(SCALAR_ENTITIES, product.scalar_ids()):
+            if tid is None:
+                continue
+            entities[label.value] = tid
+            if doc.token(tid).source is LabelSource.CORRECTION:
+                corrected.append(label.value)
+        product_objs.append(
+            {
+                "group_id": group.group_id,
+                "line_indices": list(group.line_indices),
+                "token_ids": list(group.token_ids),
+                "bbox": _bbox_payload(group.bbox),
+                "incomplete": group.incomplete,
+                "entities": entities,
+                "corrected": corrected,
+            }
+        )
+
+    return {
+        "doc_id": doc.doc_id,
+        "page": {"width": doc.page_width, "height": doc.page_height},
+        "tokens": token_objs,
+        "products": product_objs,
+    }
+
+
+# --------------------------------------------------------------------------
+# OCR reader reference: every vertex checked for shape, converted to float
+# and then compared with the page, one coordinate at a time.
+
+
+def reference_parse_ocr(data: bytes | str) -> Document:
+    raw = _load_object(data)
+    doc_id = _doc_id(raw)
+    width, height = _page_dims(_require(raw, "page", "top level"))
+
+    tokens: list[Token] = []
+    for where, word in _records(raw, "words", "word"):
+        text = _text(word, where)
+        polygon = _require(word, "polygon", where)
+        if not isinstance(polygon, list) or len(polygon) < 3:
+            raise SchemaError(f"{where}: polygon needs at least 3 vertices")
+        xs: list[float] = []
+        ys: list[float] = []
+        for j, vertex in enumerate(polygon):
+            if not isinstance(vertex, list) or len(vertex) != 2 or not all(map(_is_number, vertex)):
+                raise SchemaError(f"{where}: vertex {j} must be an [x, y] number pair")
+            try:
+                x, y = float(vertex[0]), float(vertex[1])
+            except OverflowError:
+                raise SchemaError(f"{where}: vertex {j} outside the {width}x{height} page") from None
+            if not (0 <= x <= width) or not (0 <= y <= height):
+                raise SchemaError(
+                    f"{where}: vertex {j} ({x}, {y}) outside the {width}x{height} page"
+                )
+            xs.append(x)
+            ys.append(y)
+        confidence = _confidence(word, where)
+        bbox = BBox(min(xs) / width, min(ys) / height, max(xs) / width, max(ys) / height)
+        tokens.append(Token(token_id=len(tokens), text=text, bbox=bbox, confidence=confidence))
+    return Document(doc_id=doc_id, tokens=tuple(tokens), page_width=width, page_height=height)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import importlib
 import json
 import subprocess
@@ -173,7 +174,10 @@ class TestDecodeCommand:
             f"{manifest['doc_ids'][0]!r} (already decoded from {dup_dir / 'one.json'})"
         )
         assert len(list(out.glob("*.result.json"))) == 1
-        assert not (out / "corrections.jsonl").exists()
+        # the audit of the one result written, as a decode of that input alone
+        alone = tmp_path / "alone"
+        assert run_cli("decode", dup_dir / "one.json", "--out", alone) == 0
+        assert (out / "corrections.jsonl").read_bytes() == (alone / "corrections.jsonl").read_bytes()
 
     def test_fail_fast_stops_at_the_first_bad_input(self, corpus_dir, tmp_path):
         manifest = json.loads((corpus_dir / "manifest.json").read_text())
@@ -183,7 +187,76 @@ class TestDecodeCommand:
         (mixed / "good.json").write_bytes((corpus_dir / f"{manifest['doc_ids'][0]}.json").read_bytes())
         out = tmp_path / "out"
         assert run_cli("decode", mixed, "--out", out, "--fail-fast") == 1
-        assert list(out.iterdir()) == []
+        assert [p.name for p in out.iterdir()] == ["corrections.jsonl"]
+        assert (out / "corrections.jsonl").read_text() == ""
+
+    def test_fail_fast_keeps_the_audit_of_the_results_it_wrote(self, tmp_path):
+        # Two documents of the README corpus, then a malformed input: the
+        # two results are written, so their correction records must be too.
+        corpus = tmp_path / "corpus"
+        assert run_cli(
+            "synth", "--out", corpus, "--seed", "7", "--docs", "2",
+            "--fn-rate", "code=0.3", "--fn-rate", "quantity=0.3", "--fn-rate", "price=0.3",
+        ) == 0
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        doc_ids = ["synth-00000007-00000", "synth-00000007-00001"]
+        for doc_id in doc_ids:
+            (inputs / f"{doc_id}.json").write_bytes((corpus / "pred" / f"{doc_id}.json").read_bytes())
+        (inputs / "zz-malformed.json").write_text("{not json")
+        decode = ("--tagger", "import", "--predictions", corpus / "pred")
+        out = tmp_path / "out"
+        assert run_cli("decode", inputs, "--out", out, "--fail-fast", *decode) == 1
+        assert sorted(p.name for p in out.glob("*.result.json")) == [f"{d}.result.json" for d in doc_ids]
+        entries = [json.loads(line) for line in (out / "corrections.jsonl").read_text().splitlines()]
+        assert len(entries) == 6
+        full = tmp_path / "full"
+        assert run_cli("decode", *(inputs / f"{d}.json" for d in doc_ids), "--out", full, *decode) == 0
+        assert (out / "corrections.jsonl").read_bytes() == (full / "corrections.jsonl").read_bytes()
+
+    def test_a_failed_write_leaves_no_result_and_no_temporary_file(
+        self, corpus_dir, results_dir, tmp_path
+    ):
+        pytest.importorskip("resource")
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        doc_id = manifest["doc_ids"][0]
+        limit = 4096
+        assert (results_dir / f"{doc_id}.result.json").stat().st_size > limit
+        # The file size limit makes the result's write fail partway, as a
+        # full disk would.
+        script = (
+            "import resource, signal, sys\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+            "from receipt_kie.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [
+                sys.executable, "-c", script, "decode", corpus_dir / "pred" / f"{doc_id}.json",
+                "--out", out, "--tagger", "import", "--predictions", corpus_dir / "pred",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        [error] = proc.stderr.splitlines()
+        assert f"[Errno {errno.EFBIG}]" in error
+        assert [p.name for p in out.iterdir()] == ["corrections.jsonl"]
+
+    def test_unwritable_audit_path_is_one_error_line(self, corpus_dir, tmp_path):
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        audit = tmp_path / "missing" / "corrections.jsonl"
+        proc = run_module(
+            "decode", corpus_dir / f"{manifest['doc_ids'][0]}.json", "--out", tmp_path / "out",
+            "--audit", audit,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        [error] = proc.stderr.splitlines()
+        assert error.startswith(f"ERROR receipt_kie.cli: {audit}: ")
 
     def test_predictions_directory_reads_only_the_decoded_documents(
         self, corpus_dir, results_dir, tmp_path

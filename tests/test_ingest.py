@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from receipt_kie.errors import (
@@ -24,9 +24,10 @@ from receipt_kie.ingest import (
     write_ground_truth_json,
 )
 from receipt_kie.layout import detect_lines_geometric, group_product_lines
-from receipt_kie.model import BBox, EntityLabel, LabelSource, Product
+from receipt_kie.model import BBox, Document, EntityLabel, LabelSource, Product, ProductGroup, Token
 
 from helpers import make_doc, make_token
+from reference_impls import reference_parse_ocr, reference_result_payload
 
 
 def ocr_payload(**overrides):
@@ -462,3 +463,165 @@ def test_parsers_return_or_raise_a_package_error(schema, data):
         _PARSERS[schema](raw)
     except ReceiptKieError:
         pass
+
+
+# --------------------------------------------------------------------------
+# serialize_result writes the canonical text of the result payload itself;
+# it must equal canonical_json of the payload the reference builds.
+
+_AWKWARD_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u2028\u2029\ufeffé€😀'), st.characters()),
+    max_size=6,
+)
+# Non-finite floats cannot reach the writer: every reader rejects them.
+_FINITE = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e-7, 0.1 + 0.2, 1e16, 1.0, 0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_BOXES = st.builds(BBox, _FINITE, _FINITE, _FINITE, _FINITE)
+
+
+@st.composite
+def decoded_documents(draw):
+    n = draw(st.integers(min_value=0, max_value=6))
+    tokens = tuple(
+        Token(
+            i,
+            draw(_AWKWARD_TEXT),
+            draw(_BOXES),
+            draw(st.sampled_from(EntityLabel)),
+            draw(st.none() | st.sampled_from(LabelSource)),
+            draw(st.none() | _FINITE),
+        )
+        for i in range(n)
+    )
+    doc = Document(
+        draw(_AWKWARD_TEXT), tokens, draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6))
+    )
+    ids = st.lists(st.integers(0, n - 1), max_size=4) if n else st.just([])
+    groups = draw(
+        st.lists(
+            st.builds(
+                ProductGroup,
+                group_id=st.integers(0, 50),
+                line_indices=st.lists(st.integers(0, 50), max_size=3).map(tuple),
+                token_ids=ids.map(tuple),
+                bbox=_BOXES,
+                incomplete=st.booleans(),
+            ),
+            max_size=3,
+        )
+    )
+    return doc, groups
+
+
+# Every scalar entity filled in by a correction, and no description.
+_NO_DESCRIPTION = make_doc(
+    [
+        make_token(i, text, 10 + 100 * i, 10, label=label, source=LabelSource.CORRECTION)
+        for i, (text, label) in enumerate(
+            [("4902102", EntityLabel.CODE), ("2", EntityLabel.QUANTITY), ("1.50", EntityLabel.PRICE)]
+        )
+    ]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=decoded_documents())
+@example(case=(make_doc([], doc_id="empty"), []))
+@example(case=(_NO_DESCRIPTION, []))
+@example(
+    case=(
+        _NO_DESCRIPTION,
+        [ProductGroup(0, (0,), (0, 1, 2), BBox(0.0, 0.0, 0.5, 0.5), incomplete=True)],
+    )
+)
+def test_serialize_result_writes_canonical_json_of_the_reference_payload(case):
+    doc, groups = case
+    out = serialize_result(doc, groups)
+    assert out == canonical_json(reference_result_payload(doc, groups))
+    assert canonical_json(json.loads(out)) == out
+
+
+# --------------------------------------------------------------------------
+# parse_ocr checks each vertex on the raw JSON numbers and converts only the
+# envelope; the reference converts every coordinate first. On any input both
+# return equal documents, or both raise the same error.
+
+_SIZES = [1, 100, 600, 2**53 - 1, 2**53, 2**53 + 1, 2**53 + 3, 2**60]
+
+
+def _awkward_coordinates(limit: int):
+    return st.sampled_from(
+        [-1, -0.0, -1e-9, limit - 1, limit, limit + 1, limit + 3, limit + 0.5, float(limit),
+         2**53, 2**53 + 1, 2**53 + 3, 10**400, -10**400, 1e308, True, False, None, "1",
+         float("nan"), float("inf")]
+    )
+
+
+@st.composite
+def ocr_payloads(draw):
+    """A page of words with in-range polygons, ints and floats mixed, then
+    up to three damages: an awkward coordinate, a vertex of another shape,
+    or a polygon cut short."""
+    width, height = draw(st.sampled_from(_SIZES)), draw(st.sampled_from(_SIZES))
+    vertex = st.tuples(
+        st.one_of(st.integers(0, width), st.floats(0, float(width))),
+        st.one_of(st.integers(0, height), st.floats(0, float(height))),
+    ).map(list)
+    words = draw(
+        st.lists(
+            st.fixed_dictionaries(
+                {
+                    "text": st.sampled_from(["MILK", "12.50"]),
+                    "polygon": st.lists(vertex, min_size=3, max_size=5),
+                },
+                optional={"confidence": st.sampled_from([0.5, 1, 0, 0.25, 2])},
+            ),
+            max_size=3,
+        )
+    )
+    for _ in range(draw(st.integers(0, 3)) if words else 0):
+        polygon = draw(st.sampled_from(words))["polygon"]
+        if not polygon:
+            continue
+        j = draw(st.integers(0, len(polygon) - 1))
+        damage = draw(st.sampled_from(["coordinate", "coordinate", "shape", "short"]))
+        if damage == "coordinate":
+            k = draw(st.integers(0, 1))
+            polygon[j] = draw(vertex)
+            polygon[j][k] = draw(_awkward_coordinates((width, height)[k]))
+        elif damage == "shape":
+            polygon[j] = draw(st.sampled_from([[1], [1, 1, 1], [], None, 5, {"x": 1, "y": 1}]))
+        else:
+            del polygon[j:]
+    return {"doc_id": "doc-1", "page": {"width": width, "height": height}, "words": words}
+
+
+def _outcome(parse, data):
+    try:
+        doc = parse(data)
+    except Exception as exc:  # both sides must fail alike
+        return type(exc), str(exc)
+    return doc, repr(doc)  # repr tells -0.0 from 0.0
+
+
+_MIXED = [[10, 20.5], [90.25, 20], [90, 30], [10.0, 30]]
+
+
+@settings(max_examples=500, deadline=None)
+@given(payload=ocr_payloads())
+@example(payload=ocr_payload(words=[{"text": "A", "polygon": _MIXED}]))
+@example(payload=ocr_payload(words=[{"text": "A", "polygon": [[-0.0, 0], [0, -0.0], [1, 1]]}]))
+@example(payload=ocr_payload(words=[{"text": "A", "polygon": [[10, 10], [20, True], [20, 20]]}]))
+# float(2**53 + 1) is 2**53, inside a 2**53 page; float(2**53 + 3) is
+# 2**53 + 4, outside a 2**53 + 3 page.
+@example(
+    payload=ocr_payload(
+        page={"width": 2**53, "height": 2**53 + 3},
+        words=[{"text": "A", "polygon": [[2**53 + 1, 0], [0, 2**53 + 3], [1, 1]]}],
+    )
+)
+def test_parse_ocr_matches_the_reference(payload):
+    data = json.dumps(payload).encode("utf-8")
+    assert _outcome(parse_ocr, data) == _outcome(reference_parse_ocr, data)

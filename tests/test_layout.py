@@ -243,23 +243,42 @@ class TestDetectLinesMatchesAllPairs:
         assert [line.token_ids for line in lines] == [(0, 1, 2)]
 
 
+def count_overlap_tests(monkeypatch) -> list[int]:
+    """Wrap the overlap test; the returned one-item list counts its calls."""
+    calls = [0]
+
+    def counting(a, b):
+        calls[0] += 1
+        return vertical_overlap_ratio(a, b)
+
+    monkeypatch.setattr(layout, "vertical_overlap_ratio", counting)
+    return calls
+
+
 def test_line_detection_makes_a_linear_number_of_overlap_tests(monkeypatch):
     # Counting calls instead of timing: all pairs would be about n**2 / 2,
     # some ten million calls on this page.
     [(doc, _)] = generate_corpus(CorpusSpec(seed=0, n_docs=1, products_per_doc=(500, 500)))
     n = len(doc.tokens)
     assert n > 4000
-    calls = 0
-
-    def counting(a, b):
-        nonlocal calls
-        calls += 1
-        return vertical_overlap_ratio(a, b)
-
-    monkeypatch.setattr(layout, "vertical_overlap_ratio", counting)
+    calls = count_overlap_tests(monkeypatch)
     lines = detect_lines_geometric(doc)
-    assert calls < 4 * n
+    assert calls[0] < 4 * n
     assert sorted(tid for line in lines for tid in line.token_ids) == list(range(n))
+
+
+def test_a_row_of_identical_boxes_makes_a_linear_number_of_overlap_tests(monkeypatch):
+    # Every pair of this row meets, so a sweep over tokens would make
+    # n * (n - 1) / 2 = 499,500 overlap tests.
+    n = 1000
+    doc = make_doc(
+        [make_token(i, "W", (i * 7) % 590, 100, width=10) for i in range(n)]
+    )
+    calls = count_overlap_tests(monkeypatch)
+    lines = detect_lines_geometric(doc)
+    assert calls[0] <= n
+    assert [(line.index, line.token_ids) for line in lines] == oracle_detect_lines(doc)
+    assert len(lines) == 1
 
 
 # --------------------------------------------------------------------------
