@@ -19,9 +19,6 @@ from .corrections import (
     CorrectionRecord,
     NumericParseConfig,
     apply_corrections,
-    correct_code,
-    correct_price,
-    correct_quantity,
     parse_float,
     parse_integer,
 )
@@ -60,7 +57,6 @@ from .model import (
     Document,
     EntityLabel,
     LabelSource,
-    Line,
     Product,
     ProductGroup,
     Token,
@@ -100,7 +96,6 @@ __all__ = [
     "GroupingConfig",
     "LabelConflictError",
     "LabelSource",
-    "Line",
     "MalformedJsonError",
     "MatchMode",
     "NumericParseConfig",
@@ -115,9 +110,6 @@ __all__ = [
     "as_model_predictions",
     "assign_entities",
     "build_report",
-    "correct_code",
-    "correct_price",
-    "correct_quantity",
     "corrupt_predictions",
     "detect_lines_geometric",
     "fuse_embeddings",

@@ -350,20 +350,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return 2
 
     mode = MatchMode.STRICT_OCR if args.mode == "strict" else MatchMode.TAG_ONLY
-    try:
-        truth = _load_truth(Path(args.truth))
-        predictions = _load_results(args.results, truth)
-        report = build_report(predictions, truth, mode)
-    except (ReceiptKieError, OSError) as exc:
-        log.error("%s", exc)
-        return 1
+    truth = _load_truth(Path(args.truth))
+    report = build_report(_load_results(args.results, truth), truth, mode)
 
     if args.compare:
-        try:
-            other = build_report(_load_results([args.compare], truth), truth, mode)
-        except (ReceiptKieError, OSError) as exc:
-            log.error("%s", exc)
-            return 1
+        other = build_report(_load_results([args.compare], truth), truth, mode)
         primary_name = Path(args.results[0]).name or "results"
         other_name = Path(args.compare).name or "compare"
         print(_comparison_table([(primary_name, report), (other_name, other)]))
@@ -432,12 +423,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    try:
-        doc, groups = _parse_file(Path(args.result), parse_result)
-        ocr_doc = _parse_file(Path(args.ocr), parse_ocr)
-    except (ReceiptKieError, OSError) as exc:
-        log.error("%s", exc)
-        return 1
+    doc, groups = _parse_file(Path(args.result), parse_result)
+    ocr_doc = _parse_file(Path(args.ocr), parse_ocr)
     if doc.doc_id != ocr_doc.doc_id:
         log.error(
             "result is for doc_id %r but OCR file is %r", doc.doc_id, ocr_doc.doc_id
@@ -510,7 +497,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     _configure_logging()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ReceiptKieError, OSError) as exc:
+        log.error("%s", exc)
+        return 1
 
 
 if __name__ == "__main__":

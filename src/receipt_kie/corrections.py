@@ -144,10 +144,10 @@ class CorrectionRecord:
     parsed_value: int | float
 
 
-# The rule table, in firing order. Each rule reads the pool with a parser,
-# picks the extreme value, and may demand that the value be strictly beyond
-# the opposite extreme of the group's original integers: a lone integer is
-# evidence of neither a code nor a quantity.
+# The rule table, in firing order: a parser, the extreme to pick, and an
+# optional guard that the picked value must pass against the group's
+# original integers (a lone integer is evidence of neither a code nor a
+# quantity).
 _Rule = tuple[
     Callable[..., "int | float | None"], Callable[..., "int | float"], Callable[..., bool] | None
 ]
@@ -158,81 +158,6 @@ _RULES: dict[EntityLabel, _Rule] = {
 }
 
 
-def _group_state(
-    tokens: Sequence[Token], config: NumericParseConfig
-) -> tuple[set[EntityLabel], list[Token], list[int]]:
-    """Labels present among a group's tokens, its untagged pool, and the
-    pool's integer values (the guard comparison set)."""
-    present = {t.label for t in tokens if t.label is not EntityLabel.UNTAGGED}
-    pool = [t for t in tokens if t.label is EntityLabel.UNTAGGED]
-    guard_ints = [v for t in pool if (v := parse_integer(t.text, config)) is not None]
-    return present, pool, guard_ints
-
-
-def _pick(
-    rule: _Rule, pool: Sequence[Token], guard_ints: Sequence[int], config: NumericParseConfig
-) -> tuple[int | float, Token] | None:
-    """Run one rule over ``pool``: the winning value and its token, or None.
-
-    ``pool`` is a subset of the pool ``guard_ints`` was read from, so an
-    integer candidate always has a non-empty guard set.
-    """
-    parse, best, guard = rule
-    parsed = [(value, tok) for tok in pool if (value := parse(tok.text, config)) is not None]
-    if not parsed:
-        return None
-    target = best(value for value, _ in parsed)
-    if guard is not None and not guard(target, guard_ints):
-        return None
-    winner = min((tok for value, tok in parsed if value == target), key=reading_order)
-    return target, winner
-
-
-def _correct(
-    entity: EntityLabel, group: ProductGroup, doc: Document, config: NumericParseConfig
-) -> CorrectionRecord | None:
-    present, pool, guard_ints = _group_state([doc.token(tid) for tid in group.token_ids], config)
-    if entity in present:
-        return None
-    fired = _pick(_RULES[entity], pool, guard_ints, config)
-    if fired is None:
-        return None
-    value, tok = fired
-    return CorrectionRecord(group.group_id, entity, tok.token_id, value)
-
-
-def correct_code(
-    group: ProductGroup, doc: Document, config: NumericParseConfig = DEFAULT_PARSE_CONFIG
-) -> CorrectionRecord | None:
-    """Recover a missing product code: the largest integer in the pool.
-
-    Fires only when the group has no code-labeled token, the pool contains
-    at least one integer, and the largest strictly exceeds the smallest
-    (ties on the winning value go to the top-most, left-most token).
-    Returns the firing as a record, or None.
-    """
-    return _correct(EntityLabel.CODE, group, doc, config)
-
-
-def correct_quantity(
-    group: ProductGroup, doc: Document, config: NumericParseConfig = DEFAULT_PARSE_CONFIG
-) -> CorrectionRecord | None:
-    """Recover a missing quantity: the smallest integer in the pool,
-    guarded by being strictly below the pool's largest integer."""
-    return _correct(EntityLabel.QUANTITY, group, doc, config)
-
-
-def correct_price(
-    group: ProductGroup, doc: Document, config: NumericParseConfig = DEFAULT_PARSE_CONFIG
-) -> CorrectionRecord | None:
-    """Recover a missing price: the largest decimal number in the pool.
-
-    Unguarded — unlike codes and quantities, a decimal with a fractional
-    part inside a product group is already strong evidence on its own.
-    """
-    return _correct(EntityLabel.PRICE, group, doc, config)
-
-
 def apply_corrections(
     doc: Document,
     groups: Sequence[ProductGroup],
@@ -241,9 +166,12 @@ def apply_corrections(
     """Run all three rules over every group; return the corrected document
     and the firings in order.
 
-    Per group the order is code, then quantity, then price. A rule that
-    fires removes its token from the live pool before the next rule runs,
-    but the guards keep comparing against the group's original pool — the
+    Per group the order is code, then quantity, then price. A rule is
+    skipped when the group already holds its entity. Otherwise it takes
+    the extreme value among the live pool's numbers it can parse, and the
+    top-most, left-most token holding that value wins. A rule that fires
+    removes its token from the live pool before the next rule runs, but
+    the guards keep comparing against the group's original pool — the
     evidence for "is this number extreme" is the document as the tagger
     left it, not the shrinking remainder.
 
@@ -255,17 +183,25 @@ def apply_corrections(
     records: list[CorrectionRecord] = []
 
     for group in groups:
-        present, pool, guard_ints = _group_state([current[tid] for tid in group.token_ids], config)
-        for entity, rule in _RULES.items():
+        tokens = [current[tid] for tid in group.token_ids]
+        present = {tok.label for tok in tokens}
+        pool = [tok for tok in tokens if tok.label is EntityLabel.UNTAGGED]
+        guard_ints = [v for tok in pool if (v := parse_integer(tok.text, config)) is not None]
+        for entity, (parse, best, guard) in _RULES.items():
             if entity in present:
                 continue
-            fired = _pick(rule, pool, guard_ints, config)
-            if fired is None:
+            parsed = [(v, tok) for tok in pool if (v := parse(tok.text, config)) is not None]
+            if not parsed:
                 continue
-            value, tok = fired
+            target = best(v for v, _ in parsed)
+            # The live pool is a subset of the original one, so an integer
+            # candidate always has a non-empty guard set.
+            if guard is not None and not guard(target, guard_ints):
+                continue
+            tok = min((tok for v, tok in parsed if v == target), key=reading_order)
             current[tok.token_id] = replace(tok, label=entity, source=LabelSource.CORRECTION)
             pool.remove(tok)
-            records.append(CorrectionRecord(group.group_id, entity, tok.token_id, value))
+            records.append(CorrectionRecord(group.group_id, entity, tok.token_id, target))
 
     corrected = doc.with_tokens(current[tok.token_id] for tok in doc.tokens)
     return corrected, records

@@ -30,7 +30,6 @@ from .model import (
     BBox,
     Document,
     EntityLabel,
-    Line,
     Product,
     ProductGroup,
     Token,
@@ -69,12 +68,14 @@ def vertical_overlap_ratio(a: BBox, b: BBox) -> float:
     return min(1.0, intersection / shorter)
 
 
-def detect_lines_geometric(doc: Document, config: GroupingConfig | None = None) -> list[Line]:
+def detect_lines_geometric(
+    doc: Document, config: GroupingConfig | None = None
+) -> list[tuple[int, ...]]:
     """Cluster tokens into lines by single-linkage vertical overlap.
 
-    Lines come back ordered top to bottom (by mean y-center), each with
-    its tokens ordered left to right by x_min. ``Line.index`` equals the
-    line's position in the returned list.
+    Lines come back ordered top to bottom (by mean y-center). Each line is
+    its token ids, ordered left to right by x_min; a line's index is its
+    position in the returned list.
 
     Tokens with the same vertical interval are joined first, and only one
     token per distinct interval is compared with others, and only where
@@ -140,74 +141,54 @@ def detect_lines_geometric(doc: Document, config: GroupingConfig | None = None) 
         clusters.values(),
         key=lambda members: (mean_y_center(members), min(t.bbox.x_min for t in members)),
     )
-    lines: list[Line] = []
-    for index, members in enumerate(ordered):
-        members.sort(key=lambda t: (t.bbox.x_min, t.token_id))
-        lines.append(Line(index=index, token_ids=tuple(t.token_id for t in members)))
-    return lines
+    return [
+        tuple(t.token_id for t in sorted(members, key=lambda t: (t.bbox.x_min, t.token_id)))
+        for members in ordered
+    ]
 
 
-def _line_labels(line: Line, doc: Document) -> set[EntityLabel]:
-    labels = set()
-    for tid in line.token_ids:
-        label = doc.token(tid).label
-        if label is not EntityLabel.UNTAGGED:
-            labels.add(label)
-    return labels
-
-
-def group_product_lines(doc: Document, lines: Sequence[Line]) -> list[ProductGroup]:
+def group_product_lines(doc: Document, lines: Sequence[tuple[int, ...]]) -> list[ProductGroup]:
     """Partition lines into product groups by the three-step scan.
 
     Consumes the entity labels already present on ``doc``'s tokens. Lines
-    must be the document's full top-to-bottom line list; groups cover
-    contiguous line runs and are returned in reading order with dense
-    group ids.
+    must be the document's full top-to-bottom line list, each its token
+    ids; groups cover contiguous line runs and are returned in reading
+    order with dense group ids.
     """
+    labels = [{doc.token(tid).label for tid in line} for line in lines]
     groups: list[ProductGroup] = []
     i = 0
     n = len(lines)
     while i < n:
-        labels = _line_labels(lines[i], doc)
-        if EntityLabel.DESCRIPTION not in labels:
+        if EntityLabel.DESCRIPTION not in labels[i]:
             # Step 1: not a product start; skip (covers stray entity lines
             # that follow no open group, headers, footers, blank noise).
             i += 1
             continue
-        if EntityLabel.QUANTITY in labels and EntityLabel.PRICE in labels:
+        if EntityLabel.QUANTITY in labels[i] and EntityLabel.PRICE in labels[i]:
             # Step 2a: description plus quantity and price on one line is
             # a complete product on its own.
-            groups.append(_make_group(len(groups), [lines[i]], doc, incomplete=False))
-            i += 1
-            continue
-        # Step 2b/3: accumulate this and following lines until one carries
-        # a non-description entity; that line completes the product.
-        members = [lines[i]]
-        j = i + 1
-        closed = False
-        while j < n:
-            members.append(lines[j])
-            if not _line_labels(lines[j], doc).isdisjoint(SCALAR_ENTITIES):
-                closed = True
-                break
-            j += 1
-        groups.append(_make_group(len(groups), members, doc, incomplete=not closed))
-        i = members[-1].index + 1
+            end, incomplete = i + 1, False
+        else:
+            # Step 2b/3: accumulate this and following lines until one
+            # carries a non-description entity; that line completes the
+            # product.
+            j = i + 1
+            while j < n and labels[j].isdisjoint(SCALAR_ENTITIES):
+                j += 1
+            end, incomplete = min(j + 1, n), j == n
+        token_ids = tuple(tid for line in lines[i:end] for tid in line)
+        groups.append(
+            ProductGroup(
+                group_id=len(groups),
+                line_indices=tuple(range(i, end)),
+                token_ids=token_ids,
+                bbox=union_bbox(doc.token(tid).bbox for tid in token_ids),
+                incomplete=incomplete,
+            )
+        )
+        i = end
     return groups
-
-
-def _make_group(
-    group_id: int, members: Sequence[Line], doc: Document, incomplete: bool
-) -> ProductGroup:
-    token_ids = tuple(tid for line in members for tid in line.token_ids)
-    bbox = union_bbox(doc.token(tid).bbox for tid in token_ids)
-    return ProductGroup(
-        group_id=group_id,
-        line_indices=tuple(line.index for line in members),
-        token_ids=token_ids,
-        bbox=bbox,
-        incomplete=incomplete,
-    )
 
 
 def assign_entities(group: ProductGroup, doc: Document) -> Product:

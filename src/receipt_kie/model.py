@@ -177,18 +177,6 @@ class Document:
 
 
 @dataclass(frozen=True, slots=True)
-class Line:
-    """A horizontal text line: token ids ordered left to right.
-
-    ``index`` is the line's position in the top-to-bottom ordering of the
-    document's lines.
-    """
-
-    index: int
-    token_ids: tuple[int, ...]
-
-
-@dataclass(frozen=True, slots=True)
 class ProductGroup:
     """A contiguous run of lines belonging to one product.
 

@@ -16,20 +16,16 @@ from collections import Counter
 import pytest
 
 from receipt_kie.cli import main
-from receipt_kie.corrections import (
-    apply_corrections,
-    correct_code,
-    correct_price,
-    correct_quantity,
-)
+from receipt_kie.corrections import apply_corrections
 from receipt_kie.evaluation import (
     ENTITY_ORDER,
     MatchMode,
     score_entities,
 )
 from receipt_kie.ingest import parse_result, serialize_result
-from receipt_kie.layout import Line, detect_lines_geometric, group_product_lines
+from receipt_kie.layout import detect_lines_geometric, group_product_lines
 from receipt_kie.model import (
+    SCALAR_ENTITIES,
     BBox,
     Document,
     EntityLabel,
@@ -251,11 +247,30 @@ RULE_ALPHABET = (
 
 _POOL_BOXES = [BBox(0.05 + 0.15 * i, 0.3, 0.15 + 0.15 * i, 0.35) for i in range(5)]
 
+# The texts of the labeled tokens that stand for the entities a pool case
+# already holds. Were they read as part of the pool, the quantity's "0"
+# and the code's "99999999" would let a lone integer pass the other
+# integer rule's guard.
+_PRESENT_TEXT = {
+    EntityLabel.CODE: "99999999",
+    EntityLabel.QUANTITY: "0",
+    EntityLabel.PRICE: "99999.99",
+}
+_PRESENT_BOX = BBox(0.05, 0.4, 0.15, 0.45)
 
-def _pool_case(texts: tuple[str, ...]):
+
+def _pool_case(texts: tuple[str, ...], entity: EntityLabel):
+    """A one-group document: a description, the pool ``texts`` as tokens
+    1..len(texts), and a labeled token for each scalar entity other than
+    ``entity``, so only ``entity``'s rule can fire."""
     tokens = [Token(0, "ITEM", _POOL_BOXES[0], EntityLabel.DESCRIPTION, LabelSource.MODEL)]
     for i, text in enumerate(texts, start=1):
         tokens.append(Token(i, text, _POOL_BOXES[i]))
+    for other in SCALAR_ENTITIES:
+        if other is not entity:
+            tokens.append(
+                Token(len(tokens), _PRESENT_TEXT[other], _PRESENT_BOX, other, LabelSource.MODEL)
+            )
     doc = Document("pool", tuple(tokens), 100, 100)
     group = ProductGroup(
         group_id=0,
@@ -270,24 +285,27 @@ def _pool_case(texts: tuple[str, ...]):
 def test_5_correction_rules_match_the_brute_force_oracle_exhaustively(capsys):
     """Every ordered pool of <= 4 tokens over the 12-token alphabet gives
     the same (token, value) answer as an independently written oracle for
-    each of the three rules, including the strict-inequality guards."""
+    each of the three rules, including the strict-inequality guards. Each
+    rule runs through apply_corrections, on a group that already holds the
+    other two scalar entities, and no other rule may fire."""
     checked = 0
     mismatches = []
     rules = (
-        (correct_code, oracle_code),
-        (correct_quantity, oracle_quantity),
-        (correct_price, oracle_price),
+        (EntityLabel.CODE, oracle_code),
+        (EntityLabel.QUANTITY, oracle_quantity),
+        (EntityLabel.PRICE, oracle_price),
     )
     for size in range(5):
         for texts in itertools.product(RULE_ALPHABET, repeat=size):
-            doc, group = _pool_case(texts)
             pool_pairs = [(i, text) for i, text in enumerate(texts, start=1)]
-            for rule, oracle in rules:
-                record = rule(group, doc)
+            for entity, oracle in rules:
+                doc, group = _pool_case(texts, entity)
+                _, records = apply_corrections(doc, [group])
+                got = [(r.entity, r.token_id, r.parsed_value) for r in records]
                 expected = oracle(pool_pairs)
-                got = None if record is None else (record.token_id, record.parsed_value)
-                if got != expected:
-                    mismatches.append((texts, rule.__name__, got, expected))
+                want = [] if expected is None else [(entity, *expected)]
+                if got != want:
+                    mismatches.append((texts, entity.value, got, want))
             checked += 1
     ok = not mismatches
     announce(
@@ -309,10 +327,10 @@ _LINE_TYPES = (
 _LINE_BOX = BBox(0.0, 0.0, 0.1, 0.05)
 
 
-def _materialize(seq) -> tuple[Document, list[Line]]:
+def _materialize(seq) -> tuple[Document, list[tuple[int, ...]]]:
     tokens: list[Token] = []
-    lines: list[Line] = []
-    for index, labels in enumerate(seq):
+    lines: list[tuple[int, ...]] = []
+    for labels in seq:
         ids = []
         if labels:
             for label in labels:
@@ -321,7 +339,7 @@ def _materialize(seq) -> tuple[Document, list[Line]]:
         else:
             ids.append(len(tokens))
             tokens.append(Token(len(tokens), ".", _LINE_BOX))
-        lines.append(Line(index=index, token_ids=tuple(ids)))
+        lines.append(tuple(ids))
     return Document("seq", tuple(tokens), 100, 100), lines
 
 

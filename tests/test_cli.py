@@ -29,6 +29,15 @@ def run_module(*argv) -> subprocess.CompletedProcess:
     )
 
 
+def error_line(proc: subprocess.CompletedProcess) -> str:
+    """The one error line of a run that failed with exit 1 and no traceback."""
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    [error] = proc.stderr.splitlines()
+    assert error.startswith("ERROR receipt_kie.cli: ")
+    return error
+
+
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory) -> Path:
     """A small corrupted corpus: clean OCR + truth, plus pred/ with noised
@@ -71,6 +80,12 @@ class TestSynthCommand:
         assert run_cli(
             "synth", "--out", tmp_path, "--seed", "1", "--docs", "1", "--force"
         ) == 0
+
+    def test_out_path_that_is_a_file_is_one_error_line(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("x")
+        proc = run_module("synth", "--out", taken, "--seed", "1", "--docs", "1")
+        assert str(taken) in error_line(proc)
 
     def test_bad_fn_rate_name_is_a_usage_error(self, tmp_path):
         assert run_cli(
@@ -411,6 +426,13 @@ class TestEvalCommand:
         assert canonical_json(payload) == raw
         assert set(payload["entities"]) == {"descriptions", "codes", "quantities", "prices"}
 
+    def test_unwritable_json_out_is_one_error_line(self, corpus_dir, results_dir, tmp_path):
+        report_path = tmp_path / "missing" / "report.json"
+        proc = run_module(
+            "eval", "--results", results_dir, "--truth", corpus_dir, "--json-out", report_path
+        )
+        assert str(report_path) in error_line(proc)
+
     def test_compare_prints_both_runs(self, corpus_dir, results_dir, tmp_path, capsys):
         plain = tmp_path / "plain"
         assert run_cli(
@@ -615,6 +637,13 @@ class TestRenderCommand:
         other_path.write_text(json.dumps(other))
         assert run_cli("render", result_path, other_path) == 1
 
+    def test_unwritable_out_path_is_one_error_line(self, rendered, tmp_path):
+        result_path, _ = rendered
+        ocr_path = result_path.parent.parent / "render-demo.json"
+        svg_path = tmp_path / "missing" / "demo.svg"
+        proc = run_module("render", result_path, ocr_path, "--out", svg_path)
+        assert str(svg_path) in error_line(proc)
+
     def test_stdout_output(self, rendered, capsys):
         result_path, _ = rendered
         ocr_path = result_path.parent.parent / "render-demo.json"
@@ -625,28 +654,41 @@ class TestRenderCommand:
 
 def test_benchmark_trace_points_see_every_layer(corpus_dir, tmp_path, monkeypatch):
     """perfbench wraps package functions at the module names the CLI looks
-    them up by; a renamed or import-bound function would read as zero."""
+    them up by; a renamed or import-bound function would read as zero. A
+    decode with each tagger and an eval see every span it installs."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     tracer = importlib.import_module("child").make_tracer()
     doc_id = json.loads((corpus_dir / "manifest.json").read_text())["doc_ids"][0]
     ocr = corpus_dir / "pred" / f"{doc_id}.json"
+    truth = tmp_path / "truth"
+    truth.mkdir()
+    for name in (f"{doc_id}.json", f"{doc_id}.truth.json"):
+        (truth / name).write_bytes((corpus_dir / name).read_bytes())
     tracer.install()
     try:
         for tagger in (["heuristic"], ["import", "--predictions", corpus_dir / "pred"]):
             argv = ["decode", ocr, "--out", tmp_path / tagger[0], "--tagger", *tagger]
             assert tracer.root("cli.main", main, [str(a) for a in argv]) == 0
+        argv = ["eval", "--results", tmp_path / "import", "--truth", truth]
+        assert tracer.root("cli.main", main, [str(a) for a in argv]) == 0
     finally:
         tracer.uninstall()
     spans, _ = tracer.take()
-    assert {span[0] for span in spans} >= {
+    assert {span[0] for span in spans} == {
         "cli.main",
         "ingest.parse_ocr",
+        "ingest.serialize_result",
+        "ingest.parse_result",
+        "ingest.parse_ground_truth",
         "tagging.heuristic_tag",
         "tagging.import_predictions",
         "layout.detect_lines_geometric",
+        "layout.group_product_lines",
+        "layout.assign_entities",
         "corrections.apply_corrections",
-        "ingest.serialize_result",
+        "evaluation.from_groups",
+        "evaluation.build_report",
     }
 
 

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import random
+import itertools
 
 import pytest
 from hypothesis import given
@@ -10,13 +10,10 @@ from receipt_kie.corrections import (
     CorrectionRecord,
     NumericParseConfig,
     apply_corrections,
-    correct_code,
-    correct_price,
-    correct_quantity,
     parse_float,
     parse_integer,
 )
-from receipt_kie.model import EntityLabel, LabelSource, ProductGroup, union_bbox
+from receipt_kie.model import SCALAR_ENTITIES, EntityLabel, LabelSource, ProductGroup, union_bbox
 from receipt_kie.tagging import heuristic_tag
 
 from helpers import make_doc, make_token
@@ -139,12 +136,12 @@ class TestParserProperties:
 # Rule fixtures: a one-row document whose reading order is the list order.
 
 
-def pool_doc(entries, doc_id="pool"):
+def pool_doc(entries):
     """entries: list of (text, label). Returns (doc, group over all tokens)."""
     tokens = []
     for i, (text, label) in enumerate(entries):
         tokens.append(make_token(i, text, 40 + 60 * i, 100, width=40, label=label))
-    doc = make_doc(tokens, doc_id=doc_id)
+    doc = make_doc(tokens, doc_id="pool")
     group = ProductGroup(
         group_id=0,
         line_indices=(0,),
@@ -155,76 +152,75 @@ def pool_doc(entries, doc_id="pool"):
     return doc, group
 
 
+def fire(entity, entries):
+    """Run apply_corrections on ``entries`` plus a labeled token for each
+    scalar entity other than ``entity``, so only ``entity``'s rule can
+    fire. Returns its record, or None."""
+    present = [("LABELED", other) for other in SCALAR_ENTITIES if other is not entity]
+    doc, group = pool_doc(entries + present)
+    _, records = apply_corrections(doc, [group])
+    assert [r.entity for r in records] in ([], [entity])
+    return records[0] if records else None
+
+
 U = EntityLabel.UNTAGGED
 D = EntityLabel.DESCRIPTION
 
 
 class TestCorrectCode:
     def test_fires_on_the_largest_integer(self):
-        doc, group = pool_doc([("COOKIES", D), ("4902102", U), ("2", U)])
-        record = correct_code(group, doc)
+        record = fire(EntityLabel.CODE, [("COOKIES", D), ("4902102", U), ("2", U)])
         assert record == CorrectionRecord(0, EntityLabel.CODE, 1, 4902102)
 
     def test_lone_integer_is_no_evidence(self):
-        doc, group = pool_doc([("COOKIES", D), ("7", U)])
-        assert correct_code(group, doc) is None
+        assert fire(EntityLabel.CODE, [("COOKIES", D), ("7", U)]) is None
 
     def test_all_equal_integers_fail_the_guard(self):
-        doc, group = pool_doc([("12", U), ("12", U)])
-        assert correct_code(group, doc) is None
+        assert fire(EntityLabel.CODE, [("12", U), ("12", U)]) is None
 
     def test_existing_code_blocks_the_rule(self):
-        doc, group = pool_doc([("4902102", EntityLabel.CODE), ("8004520", U), ("2", U)])
-        assert correct_code(group, doc) is None
+        entries = [("4902102", EntityLabel.CODE), ("8004520", U), ("2", U)]
+        assert fire(EntityLabel.CODE, entries) is None
 
     def test_decimals_do_not_feed_the_integer_rule(self):
-        doc, group = pool_doc([("138.00", U), ("2", U)])
-        assert correct_code(group, doc) is None
+        assert fire(EntityLabel.CODE, [("138.00", U), ("2", U)]) is None
 
     def test_tie_on_winning_value_goes_to_reading_order(self):
-        doc, group = pool_doc([("99", U), ("99", U), ("1", U)])
-        record = correct_code(group, doc)
+        record = fire(EntityLabel.CODE, [("99", U), ("99", U), ("1", U)])
         assert record is not None and record.token_id == 0
 
 
 class TestCorrectQuantity:
     def test_fires_on_the_smallest_integer(self):
-        doc, group = pool_doc([("1", U), ("5", U), ("9", U)])
-        record = correct_quantity(group, doc)
+        record = fire(EntityLabel.QUANTITY, [("1", U), ("5", U), ("9", U)])
         assert record == CorrectionRecord(0, EntityLabel.QUANTITY, 0, 1)
 
     def test_lone_integer_is_no_evidence(self):
-        doc, group = pool_doc([("2", U)])
-        assert correct_quantity(group, doc) is None
+        assert fire(EntityLabel.QUANTITY, [("2", U)]) is None
 
     def test_all_equal_integers_fail_the_guard(self):
-        doc, group = pool_doc([("3", U), ("3", U)])
-        assert correct_quantity(group, doc) is None
+        assert fire(EntityLabel.QUANTITY, [("3", U), ("3", U)]) is None
 
     def test_existing_quantity_blocks_the_rule(self):
-        doc, group = pool_doc([("2", EntityLabel.QUANTITY), ("1", U), ("9", U)])
-        assert correct_quantity(group, doc) is None
+        entries = [("2", EntityLabel.QUANTITY), ("1", U), ("9", U)]
+        assert fire(EntityLabel.QUANTITY, entries) is None
 
 
 class TestCorrectPrice:
     def test_fires_unguarded_on_a_lone_decimal(self):
-        doc, group = pool_doc([("COOKIES", D), ("9.99", U)])
-        record = correct_price(group, doc)
+        record = fire(EntityLabel.PRICE, [("COOKIES", D), ("9.99", U)])
         assert record == CorrectionRecord(0, EntityLabel.PRICE, 1, 9.99)
 
     def test_picks_the_largest_decimal(self):
-        doc, group = pool_doc([("69.00", U), ("138.00", U)])
-        record = correct_price(group, doc)
+        record = fire(EntityLabel.PRICE, [("69.00", U), ("138.00", U)])
         assert record is not None and record.token_id == 1
         assert record.parsed_value == pytest.approx(138.0)
 
     def test_integers_do_not_feed_the_price_rule(self):
-        doc, group = pool_doc([("138", U), ("2", U)])
-        assert correct_price(group, doc) is None
+        assert fire(EntityLabel.PRICE, [("138", U), ("2", U)]) is None
 
     def test_existing_price_blocks_the_rule(self):
-        doc, group = pool_doc([("138.00", EntityLabel.PRICE), ("69.00", U)])
-        assert correct_price(group, doc) is None
+        assert fire(EntityLabel.PRICE, [("138.00", EntityLabel.PRICE), ("69.00", U)]) is None
 
 
 class TestApplyCorrections:
@@ -348,14 +344,16 @@ class TestApplyAgainstComposedOracle:
             out.append((EntityLabel.PRICE, tid, largest))
         return out
 
-    def test_random_pools_match(self):
-        rng = random.Random(905)
-        for trial in range(300):
-            entries = [rng.choice(self._MENU) for _ in range(rng.randint(1, 5))]
-            doc, group = pool_doc([(text, U) for text in entries], doc_id=f"pool-{trial}")
-            _, records = apply_corrections(doc, [group])
-            got = [(r.entity, r.token_id, r.parsed_value) for r in records]
-            assert got == self.expected(entries), f"pool {entries} disagrees with oracle"
+    def test_every_pool_matches(self):
+        checked = 0
+        for size in range(1, 5):
+            for entries in itertools.product(self._MENU, repeat=size):
+                doc, group = pool_doc([(text, U) for text in entries])
+                _, records = apply_corrections(doc, [group])
+                got = [(r.entity, r.token_id, r.parsed_value) for r in records]
+                assert got == self.expected(entries), f"pool {entries} disagrees with oracle"
+                checked += 1
+        assert checked == 16_104
 
     def test_no_groups_is_a_no_op(self):
         doc, _ = pool_doc([("COOKIES", D)])

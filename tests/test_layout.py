@@ -77,7 +77,7 @@ class TestVerticalOverlapRatio:
 class TestDetectLines:
     def test_fixture_lines(self, receipt_doc):
         lines = detect_lines_geometric(receipt_doc)
-        assert [line.token_ids for line in lines] == [
+        assert lines == [
             (0,),
             (1, 2),
             (3, 4, 5, 6, 7),
@@ -85,7 +85,6 @@ class TestDetectLines:
             (9, 10, 11),
             (12, 13),
         ]
-        assert [line.index for line in lines] == list(range(6))
 
     def test_single_linkage_chains_staggered_tokens(self):
         # A overlaps B and B overlaps C (9px of 20px boxes = 0.45), but A
@@ -98,7 +97,7 @@ class TestDetectLines:
             ]
         )
         lines = detect_lines_geometric(doc)
-        assert [line.token_ids for line in lines] == [(0, 1, 2)]
+        assert lines == [(0, 1, 2)]
 
     def test_raising_the_threshold_splits_the_chain(self):
         doc = make_doc(
@@ -120,7 +119,7 @@ class TestDetectLines:
             ]
         )
         (line,) = detect_lines_geometric(doc)
-        assert line.token_ids == (1, 2, 0)
+        assert line == (1, 2, 0)
 
     def test_lines_ordered_top_to_bottom(self):
         doc = make_doc(
@@ -131,7 +130,7 @@ class TestDetectLines:
             ]
         )
         lines = detect_lines_geometric(doc)
-        assert [line.token_ids for line in lines] == [(1,), (2,), (0,)]
+        assert lines == [(1,), (2,), (0,)]
 
     def test_empty_document(self):
         assert detect_lines_geometric(make_doc([])) == []
@@ -152,10 +151,10 @@ class TestDetectLines:
             ]
             doc = make_doc(tokens, doc_id=f"rand-{trial}")
             lines = detect_lines_geometric(doc)
-            got = {frozenset(line.token_ids) for line in lines}
+            got = {frozenset(line) for line in lines}
             assert got == brute_force_lines(doc), f"trial {trial} disagrees with oracle"
             # every token in exactly one line
-            flat = [tid for line in lines for tid in line.token_ids]
+            flat = [tid for line in lines for tid in line]
             assert sorted(flat) == list(range(n))
 
     def test_order_is_mean_center_then_left_edge(self):
@@ -172,7 +171,7 @@ class TestDetectLines:
             lines = detect_lines_geometric(doc)
             keys = []
             for line in lines:
-                boxes = [doc.token(tid).bbox for tid in line.token_ids]
+                boxes = [doc.token(tid).bbox for tid in line]
                 keys.append(
                     (sum(b.y_center for b in boxes) / len(boxes), min(b.x_min for b in boxes))
                 )
@@ -225,7 +224,7 @@ class TestDetectLinesMatchesAllPairs:
     def test_random_grid_pages(self, seed, n, grid, threshold):
         doc = grid_page(seed, n, grid)
         lines = detect_lines_geometric(doc, GroupingConfig(threshold))
-        assert [(line.index, line.token_ids) for line in lines] == oracle_detect_lines(doc, threshold)
+        assert list(enumerate(lines)) == oracle_detect_lines(doc, threshold)
 
     @pytest.mark.parametrize("threshold", [0.1, 0.4, 1.0])
     def test_zero_height_box_touching_the_next_interval_still_links(self, threshold):
@@ -239,8 +238,8 @@ class TestDetectLinesMatchesAllPairs:
             ]
         )
         lines = detect_lines_geometric(doc, GroupingConfig(threshold))
-        assert [(line.index, line.token_ids) for line in lines] == oracle_detect_lines(doc, threshold)
-        assert [line.token_ids for line in lines] == [(0, 1, 2)]
+        assert list(enumerate(lines)) == oracle_detect_lines(doc, threshold)
+        assert lines == [(0, 1, 2)]
 
 
 def count_overlap_tests(monkeypatch) -> list[int]:
@@ -264,7 +263,7 @@ def test_line_detection_makes_a_linear_number_of_overlap_tests(monkeypatch):
     calls = count_overlap_tests(monkeypatch)
     lines = detect_lines_geometric(doc)
     assert calls[0] < 4 * n
-    assert sorted(tid for line in lines for tid in line.token_ids) == list(range(n))
+    assert sorted(tid for line in lines for tid in line) == list(range(n))
 
 
 def test_a_row_of_identical_boxes_makes_a_linear_number_of_overlap_tests(monkeypatch):
@@ -277,7 +276,7 @@ def test_a_row_of_identical_boxes_makes_a_linear_number_of_overlap_tests(monkeyp
     calls = count_overlap_tests(monkeypatch)
     lines = detect_lines_geometric(doc)
     assert calls[0] <= n
-    assert [(line.index, line.token_ids) for line in lines] == oracle_detect_lines(doc)
+    assert list(enumerate(lines)) == oracle_detect_lines(doc)
     assert len(lines) == 1
 
 

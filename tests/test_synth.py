@@ -37,8 +37,8 @@ def numbers_line_tokens(doc, product):
     """All tokens sharing the physical line of the product's quantity."""
     lines = detect_lines_geometric(doc)
     for line in lines:
-        if product.quantity_id in line.token_ids:
-            return [doc.token(tid) for tid in line.token_ids]
+        if product.quantity_id in line:
+            return [doc.token(tid) for tid in line]
     raise AssertionError("quantity token not found in any line")
 
 
