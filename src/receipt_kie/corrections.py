@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .model import Document, EntityLabel, LabelSource, ProductGroup, Token, reading_order
@@ -199,7 +199,7 @@ def apply_corrections(
             if guard is not None and not guard(target, guard_ints):
                 continue
             tok = min((tok for v, tok in parsed if v == target), key=reading_order)
-            current[tok.token_id] = replace(tok, label=entity, source=LabelSource.CORRECTION)
+            current[tok.token_id] = tok._replace(label=entity, source=LabelSource.CORRECTION)
             pool.remove(tok)
             records.append(CorrectionRecord(group.group_id, entity, tok.token_id, target))
 

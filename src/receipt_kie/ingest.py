@@ -93,6 +93,7 @@ def _records(raw: Mapping[str, Any], key: str, noun: str) -> Iterator[tuple[str,
 
 # JSON numbers decode to exactly int or float; a bool is neither.
 _NUMBER_TYPES = frozenset((int, float))
+_INF = float("inf")
 
 
 def _is_number(value: Any) -> bool:
@@ -186,6 +187,10 @@ def parse_ocr(data: bytes | str) -> Document:
         polygon = _require(word, "polygon", where)
         if not isinstance(polygon, list) or len(polygon) < 3:
             raise SchemaError(f"{where}: polygon needs at least 3 vertices")
+        # The envelope is taken as the vertices are checked. Strict tests keep
+        # the first of equal extremes, as min and max do (0 against -0.0).
+        x_min = y_min = _INF
+        x_max = y_max = -_INF
         for j, vertex in enumerate(polygon):
             if (
                 type(vertex) is not list
@@ -204,18 +209,24 @@ def parse_ocr(data: bytes | str) -> Document:
                     raise SchemaError(
                         f"{where}: vertex {j} ({fx}, {fy}) outside the {width}x{height} page"
                     )
+            if x < x_min:
+                x_min = x
+            if x > x_max:
+                x_max = x
+            if y < y_min:
+                y_min = y
+            if y > y_max:
+                y_max = y
         confidence = _confidence(word, where)
         # float is monotone, so the float of the least coordinate is the
         # least of the coordinates' floats.
-        xs = [vertex[0] for vertex in polygon]
-        ys = [vertex[1] for vertex in polygon]
         bbox = BBox(
-            float(min(xs)) / width,
-            float(min(ys)) / height,
-            float(max(xs)) / width,
-            float(max(ys)) / height,
+            float(x_min) / width,
+            float(y_min) / height,
+            float(x_max) / width,
+            float(y_max) / height,
         )
-        tokens.append(Token(token_id=len(tokens), text=text, bbox=bbox, confidence=confidence))
+        tokens.append(Token(len(tokens), text, bbox, EntityLabel.UNTAGGED, None, confidence))
     return Document(doc_id=doc_id, tokens=tuple(tokens), page_width=width, page_height=height)
 
 
@@ -354,9 +365,10 @@ _QUOTED = {member: _quote(member.value) for enum in (EntityLabel, LabelSource) f
 
 def _box_text(bbox: BBox) -> str:
     # A box is the value of a key six spaces in, in tokens and in products.
+    x_min, y_min, x_max, y_max = bbox
     return (
-        f'{{\n        "x_max": {bbox.x_max!r},\n        "x_min": {bbox.x_min!r},\n'
-        f'        "y_max": {bbox.y_max!r},\n        "y_min": {bbox.y_min!r}\n      }}'
+        f'{{\n        "x_max": {x_max!r},\n        "x_min": {x_min!r},\n'
+        f'        "y_max": {y_max!r},\n        "y_min": {y_min!r}\n      }}'
     )
 
 
@@ -386,14 +398,16 @@ def serialize_result(doc: Document, groups: Sequence[ProductGroup]) -> str:
     # module import time would make ingest <-> layout ordering brittle.
     from .layout import assign_entities
 
+    # Tokens and boxes are unpacked: one unpack of a named tuple costs less
+    # than reading its fields one by one.
     token_texts = []
-    for tok in doc.tokens:
-        confidence = "" if tok.confidence is None else f'"confidence": {tok.confidence!r},\n      '
-        source = "" if tok.source is None else f'"source": {_QUOTED[tok.source]},\n      '
+    for token_id, text, bbox, label, source, confidence in doc.tokens:
+        confidence_text = "" if confidence is None else f'"confidence": {confidence!r},\n      '
+        source_text = "" if source is None else f'"source": {_QUOTED[source]},\n      '
         token_texts.append(
-            f'{{\n      "bbox": {_box_text(tok.bbox)},\n      {confidence}'
-            f'"label": {_QUOTED[tok.label]},\n      {source}"text": {_quote(tok.text)},\n'
-            f'      "token_id": {tok.token_id!r}\n    }}'
+            f'{{\n      "bbox": {_box_text(bbox)},\n      {confidence_text}'
+            f'"label": {_QUOTED[label]},\n      {source_text}"text": {_quote(text)},\n'
+            f'      "token_id": {token_id!r}\n    }}'
         )
 
     product_texts = []

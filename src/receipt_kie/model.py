@@ -12,14 +12,18 @@ the same unit square regardless of scan resolution.
 All types here are immutable value objects. Pipeline stages never mutate
 a document in place; they return a new one (see e.g.
 :func:`receipt_kie.corrections.apply_corrections`), which keeps shared
-documents safe to read concurrently.
+documents safe to read concurrently. :class:`BBox` and :class:`Token`,
+built once per word by every stage, are named tuples, which are cheap to
+build: each compares equal to the plain tuple of its fields and gets a
+changed copy from ``_replace``. The types built once per document or
+group are frozen dataclasses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 
 class EntityLabel(str, Enum):
@@ -58,9 +62,11 @@ SCALAR_ENTITIES: tuple[EntityLabel, ...] = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class BBox:
-    """Axis-aligned box in page-normalized coordinates (y grows downward)."""
+class BBox(NamedTuple):
+    """Axis-aligned box in page-normalized coordinates (y grows downward).
+
+    A box is a tuple: it compares equal to ``(x_min, y_min, x_max, y_max)``.
+    """
 
     x_min: float
     y_min: float
@@ -106,9 +112,11 @@ def union_bbox(boxes: Iterable[BBox]) -> BBox:
     return BBox(x_min, y_min, x_max, y_max)
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     """One OCR word with its (possibly absent) entity label.
+
+    A token is a tuple: it compares equal to the plain tuple of its fields,
+    and ``tok._replace(label=..., source=...)`` is a relabeled copy.
 
     ``label`` is UNTAGGED exactly when ``source`` is None; a labeled token
     always records which stage produced the label. The constructor does not

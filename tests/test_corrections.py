@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from receipt_kie import corrections
 from receipt_kie.corrections import (
     CorrectionRecord,
     NumericParseConfig,
@@ -256,6 +257,22 @@ class TestApplyCorrections:
         _, records = apply_corrections(doc, [group])
         claimed = [r.token_id for r in records]
         assert len(claimed) == len(set(claimed)) == 2
+
+    def test_a_later_rule_picks_from_the_live_pool(self, monkeypatch):
+        # The paper's three rules never pick the same word, so two unguarded
+        # rules that both take the largest integer stand in for them: the
+        # second must take the next candidate, not the first rule's token.
+        largest = (parse_integer, max, None)
+        monkeypatch.setattr(
+            corrections, "_RULES", {EntityLabel.CODE: largest, EntityLabel.QUANTITY: largest}
+        )
+        doc, group = pool_doc([("9", U), ("5", U)])
+        corrected, records = apply_corrections(doc, [group])
+        assert records == [
+            CorrectionRecord(0, EntityLabel.CODE, 0, 9),
+            CorrectionRecord(0, EntityLabel.QUANTITY, 1, 5),
+        ]
+        assert [t.label for t in corrected.tokens] == [EntityLabel.CODE, EntityLabel.QUANTITY]
 
     def test_existing_labels_are_never_touched(self):
         doc, group = pool_doc(

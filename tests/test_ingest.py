@@ -613,6 +613,9 @@ _MIXED = [[10, 20.5], [90.25, 20], [90, 30], [10.0, 30]]
 @given(payload=ocr_payloads())
 @example(payload=ocr_payload(words=[{"text": "A", "polygon": _MIXED}]))
 @example(payload=ocr_payload(words=[{"text": "A", "polygon": [[-0.0, 0], [0, -0.0], [1, 1]]}]))
+# Zero-size polygons: the largest x and y tie too, and the first of them wins.
+@example(payload=ocr_payload(words=[{"text": "A", "polygon": [[-0.0, -0.0], [0, 0], [0, 0]]}]))
+@example(payload=ocr_payload(words=[{"text": "A", "polygon": [[0, 0], [-0.0, -0.0], [-0.0, -0.0]]}]))
 @example(payload=ocr_payload(words=[{"text": "A", "polygon": [[10, 10], [20, True], [20, 20]]}]))
 # float(2**53 + 1) is 2**53, inside a 2**53 page; float(2**53 + 3) is
 # 2**53 + 4, outside a 2**53 + 3 page.

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from receipt_kie.model import BBox, union_bbox
+from receipt_kie.model import BBox, EntityLabel, LabelSource, Token, union_bbox
 
 from helpers import make_doc, make_token
 
@@ -73,3 +73,33 @@ class TestDocument:
             with pytest.raises(KeyError):
                 doc.token(token_id)
 
+
+class TestValueSemantics:
+    @pytest.mark.parametrize("field", ["x_min", "y_min", "x_max", "y_max"])
+    def test_box_fields_cannot_be_assigned(self, field):
+        b = BBox(0.1, 0.2, 0.5, 0.4)
+        with pytest.raises(AttributeError):
+            setattr(b, field, 0.3)
+        assert b == (0.1, 0.2, 0.5, 0.4)
+
+    @pytest.mark.parametrize("field", ["token_id", "text", "bbox", "label", "source", "confidence"])
+    def test_token_fields_cannot_be_assigned(self, field):
+        tok = make_token(0, "MILK", 10, 10)
+        with pytest.raises(AttributeError):
+            setattr(tok, field, None)
+        assert tok == make_token(0, "MILK", 10, 10)
+
+    def test_equal_values_hash_equal(self):
+        assert hash(BBox(0.1, 0.2, 0.5, 0.4)) == hash(BBox(0.1, 0.2, 0.5, 0.4))
+        a = Token(3, "2", BBox(0.1, 0.2, 0.5, 0.4), EntityLabel.CODE, LabelSource.MODEL, 0.5)
+        b = Token(3, "2", BBox(0.1, 0.2, 0.5, 0.4), EntityLabel.CODE, LabelSource.MODEL, 0.5)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_replace_relabels_and_keeps_the_rest(self):
+        tok = Token(3, "2", BBox(0.1, 0.2, 0.5, 0.4), confidence=0.75)
+        got = tok._replace(label=EntityLabel.QUANTITY, source=LabelSource.CORRECTION)
+        assert got == Token(
+            3, "2", BBox(0.1, 0.2, 0.5, 0.4), EntityLabel.QUANTITY, LabelSource.CORRECTION, 0.75
+        )
+        assert tok.label is EntityLabel.UNTAGGED and tok.source is None
