@@ -16,6 +16,7 @@ of it, with nothing spurious added.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
@@ -128,27 +129,25 @@ def score_entities(
     must cover exactly the same doc ids.
     """
     _check_aligned(predictions, truth)
-    totals = {label: EntityCounts() for label in ENTITY_ORDER}
-    for doc_id in sorted(truth):
+    strict = mode is MatchMode.STRICT_OCR
+    expected: Counter[EntityLabel] = Counter()
+    predicted: Counter[EntityLabel] = Counter()
+    tp: Counter[EntityLabel] = Counter()
+    for doc_id, (truth_doc, products) in truth.items():
         pred_doc = predictions[doc_id]
-        truth_doc, products = truth[doc_id]
         truth_labels = {tid: label for p in products for tid, label in p.labeled_ids()}
-        pred_labels = {
-            tok.token_id: tok.label for tok in pred_doc.tokens if tok.is_tagged
-        }
-        for label in ENTITY_ORDER:
-            truth_ids = {tid for tid, lab in truth_labels.items() if lab is label}
-            pred_ids = {tid for tid, lab in pred_labels.items() if lab is label}
-            tp = 0
-            for tid in truth_ids & pred_ids:
-                if mode is MatchMode.STRICT_OCR and not _texts_match(pred_doc, truth_doc, tid):
-                    continue
-                tp += 1
-            counts = EntityCounts(
-                tp=tp, fp=len(pred_ids) - tp, fn=len(truth_ids) - tp
-            )
-            totals[label] = totals[label] + counts
-    return totals
+        pred_labels = {tok.token_id: tok.label for tok in pred_doc.tokens if tok.is_tagged}
+        expected.update(truth_labels.values())
+        predicted.update(pred_labels.values())
+        for tid, label in pred_labels.items():
+            if truth_labels.get(tid) is label and (
+                not strict or _texts_match(pred_doc, truth_doc, tid)
+            ):
+                tp[label] += 1
+    return {
+        label: EntityCounts(tp[label], predicted[label] - tp[label], expected[label] - tp[label])
+        for label in ENTITY_ORDER
+    }
 
 
 def _product_matches(
@@ -175,50 +174,38 @@ def score_whole_products(
 ) -> EntityCounts:
     """Product-level counts: a group scores only when perfect.
 
-    A predicted group is first aligned to the truth product that owns a
-    strict majority of the group's description tokens (competing groups
-    are resolved by larger overlap, then smaller group id; the losers are
-    false positives). The aligned group is a true positive only if every
-    entity field of the truth product is matched and no extra entity was
-    predicted; anything else makes it a false positive and leaves the
-    truth product unmatched (a false negative).
+    A predicted group is first aligned to the first truth product that owns
+    a strict majority of the group's description tokens; a group with no
+    description tokens claims nothing. Competing groups are resolved by
+    larger overlap, then smaller group id, then earlier position; the
+    losers are false positives. The aligned group is a true positive only
+    if every entity field of the truth product is matched and no extra
+    entity was predicted; anything else makes it a false positive and
+    leaves the truth product unmatched (a false negative).
     """
     _check_aligned(predictions, truth)
-    total = EntityCounts()
-    for doc_id in sorted(truth):
+    n_groups = n_products = matched = 0
+    for doc_id, (truth_doc, products) in truth.items():
         pred = predictions[doc_id]
-        truth_doc, products = truth[doc_id]
-
-        # Which truth product does each group claim?
-        claims: dict[int, list[tuple[int, int]]] = {}  # product idx -> [(overlap, group pos)]
+        truth_descs = [set(product.description_ids) for product in products]
+        # product index -> its best claim, (-overlap, group id, group position)
+        winners: dict[int, tuple[int, int, int]] = {}
         for pos, assignment in enumerate(pred.assignments):
             desc = set(assignment.description_ids)
-            if not desc:
-                continue
-            for pi, product in enumerate(products):
-                overlap = len(desc & set(product.description_ids))
+            for pi, truth_desc in enumerate(truth_descs):
+                overlap = len(desc & truth_desc)
                 if overlap * 2 > len(desc):
-                    claims.setdefault(pi, []).append((overlap, pos))
+                    claim = (-overlap, pred.groups[pos].group_id, pos)
+                    if pi not in winners or claim < winners[pi]:
+                        winners[pi] = claim
                     break  # a strict majority is unique
-
-        tp = 0
-        matched_groups: set[int] = set()
-        matched_products: set[int] = set()
-        for pi, claimants in claims.items():
-            # Larger overlap wins; ties go to the smaller group id.
-            claimants.sort(key=lambda c: (-c[0], pred.groups[c[1]].group_id))
-            _, pos = claimants[0]
-            if _product_matches(
-                pred.assignments[pos], products[pi], pred.document, truth_doc, mode
-            ):
-                tp += 1
-                matched_groups.add(pos)
-                matched_products.add(pi)
-
-        fp = len(pred.assignments) - len(matched_groups)
-        fn = len(products) - len(matched_products)
-        total = total + EntityCounts(tp=tp, fp=fp, fn=fn)
-    return total
+        matched += sum(
+            _product_matches(pred.assignments[pos], products[pi], pred.document, truth_doc, mode)
+            for pi, (_, _, pos) in winners.items()
+        )
+        n_groups += len(pred.assignments)
+        n_products += len(products)
+    return EntityCounts(tp=matched, fp=n_groups - matched, fn=n_products - matched)
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,7 +214,9 @@ class EvalReport:
 
     mode: MatchMode
     corpus_size: int
-    entities: dict[EntityLabel, EntityCounts] = field(default_factory=dict)
+    entities: dict[EntityLabel, EntityCounts] = field(
+        default_factory=lambda: dict.fromkeys(ENTITY_ORDER, EntityCounts())
+    )
     whole_products: EntityCounts = field(default_factory=EntityCounts)
 
     def as_dict(self) -> dict[str, object]:
@@ -270,7 +259,6 @@ def build_report(
     mode: MatchMode = MatchMode.TAG_ONLY,
 ) -> EvalReport:
     """Score a full corpus: per-entity micro averages plus whole products."""
-    _check_aligned(predictions, truth)
     entity_counts = score_entities(
         {doc_id: pred.document for doc_id, pred in predictions.items()}, truth, mode
     )

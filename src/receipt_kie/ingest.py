@@ -100,10 +100,21 @@ def _is_number(value: Any) -> bool:
     return type(value) in _NUMBER_TYPES
 
 
+def _check_utf8(value: str, what: str) -> None:
+    """Reject a lone surrogate (a JSON ``\\ud800`` escape gives one), which
+    UTF-8 cannot encode. Callers skip the test for ASCII strings."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise SchemaError(f"{what} {value!r} has a lone surrogate at index {e.start}") from None
+
+
 def _text(obj: Mapping[str, Any], where: str) -> str:
     text = _require(obj, "text", where)
     if not isinstance(text, str) or not text:
         raise SchemaError(f"{where}: text must be a non-empty string")
+    if not text.isascii():
+        _check_utf8(text, f"{where}: text")
     return text
 
 
@@ -125,6 +136,8 @@ def _doc_id(raw: Mapping[str, Any]) -> str:
         or "\0" in doc_id
     ):
         raise SchemaError(f"doc_id: expected a plain file name, got {doc_id!r}")
+    if not doc_id.isascii():
+        _check_utf8(doc_id, "doc_id")
     return doc_id
 
 
@@ -170,7 +183,7 @@ def parse_ocr(data: bytes | str) -> Document:
     square (top-left origin, y down). Any coordinate outside the page is
     a schema error naming the word index. The doc id must be usable as a
     file name: not empty, ``.`` or ``..``, and free of ``/``, ``\\`` and
-    NUL.
+    NUL. The doc id and every text must be encodable as UTF-8.
     """
     raw = _load_object(data)
     doc_id = _doc_id(raw)
@@ -394,8 +407,9 @@ def serialize_result(doc: Document, groups: Sequence[ProductGroup]) -> str:
     strings by ``json``'s own escaper and numbers by ``repr``, as
     ``json.dumps`` writes them.
     """
-    # Imported here: layout depends on the model only, but pulling it at
-    # module import time would make ingest <-> layout ordering brittle.
+    # Looked up at each call, not bound at import: perfbench counts decode's
+    # calls by wrapping layout.assign_entities, which a binding made at
+    # import time would bypass.
     from .layout import assign_entities
 
     # Tokens and boxes are unpacked: one unpack of a named tuple costs less

@@ -98,18 +98,12 @@ def union_bbox(boxes: Iterable[BBox]) -> BBox:
     Raises ValueError on an empty iterable — there is no meaningful
     union of nothing.
     """
-    it = iter(boxes)
     try:
-        first = next(it)
-    except StopIteration:
+        x_mins, y_mins, x_maxs, y_maxs = zip(*boxes)
+    except ValueError:
         raise ValueError("union_bbox() requires at least one box") from None
-    x_min, y_min, x_max, y_max = first.x_min, first.y_min, first.x_max, first.y_max
-    for b in it:
-        x_min = min(x_min, b.x_min)
-        y_min = min(y_min, b.y_min)
-        x_max = max(x_max, b.x_max)
-        y_max = max(y_max, b.y_max)
-    return BBox(x_min, y_min, x_max, y_max)
+    # min and max over a column compare as a pairwise fold from the first box.
+    return BBox(min(x_mins), min(y_mins), max(x_maxs), max(y_maxs))
 
 
 class Token(NamedTuple):

@@ -3,9 +3,9 @@
 Everything here is written from the rules as stated, in the most literal
 way possible, with no code shared with the package — the point is that a
 bug would have to be made twice, in two different shapes, to go unseen.
-The two file-format references at the end are the exception: each keeps
-an earlier, plainer version of one step of the package and shares the
-rest (field checks, entity resolution) with it.
+The file-format and scorer references at the end are the exception: each
+keeps an earlier, plainer version of one step of the package and shares
+the rest (field checks, entity resolution, the count type) with it.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import unicodedata
 from typing import Any, Sequence
 
 from receipt_kie.errors import SchemaError
+from receipt_kie.evaluation import EntityCounts, MatchMode
 from receipt_kie.ingest import (
     _confidence,
     _doc_id,
@@ -26,11 +27,13 @@ from receipt_kie.ingest import (
 )
 from receipt_kie.layout import assign_entities
 from receipt_kie.model import (
+    ENTITY_ORDER,
     SCALAR_ENTITIES,
     BBox,
     Document,
     EntityLabel,
     LabelSource,
+    Product,
     ProductGroup,
     Token,
 )
@@ -391,3 +394,93 @@ def reference_parse_ocr(data: bytes | str) -> Document:
         bbox = BBox(min(xs) / width, min(ys) / height, max(xs) / width, max(ys) / height)
         tokens.append(Token(token_id=len(tokens), text=text, bbox=bbox, confidence=confidence))
     return Document(doc_id=doc_id, tokens=tuple(tokens), page_width=width, page_height=height)
+
+
+# --------------------------------------------------------------------------
+# Scorer references: the per-label set comprehensions and the sorted claim
+# lists that ``evaluation`` used before it counted in one pass. Text is
+# compared in NFC form, as ``MatchMode.STRICT_OCR`` asks.
+
+
+def _reference_texts_match(pred_doc: Document, truth_doc: Document, token_id: int) -> bool:
+    return unicodedata.normalize("NFC", pred_doc.token(token_id).text) == unicodedata.normalize(
+        "NFC", truth_doc.token(token_id).text
+    )
+
+
+def reference_score_entities(predictions, truth, mode: MatchMode) -> dict[EntityLabel, EntityCounts]:
+    totals = {label: EntityCounts() for label in ENTITY_ORDER}
+    for doc_id in sorted(truth):
+        pred_doc = predictions[doc_id]
+        truth_doc, products = truth[doc_id]
+        truth_labels = {tid: label for p in products for tid, label in p.labeled_ids()}
+        pred_labels = {
+            tok.token_id: tok.label for tok in pred_doc.tokens if tok.is_tagged
+        }
+        for label in ENTITY_ORDER:
+            truth_ids = {tid for tid, lab in truth_labels.items() if lab is label}
+            pred_ids = {tid for tid, lab in pred_labels.items() if lab is label}
+            tp = 0
+            for tid in truth_ids & pred_ids:
+                if mode is MatchMode.STRICT_OCR and not _reference_texts_match(
+                    pred_doc, truth_doc, tid
+                ):
+                    continue
+                tp += 1
+            counts = EntityCounts(
+                tp=tp, fp=len(pred_ids) - tp, fn=len(truth_ids) - tp
+            )
+            totals[label] = totals[label] + counts
+    return totals
+
+
+def _reference_product_matches(
+    predicted: Product, truth: Product, pred_doc: Document, truth_doc: Document, mode: MatchMode
+) -> bool:
+    if predicted.scalar_ids() != truth.scalar_ids():
+        return False
+    if set(predicted.description_ids) != set(truth.description_ids):
+        return False
+    if mode is MatchMode.STRICT_OCR:
+        return all(
+            _reference_texts_match(pred_doc, truth_doc, tid) for tid, _ in truth.labeled_ids()
+        )
+    return True
+
+
+def reference_score_whole_products(predictions, truth, mode: MatchMode) -> EntityCounts:
+    total = EntityCounts()
+    for doc_id in sorted(truth):
+        pred = predictions[doc_id]
+        truth_doc, products = truth[doc_id]
+
+        # Which truth product does each group claim?
+        claims: dict[int, list[tuple[int, int]]] = {}  # product idx -> [(overlap, group pos)]
+        for pos, assignment in enumerate(pred.assignments):
+            desc = set(assignment.description_ids)
+            if not desc:
+                continue
+            for pi, product in enumerate(products):
+                overlap = len(desc & set(product.description_ids))
+                if overlap * 2 > len(desc):
+                    claims.setdefault(pi, []).append((overlap, pos))
+                    break  # a strict majority is unique
+
+        tp = 0
+        matched_groups: set[int] = set()
+        matched_products: set[int] = set()
+        for pi, claimants in claims.items():
+            # Larger overlap wins; ties go to the smaller group id.
+            claimants.sort(key=lambda c: (-c[0], pred.groups[c[1]].group_id))
+            _, pos = claimants[0]
+            if _reference_product_matches(
+                pred.assignments[pos], products[pi], pred.document, truth_doc, mode
+            ):
+                tp += 1
+                matched_groups.add(pos)
+                matched_products.add(pi)
+
+        fp = len(pred.assignments) - len(matched_groups)
+        fn = len(products) - len(matched_products)
+        total = total + EntityCounts(tp=tp, fp=fp, fn=fn)
+    return total

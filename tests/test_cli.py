@@ -644,6 +644,21 @@ class TestRenderCommand:
         proc = run_module("render", result_path, ocr_path, "--out", svg_path)
         assert str(svg_path) in error_line(proc)
 
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_lone_surrogate_in_a_result_is_one_error_line(self, rendered, tmp_path, to_file):
+        result_path, _ = rendered
+        ocr_path = result_path.parent.parent / "render-demo.json"
+        result = json.loads(result_path.read_text())
+        result["tokens"][0]["text"] = "SOAP\ud800"
+        bad_path = tmp_path / "bad.result.json"
+        bad_path.write_text(json.dumps(result))  # the surrogate as a valid JSON escape
+        svg_path = tmp_path / "bad.svg"
+        proc = run_module("render", bad_path, ocr_path, *(["--out", svg_path] if to_file else []))
+        assert str(bad_path) in error_line(proc)
+        assert "lone surrogate" in proc.stderr
+        assert proc.stdout == ""
+        assert not svg_path.exists()
+
     def test_stdout_output(self, rendered, capsys):
         result_path, _ = rendered
         ocr_path = result_path.parent.parent / "render-demo.json"

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from receipt_kie.errors import CorpusMismatchError
 from receipt_kie.evaluation import (
@@ -15,9 +17,18 @@ from receipt_kie.evaluation import (
 )
 from receipt_kie.ingest import apply_truth_labels
 from receipt_kie.layout import detect_lines_geometric, group_product_lines
-from receipt_kie.model import EntityLabel, LabelSource, Product, ProductGroup, Token, union_bbox
+from receipt_kie.model import (
+    BBox,
+    EntityLabel,
+    LabelSource,
+    Product,
+    ProductGroup,
+    Token,
+    union_bbox,
+)
 
 from helpers import make_doc, make_token
+from reference_impls import reference_score_entities, reference_score_whole_products
 
 
 class TestEntityCounts:
@@ -306,6 +317,25 @@ class TestScoreWholeProducts:
         )
         assert counts == EntityCounts(tp=1, fp=1, fn=0)
 
+    def test_half_of_a_groups_descriptions_is_no_majority(self):
+        # group A holds both description tokens of the product plus two
+        # strays: half is not a strict majority, so A claims nothing and
+        # cannot take the product from B, the exact copy with the larger id
+        tokens = [
+            make_token(0, "GREEN", 40, 40, label=EntityLabel.DESCRIPTION),
+            make_token(1, "TEA", 110, 40, label=EntityLabel.DESCRIPTION),
+            make_token(2, "HOT", 40, 80, label=EntityLabel.DESCRIPTION),
+            make_token(3, "CUP", 110, 80, label=EntityLabel.DESCRIPTION),
+        ]
+        doc = make_doc(tokens, doc_id="half")
+        truth = [Product(description_ids=(0, 1))]
+        group_a = ProductGroup(0, (0, 1), (0, 1, 2, 3), union_bbox(t.bbox for t in tokens))
+        group_b = ProductGroup(1, (0,), (0, 1), union_bbox(t.bbox for t in tokens[:2]))
+        counts = score_whole_products(
+            {"half": predict(doc, [group_a, group_b])}, {"half": (doc, tuple(truth))}
+        )
+        assert counts == EntityCounts(tp=1, fp=1, fn=0)
+
     def test_strict_mode_fails_products_with_garbled_text(
         self, receipt_doc, receipt_truth, labeled_receipt
     ):
@@ -368,3 +398,85 @@ class TestReport:
             entities={label: EntityCounts() for label in ENTITY_ORDER},
         )
         assert "0.000" in report.format_table()
+
+    def test_default_report_has_a_zero_row_per_entity(self):
+        report = EvalReport(MatchMode.STRICT_OCR, 0)
+        assert report.entities == {label: EntityCounts() for label in ENTITY_ORDER}
+        assert report.as_dict()["entities"]["prices"]["tp"] == 0
+        assert len(report.format_table().splitlines()) == len(ENTITY_ORDER) + 2
+
+
+# --------------------------------------------------------------------------
+# Differential test: both scorers against their literal references.
+
+_LABELS = (*ENTITY_ORDER, EntityLabel.UNTAGGED)
+# A truth text, an equal text in another Unicode form, and a misread one.
+_TEXT_VARIANTS = (("Caf\u00e9", "Cafe\u0301", "Cafe"), ("9.99", "9.99", "9,99"), ("A", "A", "4"))
+
+
+@st.composite
+def _products(draw, n_tokens: int, base: Product | None = None) -> Product:
+    ids = st.integers(0, n_tokens - 1)
+    maybe_id = st.none() | ids
+    if base is None or draw(st.booleans()):
+        description = tuple(draw(st.lists(ids, max_size=4)))
+        return Product(description, draw(maybe_id), draw(maybe_id), draw(maybe_id))
+    # A copy of ``base``, often with one field changed: a tie or a near miss.
+    fields = [base.description_ids, *base.scalar_ids()]
+    field_index = draw(st.integers(0, 4))
+    if field_index == 0:
+        # Extra tokens: as many as the base has gives an overlap of exactly half.
+        extra = draw(st.lists(ids, min_size=1, max_size=len(base.description_ids)))
+        fields[0] = tuple(draw(st.permutations([*base.description_ids, *extra])))
+    elif field_index < 4:
+        fields[field_index] = draw(maybe_id)
+    return Product(*fields)
+
+
+@st.composite
+def _scoring_corpus(draw):
+    """Predictions and truth for 1-3 documents of up to 8 tokens: random
+    labels and misread texts; truth products that may share tokens; groups
+    with clashing ids whose entities copy a truth product, change one field
+    of it, or are random (an empty description among them)."""
+    predictions, truth = {}, {}
+    for d in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 8))
+        truth_tokens, pred_tokens = [], []
+        for tid in range(n):
+            variants = draw(st.sampled_from(_TEXT_VARIANTS))
+            bbox = BBox(0.0, tid / 8, 0.1, (tid + 1) / 8)
+            label = draw(st.sampled_from(_LABELS))
+            source = None if label is EntityLabel.UNTAGGED else LabelSource.MODEL
+            truth_tokens.append(Token(tid, variants[0], bbox))
+            pred_tokens.append(Token(tid, draw(st.sampled_from(variants)), bbox, label, source))
+        truth_products = []
+        for _ in range(draw(st.integers(0, 3))):
+            base = draw(st.sampled_from(truth_products)) if truth_products else None
+            product = draw(_products(n, base))
+            if not product.description_ids:
+                product = Product((0,), *product.scalar_ids())
+            truth_products.append(product)
+        groups, assignments = [], []
+        for _ in range(draw(st.integers(0, 4))):
+            base = draw(st.sampled_from(truth_products)) if truth_products else None
+            groups.append(ProductGroup(draw(st.integers(0, 2)), (), (), BBox(0.0, 0.0, 1.0, 1.0)))
+            assignments.append(draw(_products(n, base)))
+        doc_id = f"doc-{d}"
+        pred_doc = make_doc(pred_tokens, doc_id=doc_id)
+        predictions[doc_id] = DocPrediction(pred_doc, tuple(groups), tuple(assignments))
+        truth[doc_id] = (make_doc(truth_tokens, doc_id=doc_id), tuple(truth_products))
+    return predictions, truth
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpus=_scoring_corpus(), mode=st.sampled_from(MatchMode))
+def test_scorers_match_their_references(corpus, mode):
+    predictions, truth = corpus
+    documents = {doc_id: pred.document for doc_id, pred in predictions.items()}
+    assert score_entities(documents, truth, mode) == reference_score_entities(
+        documents, truth, mode
+    )
+    assert score_whole_products(predictions, truth, mode) == reference_score_whole_products(
+        predictions, truth, mode
+    )

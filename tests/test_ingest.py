@@ -465,6 +465,47 @@ def test_parsers_return_or_raise_a_package_error(schema, data):
         pass
 
 
+# A "\ud800" escape is valid JSON but decodes to a lone surrogate, which UTF-8
+# cannot encode: a result holding one could be read but not rendered or written.
+_LONE_SURROGATE = "A\ud800"
+
+
+def _payload_with_lone_surrogate(schema: str, field: str) -> dict:
+    if schema == "ocr":
+        payload = ocr_payload()
+        target = payload["words"][0]
+    elif schema == "result":
+        payload = json.loads(serialize_result(_TARGET, []))
+        target = payload["tokens"][0]
+    else:
+        payload = {"doc_id": _TARGET.doc_id, "products": [], "labels": []}
+    if field == "doc_id":
+        payload["doc_id"] = _LONE_SURROGATE
+    else:
+        target["text"] = _LONE_SURROGATE
+    return payload
+
+
+@pytest.mark.parametrize(
+    "schema, field, message",
+    [
+        ("ocr", "doc_id", r"doc_id 'A\\ud800' has a lone surrogate at index 1"),
+        ("ocr", "text", r"word 0: text 'A\\ud800' has a lone surrogate"),
+        ("result", "doc_id", r"doc_id 'A\\ud800' has a lone surrogate"),
+        ("result", "text", r"token 0: text 'A\\ud800' has a lone surrogate"),
+        # These two readers compare the doc id with a document already read.
+        ("ground_truth", "doc_id", r"ground truth is for doc_id 'A\\ud800'"),
+        ("predictions", "doc_id", r"predictions are for doc_id 'A\\ud800'"),
+    ],
+)
+def test_lone_surrogates_are_refused_by_every_reader(schema, field, message):
+    data = json.dumps(_payload_with_lone_surrogate(schema, field))
+    assert "\\ud800" in data
+    with pytest.raises(ReceiptKieError, match=message) as excinfo:
+        _PARSERS[schema](data)
+    str(excinfo.value).encode("utf-8")  # the error itself can be printed
+
+
 # --------------------------------------------------------------------------
 # serialize_result writes the canonical text of the result payload itself;
 # it must equal canonical_json of the payload the reference builds.

@@ -42,7 +42,7 @@ class TestUnionBBox:
         assert union_bbox([b]) == b
 
     def test_empty_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="requires at least one box"):
             union_bbox([])
 
     @given(st.lists(boxes(), min_size=1, max_size=8), st.randoms(use_true_random=False))
@@ -57,6 +57,17 @@ class TestUnionBBox:
         for b in box_list[1:]:
             folded = union_bbox([folded, b])
         assert union_bbox(box_list) == folded
+
+    @given(st.lists(boxes(st.sampled_from([0.0, -0.0, 0.5, float("nan")])), min_size=1, max_size=5))
+    def test_signed_zeros_and_nan_as_a_pairwise_fold(self, box_list):
+        """min and max over a column keep the first of equal extremes and
+        treat NaN as a fold of two-argument min and max from the first box
+        does; repr tells 0.0 from -0.0 and shows NaN."""
+        x_min, y_min, x_max, y_max = box_list[0]
+        for b in box_list[1:]:
+            x_min, y_min = min(x_min, b.x_min), min(y_min, b.y_min)
+            x_max, y_max = max(x_max, b.x_max), max(y_max, b.y_max)
+        assert repr(union_bbox(box_list)) == repr(BBox(x_min, y_min, x_max, y_max))
 
     @given(st.lists(boxes(), min_size=1, max_size=8))
     def test_union_contains_all_inputs(self, box_list):
