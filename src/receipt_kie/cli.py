@@ -7,6 +7,9 @@ Four subcommands::
     receipt-kie synth   --out DIR --seed N [corruption flags]
     receipt-kie render  RESULT_FILE OCR_FILE --out FILE.svg
 
+``eval`` and ``render`` refuse a result whose doc id, token count or any
+token box differs from those of the page it is read with.
+
 Log verbosity is controlled by the ``RECEIPT_KIE_LOG`` environment
 variable (error|warn|info|debug; default warn). All outputs are
 deterministic: running the same command twice produces byte-identical
@@ -24,6 +27,7 @@ import logging
 import os
 import sys
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence, TextIO
 
@@ -86,12 +90,14 @@ def _is_ocr_input(path: Path) -> bool:
     return not any(path.name.endswith(sfx) for sfx in _RESERVED_SUFFIXES)
 
 
-def _collect_inputs(raw_paths: Sequence[str]) -> list[Path]:
+def _expand(raw_paths: Sequence[str], wanted: Callable[[Path], bool]) -> list[Path]:
+    """Each path that is not a directory, as given, and the sorted entries
+    of each directory that ``wanted`` accepts."""
     files: list[Path] = []
     for raw in raw_paths:
         path = Path(raw)
         if path.is_dir():
-            files.extend(sorted(p for p in path.iterdir() if _is_ocr_input(p)))
+            files.extend(sorted(filter(wanted, path.iterdir())))
         else:
             files.append(path)
     return files
@@ -201,7 +207,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     except ValueError as exc:
         log.error("%s", exc)
         return 2
-    inputs = _collect_inputs(args.inputs)
+    inputs = _expand(args.inputs, _is_ocr_input)
     if not inputs:
         log.warning("no OCR input files found under %s", ", ".join(args.inputs))
         return 0
@@ -216,21 +222,20 @@ def cmd_decode(args: argparse.Namespace) -> int:
             log.error("%s: %s", args.predictions, exc)
             return 1
     else:
-        tag = tagging.heuristic_tag
+        tag = partial(tagging.heuristic_tag, config=parse_cfg)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
-    seen: dict[str, Path] = {}
-    audit_entries: list[tuple[str, list]] = []
+    decoded: dict[str, tuple[Path, list]] = {}  # doc id -> (input, correction records)
     for path in inputs:
         try:
             doc_id, payload, records = _decode_one(
                 path, tag, grouping, parse_cfg, not args.no_corrections
             )
-            if doc_id in seen:
+            if doc_id in decoded:
                 raise CorpusMismatchError(
-                    f"duplicate doc_id {doc_id!r} (already decoded from {seen[doc_id]})"
+                    f"duplicate doc_id {doc_id!r} (already decoded from {decoded[doc_id][0]})"
                 )
             with _replacing(out_dir / f"{doc_id}.result.json") as fh:
                 fh.write(payload)
@@ -240,30 +245,17 @@ def cmd_decode(args: argparse.Namespace) -> int:
             if args.fail_fast:
                 break  # the results already written still get their audit
             continue
-        seen[doc_id] = path
-        audit_entries.append((doc_id, records))
+        decoded[doc_id] = (path, records)
         log.info("decoded %s -> %s.result.json (%d corrections)", path, doc_id, len(records))
 
     audit_path = Path(args.audit) if args.audit else out_dir / "corrections.jsonl"
-    audit_entries.sort(key=lambda e: e[0])
     try:
         with _replacing(audit_path) as fh:
-            for doc_id, records in audit_entries:
-                for rec in records:
-                    fh.write(
-                        json.dumps(
-                            {
-                                "doc_id": doc_id,
-                                "group_id": rec.group_id,
-                                "entity": rec.entity.value,
-                                "token_id": rec.token_id,
-                                "parsed_value": rec.parsed_value,
-                            },
-                            sort_keys=True,
-                            ensure_ascii=False,
-                        )
-                        + "\n"
-                    )
+            for doc_id in sorted(decoded):
+                for rec in decoded[doc_id][1]:
+                    line = {"doc_id": doc_id, "group_id": rec.group_id, "entity": rec.entity.value,
+                            "token_id": rec.token_id, "parsed_value": rec.parsed_value}
+                    fh.write(json.dumps(line, sort_keys=True, ensure_ascii=False) + "\n")
     except OSError as exc:
         log.error("%s: %s", audit_path, exc)
         return 1
@@ -274,34 +266,31 @@ def cmd_decode(args: argparse.Namespace) -> int:
 # eval
 
 
-def _check_same_page(path: Path, doc: Document, truth_doc: Document) -> None:
-    """Refuse a result decoded from another page than its truth: the token
-    count and every token box must match. Texts are not compared, since
-    OCR noise changes them while the geometry stays."""
+def _check_same_page(path: Path, doc: Document, page: Document, page_name: str = "truth") -> None:
+    """Refuse the result ``doc``, read from ``path``, unless it was decoded
+    from ``page``: the doc id, the token count and every token box must
+    match. Texts are not compared: OCR noise changes them, not the geometry."""
     boxes = [tok.bbox for tok in doc.tokens]
-    truth_boxes = [tok.bbox for tok in truth_doc.tokens]
-    if boxes != truth_boxes:
-        pairs = enumerate(zip(boxes, truth_boxes))
-        first = next((i for i, (a, b) in pairs if a != b), min(len(boxes), len(truth_boxes)))
-        raise CorpusMismatchError(
-            f"{path}: not decoded from the truth page of doc_id {doc.doc_id!r}: "
-            f"token {first} differs ({len(boxes)} tokens, truth has {len(truth_boxes)})"
-        )
+    page_boxes = [tok.bbox for tok in page.tokens]
+    if doc.doc_id != page.doc_id:
+        problem = f"the result is for doc_id {doc.doc_id!r}"
+    elif boxes != page_boxes:
+        pairs = enumerate(zip(boxes, page_boxes))
+        first = next((i for i, (a, b) in pairs if a != b), min(len(boxes), len(page_boxes)))
+        problem = f"token {first} differs ({len(boxes)} tokens, {page_name} has {len(page_boxes)})"
+    else:
+        return
+    raise CorpusMismatchError(
+        f"{path}: not decoded from the {page_name} page of doc_id {page.doc_id!r}: {problem}"
+    )
 
 
 def _load_results(
     results: Sequence[str], truth: dict[str, TruthEntry]
 ) -> dict[str, DocPrediction]:
-    paths: list[Path] = []
-    for raw in results:
-        path = Path(raw)
-        if path.is_dir():
-            paths.extend(sorted(path.glob("*.result.json")))
-        else:
-            paths.append(path)
     predictions: dict[str, DocPrediction] = {}
     seen: dict[str, Path] = {}
-    for path in paths:
+    for path in _expand(results, lambda p: p.name.endswith(".result.json")):
         doc, groups = _parse_file(path, parse_result)
         if doc.doc_id in seen:
             raise CorpusMismatchError(
@@ -423,13 +412,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    doc, groups = _parse_file(Path(args.result), parse_result)
-    ocr_doc = _parse_file(Path(args.ocr), parse_ocr)
-    if doc.doc_id != ocr_doc.doc_id:
-        log.error(
-            "result is for doc_id %r but OCR file is %r", doc.doc_id, ocr_doc.doc_id
-        )
-        return 1
+    result_path = Path(args.result)
+    doc, groups = _parse_file(result_path, parse_result)
+    _check_same_page(result_path, doc, _parse_file(Path(args.ocr), parse_ocr), "OCR")
     svg = render_svg(doc, groups)
     if args.out:
         Path(args.out).write_text(svg, encoding="utf-8")

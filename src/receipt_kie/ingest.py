@@ -27,6 +27,9 @@ import unicodedata
 from json.encoder import encode_basestring as _quote
 from typing import Any, Iterator, Mapping, Sequence
 
+# layout.assign_entities is looked up at each call, not bound at import:
+# perfbench counts decode's calls by wrapping it in the layout module.
+from . import layout
 from .errors import LabelConflictError, MalformedJsonError, SchemaError, TokenReferenceError
 from .model import (
     ENTITY_ORDER,
@@ -46,7 +49,7 @@ def normalize_text(text: str) -> str:
     return unicodedata.normalize("NFC", text)
 
 
-def _loads(data: bytes | str) -> Any:
+def _load_object(data: bytes | str) -> dict[str, Any]:
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")
@@ -55,7 +58,7 @@ def _loads(data: bytes | str) -> Any:
     else:
         text = data
     try:
-        return json.loads(text)
+        raw = json.loads(text)
     except json.JSONDecodeError as e:
         offset = len(text[: e.pos].encode("utf-8"))
         raise MalformedJsonError(e.msg, offset) from e
@@ -63,10 +66,6 @@ def _loads(data: bytes | str) -> Any:
         raise MalformedJsonError("integer literal has too many digits", 0) from e
     except RecursionError as e:
         raise MalformedJsonError("arrays or objects nested too deeply", 0) from e
-
-
-def _load_object(data: bytes | str) -> dict[str, Any]:
-    raw = _loads(data)
     if not isinstance(raw, dict):
         raise SchemaError("top level: expected a JSON object")
     return raw
@@ -407,11 +406,6 @@ def serialize_result(doc: Document, groups: Sequence[ProductGroup]) -> str:
     strings by ``json``'s own escaper and numbers by ``repr``, as
     ``json.dumps`` writes them.
     """
-    # Looked up at each call, not bound at import: perfbench counts decode's
-    # calls by wrapping layout.assign_entities, which a binding made at
-    # import time would bypass.
-    from .layout import assign_entities
-
     # Tokens and boxes are unpacked: one unpack of a named tuple costs less
     # than reading its fields one by one.
     token_texts = []
@@ -426,7 +420,7 @@ def serialize_result(doc: Document, groups: Sequence[ProductGroup]) -> str:
 
     product_texts = []
     for group in groups:
-        product = assign_entities(group, doc)
+        product = layout.assign_entities(group, doc)
         entities = {"description": _list_text(list(map(repr, product.description_ids)), "        ")}
         corrected = []
         for label, tid in zip(SCALAR_ENTITIES, product.scalar_ids()):

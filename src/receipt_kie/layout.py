@@ -84,15 +84,20 @@ def detect_lines_geometric(
     all differ slightly in height or offset (a jittered row) still
     compares every pair of its boxes: quadratic in the row's length.
     """
-    cfg = config or GroupingConfig()
-    tokens = doc.tokens
-    n = len(tokens)
-    if n == 0:
-        return []
+    threshold = (config or GroupingConfig()).y_overlap_threshold
+    boxes = [tok.bbox for tok in doc.tokens]
 
     # Union-find over token positions; single linkage = connected
-    # components of the pairwise-overlap graph.
-    parent = list(range(n))
+    # components of the pairwise-overlap graph. Two boxes with the same
+    # (y_min, y_max) have ratio 1, which meets any threshold, and every
+    # other box has the same ratio to both: each token starts out joined
+    # to the first token of its interval, and only those are swept.
+    first_of_interval: dict[tuple[float, float], int] = {}
+    parent: list[int] = []
+    centers: list[float] = []
+    for i, (_, y_min, _, y_max) in enumerate(boxes):
+        parent.append(first_of_interval.setdefault((y_min, y_max), i))
+        centers.append((y_min + y_max) / 2.0)
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -100,49 +105,32 @@ def detect_lines_geometric(
             i = parent[i]
         return i
 
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    # Two boxes with the same (y_min, y_max) have ratio 1, which meets any
-    # threshold, and every other box has the same ratio to both: join them
-    # now and sweep over the first token of each interval only.
-    boxes = [tok.bbox for tok in tokens]
-    first_of_interval: dict[tuple[float, float], int] = {}
-    for i, box in enumerate(boxes):
-        first = first_of_interval.setdefault((box.y_min, box.y_max), i)
-        if first != i:
-            union(first, i)
-
     # Sweep in y_min order: once a later box starts strictly below box i
     # ends, their intersection is negative, the ratio is 0 and so is every
     # later box's. A box that only touches (intersection 0) is still
     # compared, because a zero-height box counts as full overlap.
-    order = sorted(first_of_interval.values(), key=lambda i: boxes[i].y_min)
-    for pos, i in enumerate(order):
-        a = boxes[i]
+    order = sorted(first_of_interval.items())
+    for pos, ((_, a_max), i) in enumerate(order):
         for k in range(pos + 1, len(order)):
-            j = order[k]
-            b = boxes[j]
-            if b.y_min > a.y_max:
+            (b_min, _), j = order[k]
+            if b_min > a_max:
                 break
-            if vertical_overlap_ratio(a, b) >= cfg.y_overlap_threshold:
-                union(i, j)
+            if vertical_overlap_ratio(boxes[i], boxes[j]) >= threshold:
+                parent[find(j)] = find(i)
 
-    clusters: dict[int, list[Token]] = {}
-    for i, tok in enumerate(tokens):
-        clusters.setdefault(find(i), []).append(tok)
-
-    def mean_y_center(members: list[Token]) -> float:
-        return sum(t.bbox.y_center for t in members) / len(members)
-
+    lines: dict[int, list[int]] = {}
+    for i in range(len(boxes)):
+        lines.setdefault(find(i), []).append(i)
+    # A line's mean center sums its members in token order.
     ordered = sorted(
-        clusters.values(),
-        key=lambda members: (mean_y_center(members), min(t.bbox.x_min for t in members)),
+        lines.values(),
+        key=lambda members: (
+            sum(centers[i] for i in members) / len(members),
+            min(boxes[i].x_min for i in members),
+        ),
     )
     return [
-        tuple(t.token_id for t in sorted(members, key=lambda t: (t.bbox.x_min, t.token_id)))
+        tuple(tid for _, tid in sorted((boxes[i].x_min, doc.tokens[i].token_id) for i in members))
         for members in ordered
     ]
 

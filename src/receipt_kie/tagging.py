@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .corrections import DEFAULT_PARSE_CONFIG, MAX_INTEGER_DIGITS, _split_number
+from .corrections import DEFAULT_PARSE_CONFIG, MAX_INTEGER_DIGITS, NumericParseConfig, _split_number
 from .ingest import import_predictions  # noqa: F401 (re-export)
 from .model import Document, EntityLabel, LabelSource
 
@@ -91,7 +91,7 @@ def _alpha_majority(text: str) -> bool:
     return alpha * 2 > len(text)
 
 
-def heuristic_tag(doc: Document) -> Document:
+def heuristic_tag(doc: Document, config: NumericParseConfig = DEFAULT_PARSE_CONFIG) -> Document:
     """Label tokens with position/lexicon rules; no model involved.
 
     Rule order per token (first match wins):
@@ -104,14 +104,15 @@ def heuristic_tag(doc: Document) -> Document:
     4. alphabetic-majority text -> DESCRIPTION
     5. otherwise untagged
 
-    Pre-existing labels are discarded; output labels carry
-    ``source=HEURISTIC``. Deterministic: same document, same labels, bit
-    for bit.
+    Numbers are read with ``config``'s decimal separators, like the
+    correction rules read them. Pre-existing labels are discarded; output
+    labels carry ``source=HEURISTIC``. Deterministic: same document, same
+    labels, bit for bit.
     """
     qty_lo, qty_hi = _QUANTITY_BAND
     labels: dict[int, tuple[EntityLabel, LabelSource, None]] = {}
     for tok in doc.tokens:
-        number = _split_number(tok.text, _TAG_STRIP_CHARS, DEFAULT_PARSE_CONFIG)
+        number = _split_number(tok.text, _TAG_STRIP_CHARS, config)
         digits, fraction = number or ("", None)
         is_integer = bool(digits) and fraction is None
         if fraction is not None and tok.bbox.x_min >= _PRICE_BAND_MIN_X:

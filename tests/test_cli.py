@@ -367,6 +367,25 @@ class TestDecodeCommand:
         assert run_cli("decode", mixed, "--out", out) == 1
         assert (out / f"{doc_id}.result.json").exists()
 
+    def test_heuristic_tagger_reads_the_decimal_separators_flag(self, tmp_path):
+        words = [("MILK", 40), ("2", 450), ("12.50", 700)]
+        ocr = {
+            "doc_id": "d",
+            "page": {"width": 900, "height": 400},
+            "words": [
+                {"text": text, "polygon": [[x, 100], [x + 60, 100], [x + 60, 120], [x, 120]]}
+                for text, x in words
+            ],
+        }
+        (tmp_path / "d.json").write_text(json.dumps(ocr))
+        for separators, price_label in ((".,", "price"), (",", "untagged")):
+            out = tmp_path / f"out{len(separators)}"
+            argv = ["decode", tmp_path / "d.json", "--out", out, "--decimal-separators", separators]
+            assert run_cli(*argv) == 0
+            result = json.loads((out / "d.result.json").read_text())
+            labels = [tok["label"] for tok in result["tokens"]]
+            assert labels == ["description", "quantity", price_label]
+
     def test_heuristic_decode_of_clean_corpus(self, corpus_dir, tmp_path):
         out = tmp_path / "heuristic"
         assert run_cli("decode", corpus_dir, "--out", out) == 0
@@ -503,6 +522,19 @@ class TestEvalCommand:
             assert error.startswith(f"ERROR receipt_kie.cli: {victim}: not decoded from the truth page")
             assert f"token {token_id} differs" in error
 
+    def test_result_with_another_doc_id_fails(self, corpus_dir, results_dir, tmp_path):
+        # Its boxes are those of its truth page; only the doc id differs.
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        for path in results_dir.glob("*.result.json"):
+            (bad / path.name).write_bytes(path.read_bytes())
+        victim = sorted(bad.glob("*.result.json"))[0]
+        payload = json.loads(victim.read_text())
+        doc_id, payload["doc_id"] = payload["doc_id"], "stranger"
+        victim.write_text(json.dumps(payload))
+        error = error_line(run_module("eval", "--results", bad, "--truth", corpus_dir))
+        assert error.endswith(f"no predictions for {doc_id}; no ground truth for stranger")
+
     def test_integer_past_the_digit_limit_is_one_error_line(self, corpus_dir, results_dir, tmp_path):
         bad = tmp_path / "bad"
         bad.mkdir()
@@ -636,6 +668,32 @@ class TestRenderCommand:
         other_path = tmp_path / "other.json"
         other_path.write_text(json.dumps(other))
         assert run_cli("render", result_path, other_path) == 1
+
+    def test_result_from_another_page_is_one_error_line(self, tmp_path):
+        # Two words on a 600x400 page, and one word on a 10x10 page that
+        # says it is the same document.
+        def page(width, height, words):
+            return {
+                "doc_id": "r",
+                "page": {"width": width, "height": height},
+                "words": [
+                    {"text": text, "polygon": [[x, y], [x + 5, y], [x + 5, y + 5], [x, y + 5]]}
+                    for text, x, y in words
+                ],
+            }
+
+        two_words = page(600, 400, [("SOAP", 40, 80), ("9.99", 450, 80)])
+        (tmp_path / "r.json").write_text(json.dumps(two_words))
+        (tmp_path / "other.json").write_text(json.dumps(page(10, 10, [("SOAP", 0, 0)])))
+        assert run_cli("decode", tmp_path / "r.json", "--out", tmp_path / "out") == 0
+        result_path = tmp_path / "out" / "r.result.json"
+        svg_path = tmp_path / "r.svg"
+        proc = run_module("render", result_path, tmp_path / "other.json", "--out", svg_path)
+        assert error_line(proc).endswith(
+            f"{result_path}: not decoded from the OCR page of doc_id 'r': "
+            "token 0 differs (2 tokens, OCR has 1)"
+        )
+        assert not svg_path.exists()
 
     def test_unwritable_out_path_is_one_error_line(self, rendered, tmp_path):
         result_path, _ = rendered

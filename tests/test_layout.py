@@ -262,7 +262,9 @@ def test_line_detection_makes_a_linear_number_of_overlap_tests(monkeypatch):
     assert n > 4000
     calls = count_overlap_tests(monkeypatch)
     lines = detect_lines_geometric(doc)
-    assert calls[0] < 4 * n
+    # At least one call: a sweep that stops calling the overlap test
+    # through the module would count nothing and pass unseen.
+    assert 0 < calls[0] < 4 * n
     assert sorted(tid for line in lines for tid in line) == list(range(n))
 
 

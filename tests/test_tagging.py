@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from receipt_kie.corrections import parse_float, parse_integer
+from receipt_kie.corrections import NumericParseConfig, parse_float, parse_integer
 from receipt_kie.errors import LabelConflictError, SchemaError, TokenReferenceError
 from receipt_kie.model import BBox, Document, EntityLabel, LabelSource, Token
 from receipt_kie.tagging import (
@@ -131,6 +131,16 @@ class TestHeuristicRules:
     def test_thousands_grouped_number_is_untagged(self):
         # two separators -> not a decimal number to this tagger
         assert self.tagged("1,150.00", 480).label is EntityLabel.UNTAGGED
+
+    def test_decimal_separators_follow_the_parse_config(self):
+        # The tagger and the correction rules read numbers with one lexer
+        # and one configuration: a price the rules cannot read is no price.
+        comma_only = NumericParseConfig((",",))
+        doc = make_doc([make_token(0, "12.50", 480, 100), make_token(1, "12,50", 480, 140)])
+        labels = [tok.label for tok in heuristic_tag(doc, comma_only).tokens]
+        assert labels == [EntityLabel.UNTAGGED, EntityLabel.PRICE]
+        assert parse_float("12.50", comma_only) is None
+        assert parse_float("12,50", comma_only) == 12.5
 
 
 class TestHeuristicTagOnFixture:
