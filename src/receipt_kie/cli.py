@@ -207,15 +207,15 @@ def cmd_decode(args: argparse.Namespace) -> int:
     except ValueError as exc:
         log.error("%s", exc)
         return 2
+    if args.tagger == "import" and not args.predictions:
+        log.error("--tagger import requires --predictions")
+        return 2
     inputs = _expand(args.inputs, _is_ocr_input)
     if not inputs:
         log.warning("no OCR input files found under %s", ", ".join(args.inputs))
         return 0
 
     if args.tagger == "import":
-        if not args.predictions:
-            log.error("--tagger import requires --predictions")
-            return 1
         try:
             tag = _import_tagger(Path(args.predictions))
         except (ReceiptKieError, OSError) as exc:
@@ -297,8 +297,9 @@ def _load_results(
                 f"{path}: duplicate doc_id {doc.doc_id!r} (already read from {seen[doc.doc_id]})"
             )
         seen[doc.doc_id] = path
-        if doc.doc_id in truth:
-            _check_same_page(path, doc, truth[doc.doc_id][0])
+        if doc.doc_id not in truth:
+            raise CorpusMismatchError(f"{path}: no ground truth for doc_id {doc.doc_id!r}")
+        _check_same_page(path, doc, truth[doc.doc_id][0])
         predictions[doc.doc_id] = DocPrediction.from_groups(doc, groups)
     return predictions
 

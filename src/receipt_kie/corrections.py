@@ -1,8 +1,8 @@
 """Rule-based false-negative corrections for product groups.
 
 A tagger sometimes misses an entity the receipt clearly prints. Within a
-closed product group the missing value is usually recoverable from the
-words that stayed untagged, because purchase documents obey three lexical
+product group the missing value is usually recoverable from the words
+that stayed untagged, because purchase documents obey three lexical
 regularities:
 
 * the product code is the *largest* integer in the group,
@@ -16,7 +16,11 @@ rules are guarded: the candidate must be strictly greater (code) or
 strictly smaller (quantity) than some *other* integer among the group's
 originally-untagged words, otherwise a lone stray number would be
 promoted on no evidence. The price rule is unguarded — a decimal number
-with a fractional part in a closed group is overwhelmingly the total.
+with a fractional part in a product group is overwhelmingly the total.
+
+The rules run on every group, including one flagged ``incomplete`` (still
+open when the document ended, so it may run into the footer). Whether
+such a group should be corrected at all is an open decision.
 
 Guards always compare against the group's pool as it stood before any
 correction, while each firing rule removes its token from the live pool

@@ -246,16 +246,12 @@ def parse_ocr(data: bytes | str) -> Document:
 _SCALAR_KEYS = tuple(f"{label.value}_id" for label in SCALAR_ENTITIES)
 
 
-def _optional_token_id(
-    product: Mapping[str, Any], key: str, where: str, n_tokens: int
-) -> int | None:
-    value = product.get(key)
-    if value is None:
-        return None
+def _token_id(value: Any, where: str, what: str, n_tokens: int) -> int:
+    """``value`` as the id of one of a page's ``n_tokens`` tokens."""
     if type(value) is not int:
-        raise SchemaError(f"{where}: {key} must be an integer token id")
+        raise SchemaError(f"{where}: {what} must be an integer token id")
     if not 0 <= value < n_tokens:
-        raise TokenReferenceError(f"{where}: {key} references unknown token id {value}")
+        raise TokenReferenceError(f"{where}: {what} references unknown token id {value}")
     return value
 
 
@@ -275,16 +271,12 @@ def parse_ground_truth(data: bytes | str, doc: Document) -> tuple[Product, ...]:
         raw_desc = _require(rp, "description_ids", where)
         if not isinstance(raw_desc, list) or not raw_desc:
             raise SchemaError(f"{where}: description_ids must be a non-empty list")
-        for tid in raw_desc:
-            if type(tid) is not int:
-                raise SchemaError(f"{where}: description_ids entries must be integers")
-            if not 0 <= tid < n_tokens:
-                raise TokenReferenceError(
-                    f"{where}: description_ids references unknown token id {tid}"
-                )
         product = Product(
-            tuple(raw_desc),
-            *[_optional_token_id(rp, key, where, n_tokens) for key in _SCALAR_KEYS],
+            tuple(_token_id(tid, where, "description_ids", n_tokens) for tid in raw_desc),
+            *[
+                None if rp.get(key) is None else _token_id(rp[key], where, key, n_tokens)
+                for key in _SCALAR_KEYS
+            ],
         )
         for tid, _ in product.labeled_ids():
             if tid in claimed:
@@ -314,11 +306,7 @@ def import_predictions(doc: Document, data: bytes | str) -> Document:
     n_tokens = len(doc.tokens)
     assigned: dict[int, tuple[EntityLabel, LabelSource, float | None]] = {}
     for where, entry in _records(raw, "labels", "label"):
-        token_id = _require(entry, "token_id", where)
-        if type(token_id) is not int:
-            raise SchemaError(f"{where}: token_id must be an integer")
-        if not 0 <= token_id < n_tokens:
-            raise TokenReferenceError(f"{where}: unknown token id {token_id}")
+        token_id = _token_id(_require(entry, "token_id", where), where, "token_id", n_tokens)
         label = _lookup(_IMPORTABLE_LABELS, _require(entry, "label", where), where, "label")
         confidence = _confidence(entry, where)
         if token_id in assigned and assigned[token_id][0] is not label:
@@ -509,14 +497,11 @@ def parse_result(data: bytes | str) -> tuple[Document, tuple[ProductGroup, ...]]
             )
         if not isinstance(incomplete, bool):
             raise SchemaError(f"{where}: incomplete must be a boolean")
-        for tid in token_ids:
-            if not 0 <= tid < len(tokens):
-                raise TokenReferenceError(f"{where}: token_ids references unknown token id {tid}")
         groups.append(
             ProductGroup(
                 group_id=group_id,
                 line_indices=tuple(line_indices),
-                token_ids=tuple(token_ids),
+                token_ids=tuple(_token_id(tid, where, "token_ids", len(tokens)) for tid in token_ids),
                 bbox=_bbox_from_json(_require(rp, "bbox", where), where),
                 incomplete=incomplete,
             )

@@ -32,7 +32,6 @@ from .model import (
     EntityLabel,
     Product,
     ProductGroup,
-    Token,
     reading_order,
     union_bbox,
 )
@@ -188,20 +187,13 @@ def assign_entities(group: ProductGroup, doc: Document) -> Product:
     then left-most one wins — receipts put the governing figure first in
     reading order.
     """
-    descriptions: list[Token] = []
-    scalars: dict[EntityLabel, list[Token]] = {label: [] for label in SCALAR_ENTITIES}
-    for tid in group.token_ids:
-        tok = doc.token(tid)
+    descriptions: list[int] = []
+    scalars: dict[EntityLabel, int] = {}
+    # reading_order ends in the token id, a total order: the first token of
+    # a label wins its role. Untagged tokens fill a slot no role reads.
+    for tok in sorted(map(doc.token, group.token_ids), key=reading_order):
         if tok.label is EntityLabel.DESCRIPTION:
-            descriptions.append(tok)
-        elif tok.label in scalars:
-            scalars[tok.label].append(tok)
-
-    descriptions.sort(key=reading_order)
-    return Product(
-        tuple(t.token_id for t in descriptions),
-        *(
-            min(candidates, key=reading_order).token_id if candidates else None
-            for candidates in scalars.values()
-        ),
-    )
+            descriptions.append(tok.token_id)
+        else:
+            scalars.setdefault(tok.label, tok.token_id)
+    return Product(tuple(descriptions), *map(scalars.get, SCALAR_ENTITIES))

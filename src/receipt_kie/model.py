@@ -81,10 +81,6 @@ class BBox(NamedTuple):
     def height(self) -> float:
         return self.y_max - self.y_min
 
-    @property
-    def y_center(self) -> float:
-        return (self.y_min + self.y_max) / 2.0
-
     def is_valid(self) -> bool:
         return (
             0.0 <= self.x_min <= self.x_max <= 1.0

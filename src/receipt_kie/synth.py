@@ -101,19 +101,6 @@ class CorruptionSpec:
         return getattr(self, f"{label.value}_fn_rate")
 
 
-class _PixelWord:
-    """A token being laid out, in pixel coordinates."""
-
-    __slots__ = ("text", "x0", "y0", "x1", "y1")
-
-    def __init__(self, text: str, x0: int, y0: int):
-        self.text = text
-        self.x0 = x0
-        self.y0 = y0
-        self.x1 = x0 + _CHAR_WIDTH * len(text) + _PAD
-        self.y1 = y0 + _TOKEN_HEIGHT
-
-
 def _cents(cents: int) -> str:
     return f"{cents // 100}.{cents % 100:02d}"
 
@@ -121,15 +108,13 @@ def _cents(cents: int) -> str:
 def _generate_doc(
     doc_id: str, rng: random.Random, spec: CorpusSpec
 ) -> tuple[Document, tuple[Product, ...], dict[str, Any]]:
-    words: list[_PixelWord] = []
+    words: list[tuple[str, int, int, int, int]] = []  # text and pixel box x0, y0, x1, y1
     products: list[Product] = []
     line_no = 0
 
-    def line_y() -> int:
-        return _MARGIN + line_no * _LINE_HEIGHT
-
     def add_word(text: str, x0: int) -> int:
-        words.append(_PixelWord(text, x0, line_y() + rng.randint(-2, 2)))
+        y0 = _MARGIN + line_no * _LINE_HEIGHT + rng.randint(-2, 2)
+        words.append((text, x0, y0, x0 + _CHAR_WIDTH * len(text) + _PAD, y0 + _TOKEN_HEIGHT))
         return len(words) - 1
 
     # Header: never part of any product.
@@ -150,7 +135,7 @@ def _generate_doc(
             for _ in range(rng.randint(2, 4)):
                 word = rng.choice(_VOCAB)
                 desc_ids.append(add_word(word, x))
-                x = words[-1].x1 + 12
+                x = words[-1][3] + 12
             line_no += 1
 
         # Numbers line: [code] qty [x unit] dept price [balance]
@@ -187,17 +172,8 @@ def _generate_doc(
 
     page_height = 2 * _MARGIN + line_no * _LINE_HEIGHT
     tokens = tuple(
-        Token(
-            token_id=i,
-            text=w.text,
-            bbox=BBox(
-                w.x0 / _PAGE_WIDTH,
-                w.y0 / page_height,
-                w.x1 / _PAGE_WIDTH,
-                w.y1 / page_height,
-            ),
-        )
-        for i, w in enumerate(words)
+        Token(i, text, BBox(x0 / _PAGE_WIDTH, y0 / page_height, x1 / _PAGE_WIDTH, y1 / page_height))
+        for i, (text, x0, y0, x1, y1) in enumerate(words)
     )
     doc = Document(
         doc_id=doc_id, tokens=tokens, page_width=_PAGE_WIDTH, page_height=page_height
@@ -206,8 +182,8 @@ def _generate_doc(
         "doc_id": doc_id,
         "page": {"width": _PAGE_WIDTH, "height": page_height},
         "words": [
-            {"text": w.text, "polygon": [[w.x0, w.y0], [w.x1, w.y0], [w.x1, w.y1], [w.x0, w.y1]]}
-            for w in words
+            {"text": text, "polygon": [[x0, y0], [x1, y0], [x1, y1], [x0, y1]]}
+            for text, x0, y0, x1, y1 in words
         ],
     }
     return doc, tuple(products), ocr_payload

@@ -172,6 +172,31 @@ def entities_other_than_description(entities: set[EntityLabel]) -> bool:
 
 
 # --------------------------------------------------------------------------
+# Entity resolution oracle: one candidate list per role, the descriptions
+# sorted on their own and a separate minimum per scalar role, each by the
+# reading-order key written out (top-most, then left-most, then lowest id).
+
+
+def reference_assign_entities(group: ProductGroup, doc: Document) -> Product:
+    def key(tok: Token) -> tuple[float, float, int]:
+        return (tok.bbox.y_min, tok.bbox.x_min, tok.token_id)
+
+    descriptions: list[Token] = []
+    scalars: dict[EntityLabel, list[Token]] = {label: [] for label in SCALAR_ENTITIES}
+    for tid in group.token_ids:
+        tok = doc.token(tid)
+        if tok.label is DESC:
+            descriptions.append(tok)
+        elif tok.label in scalars:
+            scalars[tok.label].append(tok)
+    descriptions.sort(key=key)
+    return Product(
+        tuple(t.token_id for t in descriptions),
+        *(min(found, key=key).token_id if found else None for found in scalars.values()),
+    )
+
+
+# --------------------------------------------------------------------------
 # Correction-rule oracle: strip decorations, parse, take the extreme, check
 # the strict guard — written against the rule statements, character by
 # character, with its own parsing.

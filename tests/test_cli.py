@@ -150,7 +150,8 @@ class TestDecodeCommand:
 
     @pytest.mark.parametrize(
         "flag", [("--y-overlap", "0"), ("--y-overlap", "1.5"),
-                 ("--decimal-separators", ""), ("--decimal-separators", "1")],
+                 ("--decimal-separators", ""), ("--decimal-separators", "1"),
+                 ("--tagger", "import")],
     )
     def test_invalid_flag_values_are_usage_errors(self, corpus_dir, tmp_path, flag):
         proc = run_module("decode", corpus_dir, "--out", tmp_path / "out", *flag)
@@ -158,10 +159,9 @@ class TestDecodeCommand:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
-    def test_import_tagger_requires_predictions(self, corpus_dir, tmp_path):
-        assert run_cli(
-            "decode", corpus_dir / "pred", "--out", tmp_path / "x", "--tagger", "import"
-        ) == 1
+    def test_import_without_predictions_is_a_usage_error_before_inputs_are_read(self, tmp_path):
+        (tmp_path / "empty").mkdir()
+        assert run_cli("decode", tmp_path / "empty", "--out", tmp_path / "out", "--tagger", "import") == 2
 
     def test_duplicate_doc_ids_fail(self, corpus_dir, tmp_path):
         manifest = json.loads((corpus_dir / "manifest.json").read_text())
@@ -523,17 +523,18 @@ class TestEvalCommand:
             assert f"token {token_id} differs" in error
 
     def test_result_with_another_doc_id_fails(self, corpus_dir, results_dir, tmp_path):
-        # Its boxes are those of its truth page; only the doc id differs.
+        # Its boxes are those of its truth page; only the doc id differs,
+        # and the error names the file.
         bad = tmp_path / "bad"
         bad.mkdir()
         for path in results_dir.glob("*.result.json"):
             (bad / path.name).write_bytes(path.read_bytes())
         victim = sorted(bad.glob("*.result.json"))[0]
         payload = json.loads(victim.read_text())
-        doc_id, payload["doc_id"] = payload["doc_id"], "stranger"
+        payload["doc_id"] = "stranger"
         victim.write_text(json.dumps(payload))
         error = error_line(run_module("eval", "--results", bad, "--truth", corpus_dir))
-        assert error.endswith(f"no predictions for {doc_id}; no ground truth for stranger")
+        assert error.endswith(f"{victim}: no ground truth for doc_id 'stranger'")
 
     def test_integer_past_the_digit_limit_is_one_error_line(self, corpus_dir, results_dir, tmp_path):
         bad = tmp_path / "bad"

@@ -506,6 +506,44 @@ def test_lone_surrogates_are_refused_by_every_reader(schema, field, message):
     str(excinfo.value).encode("utf-8")  # the error itself can be printed
 
 
+def _payload_with_token_id(schema: str, field: str, token_id) -> dict:
+    """A valid file of ``schema`` for ``_TARGET`` with ``token_id`` in
+    ``field`` of its first record."""
+    if schema == "ground_truth":
+        product = {"description_ids": [0], field: token_id}
+        if field == "description_ids":
+            product[field] = [0, token_id]
+        return {"doc_id": _TARGET.doc_id, "products": [product]}
+    if schema == "predictions":
+        return {"doc_id": _TARGET.doc_id, "labels": [{"token_id": token_id, "label": "code"}]}
+    group = ProductGroup(0, (0,), (0, 1), BBox(0.0, 0.0, 0.5, 0.5))
+    payload = json.loads(serialize_result(_TARGET, [group]))
+    payload["products"][0]["token_ids"] = [0, token_id]
+    return payload
+
+
+@pytest.mark.parametrize(
+    "token_id, error",
+    [(True, SchemaError), (1.0, SchemaError), ("3", SchemaError),
+     (-1, TokenReferenceError), (len(_TARGET.tokens), TokenReferenceError)],
+    ids=["true", "1.0", "string", "-1", "n_tokens"],
+)
+@pytest.mark.parametrize(
+    "schema, where, field",
+    [("ground_truth", "product 0", "description_ids"), ("ground_truth", "product 0", "price_id"),
+     ("predictions", "label 0", "token_id"), ("result", "product 0", "token_ids")],
+    ids=["truth.description_ids", "truth.price_id", "predictions.token_id", "result.token_ids"],
+)
+def test_every_token_id_reader_refuses_a_bad_id(schema, where, field, token_id, error):
+    data = json.dumps(_payload_with_token_id(schema, field, token_id))
+    with pytest.raises(error) as excinfo:
+        _PARSERS[schema](data)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value).startswith(f"{where}: {field} ")
+    if error is TokenReferenceError:
+        assert str(excinfo.value).endswith(f"references unknown token id {token_id}")
+
+
 # --------------------------------------------------------------------------
 # serialize_result writes the canonical text of the result payload itself;
 # it must equal canonical_json of the payload the reference builds.

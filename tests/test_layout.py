@@ -35,6 +35,7 @@ from reference_impls import (
     brute_force_lines,
     literal_grouping,
     oracle_detect_lines,
+    reference_assign_entities,
 )
 
 
@@ -172,9 +173,8 @@ class TestDetectLines:
             keys = []
             for line in lines:
                 boxes = [doc.token(tid).bbox for tid in line]
-                keys.append(
-                    (sum(b.y_center for b in boxes) / len(boxes), min(b.x_min for b in boxes))
-                )
+                centers = [(b.y_min + b.y_max) / 2.0 for b in boxes]
+                keys.append((sum(centers) / len(centers), min(b.x_min for b in boxes)))
             assert keys == sorted(keys)
 
 
@@ -467,3 +467,52 @@ class TestAssignEntities:
         a = assign_entities(group, labeled_receipt)
         assert a.description_ids == (1, 2)
         assert a.code_id is None and a.quantity_id is None and a.price_id is None
+
+
+@st.composite
+def entity_groups(draw):
+    """A page of up to eight tokens on a coarse grid, so that many share
+    their ``y_min`` and ``x_min``, with any labels, and a group over a
+    subset of them in shuffled order."""
+    specs = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(list(EntityLabel)),
+                st.sampled_from([40, 80]),
+                st.sampled_from([100, 110]),
+                st.sampled_from([10, 30]),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    doc = make_doc(
+        [
+            make_token(i, "T", x0, y0, width=width, label=label)
+            for i, (label, x0, y0, width) in enumerate(specs)
+        ]
+    )
+    order = draw(st.permutations(range(len(specs))))
+    token_ids = tuple(order[: draw(st.integers(0, len(order)))])
+    return doc, ProductGroup(0, (0,), token_ids, BBox(0.0, 0.0, 1.0, 1.0))
+
+
+# Two prices in one box listed in reverse id order, a description tied with
+# an untagged token, and a quantity below them.
+_TIED = make_doc(
+    [
+        make_token(0, "5.00", 480, 100, width=50, label=EntityLabel.PRICE),
+        make_token(1, "9.99", 480, 100, width=50, label=EntityLabel.PRICE),
+        make_token(2, "MILK", 40, 100, label=EntityLabel.DESCRIPTION),
+        make_token(3, "SOAP", 40, 100),
+        make_token(4, "2", 300, 140, label=EntityLabel.QUANTITY),
+    ]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=entity_groups())
+@example(case=(_TIED, ProductGroup(0, (0,), (4, 3, 1, 2, 0), BBox(0.0, 0.0, 1.0, 1.0))))
+def test_assign_entities_matches_the_per_role_reference(case):
+    doc, group = case
+    assert assign_entities(group, doc) == reference_assign_entities(group, doc)

@@ -24,7 +24,6 @@ class TestBBox:
         b = BBox(0.1, 0.2, 0.5, 0.4)
         assert b.width == pytest.approx(0.4)
         assert b.height == pytest.approx(0.2)
-        assert b.y_center == pytest.approx(0.3)
 
     def test_validity(self):
         assert BBox(0.0, 0.0, 1.0, 1.0).is_valid()
