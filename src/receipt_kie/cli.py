@@ -314,6 +314,8 @@ def _load_truth(truth_dir: Path) -> dict[str, TruthEntry]:
         doc = _parse_file(ocr_path, parse_ocr)
         products = _parse_file(path, parse_ground_truth, doc)
         truth[doc_id] = (doc, products)
+    if not truth:
+        raise CorpusMismatchError(f"no *.truth.json files in {truth_dir}")
     return truth
 
 

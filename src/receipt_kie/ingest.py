@@ -9,14 +9,18 @@
 Parsers are strict — malformed input raises one of the exception types in
 :mod:`receipt_kie.errors` naming the offending record — but unknown JSON
 fields are ignored so files produced by newer writers still load. All four
-readers share one set of field checks. Writers never emit fields outside
-the documented schema, and every file is written in one canonical form
-(sorted keys, two-space indent, non-ASCII kept) so identical inputs
-produce identical bytes. :func:`canonical_json` writes that form for any
-payload. :func:`serialize_result`, the one writer on the decode path,
-writes the result schema's canonical text itself, without building a
-payload; a test checks it byte for byte against :func:`canonical_json`
-of the payload it stands for.
+readers share one set of field checks, which alone name errors.
+:func:`parse_ocr` and :func:`parse_result` first test each word or token
+in one inline expression on its raw JSON fields. That expression accepts
+the common record, as the field checks would, and sends every other record
+to them. Writers never emit fields outside the documented schema, and
+every file is written in one canonical form (sorted keys, two-space
+indent, non-ASCII kept) so identical inputs produce identical bytes.
+:func:`canonical_json` writes that form for any payload.
+:func:`serialize_result`, the one writer on the decode path, writes the
+result schema's canonical text itself, without building a payload; a test
+checks it byte for byte against :func:`canonical_json` of the payload it
+stands for.
 """
 
 from __future__ import annotations
@@ -93,6 +97,10 @@ def _records(raw: Mapping[str, Any], key: str, noun: str) -> Iterator[tuple[str,
 # JSON numbers decode to exactly int or float; a bool is neither.
 _NUMBER_TYPES = frozenset((int, float))
 _INF = float("inf")
+_UNTAGGED = EntityLabel.UNTAGGED
+# Builds a BBox or Token from fields the caller has just checked: the arity
+# is fixed, and a named tuple's generated __new__ costs one Python call.
+_tuple_new = tuple.__new__
 
 
 def _is_number(value: Any) -> bool:
@@ -174,6 +182,58 @@ def _confidence(obj: Mapping[str, Any], where: str) -> float | None:
     return float(value)
 
 
+def _word_token(word: Any, i: int, width: int, height: int, exact: bool) -> Token:
+    """Word ``i`` of an OCR page as an untagged token, by the field-by-field
+    checks, which name the first field at fault."""
+    where = f"word {i}"
+    if not isinstance(word, dict):
+        raise SchemaError(f"{where}: expected an object")
+    text = _text(word, where)
+    polygon = _require(word, "polygon", where)
+    if not isinstance(polygon, list) or len(polygon) < 3:
+        raise SchemaError(f"{where}: polygon needs at least 3 vertices")
+    # The envelope is taken as the vertices are checked. Strict tests keep
+    # the first of equal extremes, as min and max do (0 against -0.0).
+    x_min = y_min = _INF
+    x_max = y_max = -_INF
+    for j, vertex in enumerate(polygon):
+        if (
+            type(vertex) is not list
+            or len(vertex) != 2
+            or type(vertex[0]) not in _NUMBER_TYPES
+            or type(vertex[1]) not in _NUMBER_TYPES
+        ):
+            raise SchemaError(f"{where}: vertex {j} must be an [x, y] number pair")
+        x, y = vertex
+        if not (exact and 0 <= x <= width and 0 <= y <= height):
+            try:
+                fx, fy = float(x), float(y)
+            except OverflowError:
+                raise SchemaError(f"{where}: vertex {j} outside the {width}x{height} page") from None
+            if not (0 <= fx <= width) or not (0 <= fy <= height):
+                raise SchemaError(
+                    f"{where}: vertex {j} ({fx}, {fy}) outside the {width}x{height} page"
+                )
+        if x < x_min:
+            x_min = x
+        if x > x_max:
+            x_max = x
+        if y < y_min:
+            y_min = y
+        if y > y_max:
+            y_max = y
+    confidence = _confidence(word, where)
+    # float is monotone, so the float of the least coordinate is the
+    # least of the coordinates' floats.
+    bbox = BBox(
+        float(x_min) / width,
+        float(y_min) / height,
+        float(x_max) / width,
+        float(y_max) / height,
+    )
+    return Token(i, text, bbox, EntityLabel.UNTAGGED, None, confidence)
+
+
 def parse_ocr(data: bytes | str) -> Document:
     """Parse an OCR dump into a Document with all tokens untagged.
 
@@ -183,6 +243,11 @@ def parse_ocr(data: bytes | str) -> Document:
     a schema error naming the word index. The doc id must be usable as a
     file name: not empty, ``.`` or ``..``, and free of ``/``, ``\\`` and
     NUL. The doc id and every text must be encodable as UTF-8.
+
+    The common word (ASCII text, a float confidence or none, every vertex
+    a number pair on a page below 2**53) is checked inline; every other
+    word takes the field-by-field checks of :func:`_word_token`, which
+    alone name errors.
     """
     raw = _load_object(data)
     doc_id = _doc_id(raw)
@@ -192,53 +257,57 @@ def parse_ocr(data: bytes | str) -> Document:
     # the test of the coordinate's float does; on a larger page every vertex
     # takes the float test.
     exact = width < 2**53 and height < 2**53
+    words = _require(raw, "words", "top level")
+    if not isinstance(words, list):
+        raise SchemaError("words: expected a list")
 
     tokens: list[Token] = []
-    for where, word in _records(raw, "words", "word"):
-        text = _text(word, where)
-        polygon = _require(word, "polygon", where)
-        if not isinstance(polygon, list) or len(polygon) < 3:
-            raise SchemaError(f"{where}: polygon needs at least 3 vertices")
-        # The envelope is taken as the vertices are checked. Strict tests keep
-        # the first of equal extremes, as min and max do (0 against -0.0).
-        x_min = y_min = _INF
-        x_max = y_max = -_INF
-        for j, vertex in enumerate(polygon):
-            if (
-                type(vertex) is not list
-                or len(vertex) != 2
-                or type(vertex[0]) not in _NUMBER_TYPES
-                or type(vertex[1]) not in _NUMBER_TYPES
-            ):
-                raise SchemaError(f"{where}: vertex {j} must be an [x, y] number pair")
-            x, y = vertex
-            if not (exact and 0 <= x <= width and 0 <= y <= height):
-                try:
-                    fx, fy = float(x), float(y)
-                except OverflowError:
-                    raise SchemaError(f"{where}: vertex {j} outside the {width}x{height} page") from None
-                if not (0 <= fx <= width) or not (0 <= fy <= height):
-                    raise SchemaError(
-                        f"{where}: vertex {j} ({fx}, {fy}) outside the {width}x{height} page"
-                    )
-            if x < x_min:
-                x_min = x
-            if x > x_max:
-                x_max = x
-            if y < y_min:
-                y_min = y
-            if y > y_max:
-                y_max = y
-        confidence = _confidence(word, where)
-        # float is monotone, so the float of the least coordinate is the
-        # least of the coordinates' floats.
-        bbox = BBox(
-            float(x_min) / width,
-            float(y_min) / height,
-            float(x_max) / width,
-            float(y_max) / height,
-        )
-        tokens.append(Token(len(tokens), text, bbox, EntityLabel.UNTAGGED, None, confidence))
+    for i, word in enumerate(words):
+        if (
+            exact
+            and type(word) is dict
+            and type(text := word.get("text")) is str
+            and text
+            and text.isascii()
+            and type(polygon := word.get("polygon")) is list
+            and len(polygon) >= 3
+            and (
+                (confidence := word.get("confidence")) is None
+                or type(confidence) is float and 0.0 <= confidence <= 1.0
+            )
+        ):
+            # The vertex loop of _word_token, leaving at the first vertex
+            # that is not a number pair inside the page.
+            x_min = y_min = _INF
+            x_max = y_max = -_INF
+            for vertex in polygon:
+                if not (
+                    type(vertex) is list
+                    and len(vertex) == 2
+                    and type(x := vertex[0]) in _NUMBER_TYPES
+                    and type(y := vertex[1]) in _NUMBER_TYPES
+                    and 0 <= x <= width
+                    and 0 <= y <= height
+                ):
+                    break
+                if x < x_min:
+                    x_min = x
+                if x > x_max:
+                    x_max = x
+                if y < y_min:
+                    y_min = y
+                if y > y_max:
+                    y_max = y
+            else:
+                bbox = _tuple_new(BBox, (
+                    float(x_min) / width,
+                    float(y_min) / height,
+                    float(x_max) / width,
+                    float(y_max) / height,
+                ))
+                tokens.append(_tuple_new(Token, (i, text, bbox, _UNTAGGED, None, confidence)))
+                continue
+        tokens.append(_word_token(word, i, width, height, exact))
     return Document(doc_id=doc_id, tokens=tuple(tokens), page_width=width, page_height=height)
 
 
@@ -440,6 +509,36 @@ _LABELS_BY_VALUE = {label.value: label for label in EntityLabel}
 _SOURCES_BY_VALUE = {source.value: source for source in LabelSource}
 
 
+def _result_token(rt: Any, i: int) -> Token:
+    """Token ``i`` of a result file, by the field-by-field checks, which
+    name the first field at fault."""
+    where = f"token {i}"
+    if not isinstance(rt, dict):
+        raise SchemaError(f"{where}: expected an object")
+    token_id = _require(rt, "token_id", where)
+    if type(token_id) is not int:
+        raise SchemaError(f"{where}: token_id must be an integer")
+    if token_id != i:
+        raise SchemaError(
+            f"{where}: token_id {token_id} is duplicated or out of order "
+            "(ids must be dense 0..n-1)"
+        )
+    text = _text(rt, where)
+    label = _lookup(_LABELS_BY_VALUE, _require(rt, "label", where), where, "label")
+    source = rt.get("source")
+    if source is not None:
+        source = _lookup(_SOURCES_BY_VALUE, source, where, "label source")
+    if (source is None) is not (label is EntityLabel.UNTAGGED):
+        raise SchemaError(
+            f"{where}: labeled token has no label source"
+            if source is None
+            else f"{where}: untagged token carries a label source"
+        )
+    confidence = _confidence(rt, where)
+    bbox = _bbox_from_json(_require(rt, "bbox", where), where)
+    return Token(token_id, text, bbox, label, source, confidence)
+
+
 def parse_result(data: bytes | str) -> tuple[Document, tuple[ProductGroup, ...]]:
     """Inverse of :func:`serialize_result`.
 
@@ -448,39 +547,59 @@ def parse_result(data: bytes | str) -> tuple[Document, tuple[ProductGroup, ...]]
     derived ``entities``/``corrected`` fields are ignored on read. Token
     ids must be dense ``0..n-1`` in file order, as every writer emits them,
     and a token must name its label source exactly when it is labeled.
-    The doc id follows the rule of :func:`parse_ocr`.
+    No token may belong to two groups, or twice to one. The doc id follows
+    the rule of :func:`parse_ocr`.
+
+    The common token (ASCII text, float box and confidence, as
+    :func:`serialize_result` writes them) is checked inline; every other
+    token takes the field-by-field checks of :func:`_result_token`, which
+    alone name errors.
     """
     raw = _load_object(data)
     doc_id = _doc_id(raw)
     width, height = _page_dims(_require(raw, "page", "top level"))
+    items = _require(raw, "tokens", "top level")
+    if not isinstance(items, list):
+        raise SchemaError("tokens: expected a list")
 
     tokens: list[Token] = []
-    for where, rt in _records(raw, "tokens", "token"):
-        token_id = _require(rt, "token_id", where)
-        if type(token_id) is not int:
-            raise SchemaError(f"{where}: token_id must be an integer")
-        if token_id != len(tokens):
-            raise SchemaError(
-                f"{where}: token_id {token_id} is duplicated or out of order "
-                "(ids must be dense 0..n-1)"
+    for i, rt in enumerate(items):
+        if (
+            type(rt) is dict
+            and type(token_id := rt.get("token_id")) is int
+            and token_id == i
+            and type(text := rt.get("text")) is str
+            and text
+            and text.isascii()
+            and type(label := rt.get("label")) is str
+            and (label := _LABELS_BY_VALUE.get(label)) is not None
+            and (
+                (source := rt.get("source")) is None
+                if label is _UNTAGGED
+                else type(source := rt.get("source")) is str
+                and (source := _SOURCES_BY_VALUE.get(source)) is not None
             )
-        text = _text(rt, where)
-        label = _lookup(_LABELS_BY_VALUE, _require(rt, "label", where), where, "label")
-        source = rt.get("source")
-        if source is not None:
-            source = _lookup(_SOURCES_BY_VALUE, source, where, "label source")
-        if (source is None) is not (label is EntityLabel.UNTAGGED):
-            raise SchemaError(
-                f"{where}: labeled token has no label source"
-                if source is None
-                else f"{where}: untagged token carries a label source"
+            and (
+                (confidence := rt.get("confidence")) is None
+                or type(confidence) is float and 0.0 <= confidence <= 1.0
             )
-        confidence = _confidence(rt, where)
-        bbox = _bbox_from_json(_require(rt, "bbox", where), where)
-        tokens.append(Token(token_id, text, bbox, label, source, confidence))
+            and type(box := rt.get("bbox")) is dict
+            and type(x_min := box.get("x_min")) is float
+            and type(y_min := box.get("y_min")) is float
+            and type(x_max := box.get("x_max")) is float
+            and type(y_max := box.get("y_max")) is float
+            # BBox.is_valid; NaN fails it.
+            and 0.0 <= x_min <= x_max <= 1.0
+            and 0.0 <= y_min <= y_max <= 1.0
+        ):
+            bbox = _tuple_new(BBox, (x_min, y_min, x_max, y_max))
+            tokens.append(_tuple_new(Token, (i, text, bbox, label, source, confidence)))
+        else:
+            tokens.append(_result_token(rt, i))
     doc = Document(doc_id=doc_id, tokens=tuple(tokens), page_width=width, page_height=height)
 
     groups: list[ProductGroup] = []
+    claimed: dict[int, int] = {}  # token id -> index of the group that holds it
     for where, rp in _records(raw, "products", "product"):
         group_id = _require(rp, "group_id", where)
         line_indices = _require(rp, "line_indices", where)
@@ -497,15 +616,20 @@ def parse_result(data: bytes | str) -> tuple[Document, tuple[ProductGroup, ...]]
             )
         if not isinstance(incomplete, bool):
             raise SchemaError(f"{where}: incomplete must be a boolean")
-        groups.append(
-            ProductGroup(
-                group_id=group_id,
-                line_indices=tuple(line_indices),
-                token_ids=tuple(_token_id(tid, where, "token_ids", len(tokens)) for tid in token_ids),
-                bbox=_bbox_from_json(_require(rp, "bbox", where), where),
-                incomplete=incomplete,
-            )
+        group = ProductGroup(
+            group_id=group_id,
+            line_indices=tuple(line_indices),
+            token_ids=tuple(_token_id(tid, where, "token_ids", len(tokens)) for tid in token_ids),
+            bbox=_bbox_from_json(_require(rp, "bbox", where), where),
+            incomplete=incomplete,
         )
+        for tid in group.token_ids:
+            if tid in claimed:
+                raise SchemaError(
+                    f"{where}: token id {tid} already belongs to product {claimed[tid]}"
+                )
+            claimed[tid] = len(groups)
+        groups.append(group)
     return doc, tuple(groups)
 
 

@@ -16,14 +16,19 @@ from typing import Any, Sequence
 from receipt_kie.errors import SchemaError
 from receipt_kie.evaluation import EntityCounts, MatchMode
 from receipt_kie.ingest import (
+    _LABELS_BY_VALUE,
+    _SOURCES_BY_VALUE,
+    _bbox_from_json,
     _confidence,
     _doc_id,
     _is_number,
     _load_object,
+    _lookup,
     _page_dims,
     _records,
     _require,
     _text,
+    _token_id,
 )
 from receipt_kie.layout import assign_entities
 from receipt_kie.model import (
@@ -419,6 +424,72 @@ def reference_parse_ocr(data: bytes | str) -> Document:
         bbox = BBox(min(xs) / width, min(ys) / height, max(xs) / width, max(ys) / height)
         tokens.append(Token(token_id=len(tokens), text=text, bbox=bbox, confidence=confidence))
     return Document(doc_id=doc_id, tokens=tuple(tokens), page_width=width, page_height=height)
+
+
+# --------------------------------------------------------------------------
+# Result reader reference: every token through the field-by-field checks,
+# in the order they run. Groups may share tokens here; the package refuses
+# that, so the differential test draws disjoint groups, as writers emit.
+
+
+def reference_parse_result(data: bytes | str) -> tuple[Document, tuple[ProductGroup, ...]]:
+    raw = _load_object(data)
+    doc_id = _doc_id(raw)
+    width, height = _page_dims(_require(raw, "page", "top level"))
+
+    tokens: list[Token] = []
+    for where, rt in _records(raw, "tokens", "token"):
+        token_id = _require(rt, "token_id", where)
+        if type(token_id) is not int:
+            raise SchemaError(f"{where}: token_id must be an integer")
+        if token_id != len(tokens):
+            raise SchemaError(
+                f"{where}: token_id {token_id} is duplicated or out of order "
+                "(ids must be dense 0..n-1)"
+            )
+        text = _text(rt, where)
+        label = _lookup(_LABELS_BY_VALUE, _require(rt, "label", where), where, "label")
+        source = rt.get("source")
+        if source is not None:
+            source = _lookup(_SOURCES_BY_VALUE, source, where, "label source")
+        if (source is None) is not (label is EntityLabel.UNTAGGED):
+            raise SchemaError(
+                f"{where}: labeled token has no label source"
+                if source is None
+                else f"{where}: untagged token carries a label source"
+            )
+        confidence = _confidence(rt, where)
+        bbox = _bbox_from_json(_require(rt, "bbox", where), where)
+        tokens.append(Token(token_id, text, bbox, label, source, confidence))
+    doc = Document(doc_id=doc_id, tokens=tuple(tokens), page_width=width, page_height=height)
+
+    groups: list[ProductGroup] = []
+    for where, rp in _records(raw, "products", "product"):
+        group_id = _require(rp, "group_id", where)
+        line_indices = _require(rp, "line_indices", where)
+        token_ids = _require(rp, "token_ids", where)
+        incomplete = rp.get("incomplete", False)
+        if type(group_id) is not int:
+            raise SchemaError(f"{where}: group_id must be an integer")
+        for name, ids in (("line_indices", line_indices), ("token_ids", token_ids)):
+            if not isinstance(ids, list) or not all(type(v) is int for v in ids):
+                raise SchemaError(f"{where}: {name} must be a list of integers")
+        if line_indices != sorted(set(line_indices)) or (line_indices and line_indices[0] < 0):
+            raise SchemaError(
+                f"{where}: line_indices must be non-negative and increasing, got {line_indices}"
+            )
+        if not isinstance(incomplete, bool):
+            raise SchemaError(f"{where}: incomplete must be a boolean")
+        groups.append(
+            ProductGroup(
+                group_id=group_id,
+                line_indices=tuple(line_indices),
+                token_ids=tuple(_token_id(tid, where, "token_ids", len(tokens)) for tid in token_ids),
+                bbox=_bbox_from_json(_require(rp, "bbox", where), where),
+                incomplete=incomplete,
+            )
+        )
+    return doc, tuple(groups)
 
 
 # --------------------------------------------------------------------------

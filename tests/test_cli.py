@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from receipt_kie import ingest
 from receipt_kie.cli import main
 from receipt_kie.ingest import canonical_json
+from receipt_kie.model import LabelSource
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -393,6 +395,39 @@ class TestDecodeCommand:
         assert len(results) == 20
 
 
+def test_the_inline_reader_checks_carry_every_synth_record(
+    corpus_dir, results_dir, tmp_path, monkeypatch
+):
+    # parse_ocr and parse_result check the common record inline and send
+    # the rest to the field-by-field checks. A synth corpus, its noised
+    # OCR and its import and heuristic decodes hold only common records:
+    # if one reached the slow path, an inline check that always failed
+    # would pass every other test and lose the speed unseen.
+    heuristic = tmp_path / "heuristic"
+    assert run_cli("decode", corpus_dir, "--out", heuristic) == 0
+    ocr_files = [
+        path
+        for folder in (corpus_dir, corpus_dir / "pred")
+        for path in folder.glob("*.json")
+        if not path.name.endswith((".truth.json", ".pred.json")) and path.name != "manifest.json"
+    ]
+    result_files = [*results_dir.glob("*.result.json"), *heuristic.glob("*.result.json")]
+    assert len(ocr_files) == len(result_files) == 40
+
+    def slow_path(*args):
+        raise AssertionError(f"field-by-field checks reached for record {args[1]}")
+
+    monkeypatch.setattr(ingest, "_word_token", slow_path)
+    monkeypatch.setattr(ingest, "_result_token", slow_path)
+    for path in ocr_files:
+        ingest.parse_ocr(path.read_bytes())
+    sources = set()
+    for path in result_files:
+        doc, _ = ingest.parse_result(path.read_bytes())
+        sources.update(tok.source for tok in doc.tokens)
+    assert sources == {None, *LabelSource} - {LabelSource.GROUND_TRUTH}
+
+
 class TestEvalCommand:
     def test_reports_and_exits_zero(self, corpus_dir, results_dir, capsys):
         assert run_cli("eval", "--results", results_dir, "--truth", corpus_dir) == 0
@@ -559,9 +594,33 @@ class TestEvalCommand:
         assert proc.stderr == f"ERROR receipt_kie.cli: {bad}: token 0: unknown label 'bogus'\n"
 
     def test_missing_truth_directory_fails(self, results_dir, tmp_path):
+        # The truth is blamed, not the first result file.
         empty = tmp_path / "no-truth"
         empty.mkdir()
-        assert run_cli("eval", "--results", results_dir, "--truth", empty) == 1
+        error = error_line(run_module("eval", "--results", results_dir, "--truth", empty))
+        assert error == f"ERROR receipt_kie.cli: no *.truth.json files in {empty}"
+
+    def test_missing_truth_with_no_results_is_not_an_empty_report(self, tmp_path):
+        results = tmp_path / "results"
+        results.mkdir()
+        typo = tmp_path / "typo"
+        error = error_line(run_module("eval", "--results", results, "--truth", typo))
+        assert error == f"ERROR receipt_kie.cli: no *.truth.json files in {typo}"
+
+    def test_a_token_in_two_groups_is_refused(self, corpus_dir, results_dir, tmp_path):
+        # Group 0 lists each of its tokens twice, and a copy of it follows
+        # the last group.
+        victim = tmp_path / sorted(results_dir.glob("*.result.json"))[0].name
+        payload = json.loads((results_dir / victim.name).read_text())
+        first = payload["products"][0]
+        first["token_ids"] *= 2
+        payload["products"].append(dict(first))
+        victim.write_text(json.dumps(payload))
+        error = error_line(run_module("eval", "--results", victim, "--truth", corpus_dir))
+        tid = first["token_ids"][0]
+        assert error == (
+            f"ERROR receipt_kie.cli: {victim}: product 0: token id {tid} already belongs to product 0"
+        )
 
 
 # A receipt whose price sits left of the heuristic price band, so the

@@ -27,7 +27,7 @@ from receipt_kie.layout import detect_lines_geometric, group_product_lines
 from receipt_kie.model import BBox, Document, EntityLabel, LabelSource, Product, ProductGroup, Token
 
 from helpers import make_doc, make_token
-from reference_impls import reference_parse_ocr, reference_result_payload
+from reference_impls import reference_parse_ocr, reference_parse_result, reference_result_payload
 
 
 def ocr_payload(**overrides):
@@ -349,6 +349,25 @@ class TestResultRoundTrip:
         payload = json.loads(serialize_result(labeled_receipt, self._decode(labeled_receipt)))
         payload["products"][0]["bbox"]["x_max"] = value
         with pytest.raises(SchemaError, match=r"product 0: bbox"):
+            parse_result(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda products: products[0]["token_ids"].append(products[0]["token_ids"][0]),
+             "product 0: token id 1 already belongs to product 0"),
+            (lambda products: products.append(dict(products[0])),
+             "product 2: token id 1 already belongs to product 0"),
+            (lambda products: products[1]["token_ids"].append(3),
+             "product 1: token id 3 already belongs to product 0"),
+        ],
+        ids=["listed-twice", "copied-group", "shared-token"],
+    )
+    def test_a_token_belongs_to_one_group_at_most(self, labeled_receipt, edit, message):
+        payload = json.loads(serialize_result(labeled_receipt, self._decode(labeled_receipt)))
+        assert payload["products"][0]["token_ids"][0] == 1
+        edit(payload["products"])
+        with pytest.raises(SchemaError, match=message):
             parse_result(json.dumps(payload))
 
     def test_non_ascii_text_survives(self):
@@ -696,6 +715,13 @@ _MIXED = [[10, 20.5], [90.25, 20], [90, 30], [10.0, 30]]
 @example(payload=ocr_payload(words=[{"text": "A", "polygon": [[-0.0, -0.0], [0, 0], [0, 0]]}]))
 @example(payload=ocr_payload(words=[{"text": "A", "polygon": [[0, 0], [-0.0, -0.0], [-0.0, -0.0]]}]))
 @example(payload=ocr_payload(words=[{"text": "A", "polygon": [[10, 10], [20, True], [20, 20]]}]))
+# Words the inline check sends to the field-by-field one: non-ASCII text and
+# integer confidences, next to a float one that it keeps.
+@example(payload=ocr_payload(words=[{"text": "Café", "polygon": _MIXED}]))
+@example(payload=ocr_payload(words=[{"text": "A\ud800", "polygon": _MIXED}]))
+@example(payload=ocr_payload(words=[{"text": "A", "polygon": _MIXED, "confidence": 0}]))
+@example(payload=ocr_payload(words=[{"text": "A", "polygon": _MIXED, "confidence": 1}]))
+@example(payload=ocr_payload(words=[{"text": "A", "polygon": _MIXED, "confidence": 0.5}]))
 # float(2**53 + 1) is 2**53, inside a 2**53 page; float(2**53 + 3) is
 # 2**53 + 4, outside a 2**53 + 3 page.
 @example(
@@ -707,3 +733,117 @@ _MIXED = [[10, 20.5], [90.25, 20], [90, 30], [10.0, 30]]
 def test_parse_ocr_matches_the_reference(payload):
     data = json.dumps(payload).encode("utf-8")
     assert _outcome(parse_ocr, data) == _outcome(reference_parse_ocr, data)
+
+
+# --------------------------------------------------------------------------
+# parse_result checks the common token inline and sends every other one to
+# the field-by-field checks; the reference runs those checks on every token.
+# On any input both return equal documents and groups, or raise the same
+# error.
+
+_UNIT = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 0.1 + 0.2, 1.0]), st.floats(0, 1))
+_RESULT_TEXT = st.sampled_from(["MILK", "12.50", "Café", "€3", "A\ud800", "\u2028"])
+
+
+@st.composite
+def unit_boxes(draw) -> BBox:
+    x0, x1 = sorted((draw(_UNIT), draw(_UNIT)))
+    y0, y1 = sorted((draw(_UNIT), draw(_UNIT)))
+    return BBox(x0, y0, x1, y1)
+
+
+@st.composite
+def result_tokens(draw, i: int) -> Token:
+    label = draw(st.sampled_from(EntityLabel))
+    source = None if label is EntityLabel.UNTAGGED else draw(st.sampled_from(LabelSource))
+    confidence = draw(st.none() | _UNIT)
+    return Token(i, draw(_RESULT_TEXT), draw(unit_boxes()), label, source, confidence)
+
+
+_NAN, _INF = float("nan"), float("inf")
+_NOT_A_NUMBER = [True, False, None, "1", [0.5]]
+# Each damage sets one field of a token to one of these values, or drops it.
+_TOKEN_DAMAGES = {
+    "token_id": [True, 0.0, 1.0, -1, 0, 1, 10**400, "0"],
+    "text": ["", "é", "A\ud800", "\ud800\udc00", 5],
+    "label": ["untagged", "price", "total", 3],
+    "source": [None, "model", "correction", "oracle", 3],
+    "confidence": [0, 1, 0.5, -0.0, 1.5, -0.25, _NAN, _INF, 10**400, *_NOT_A_NUMBER],
+    "bbox": [None, [0.0, 0.0, 1.0, 1.0], {"x_min": 0.0}],
+}
+_COORDINATES = [0, 1, 0.0, 0.5, 1.0, -0.0, 1.5, -0.25, _NAN, _INF, -_INF, 10**400, *_NOT_A_NUMBER]
+
+
+@st.composite
+def result_payloads(draw):
+    """serialize_result output for a page of tokens in disjoint groups, as
+    every writer emits them, then up to three damages: a token field of
+    another type or value (int, bool, NaN, infinite or huge numbers,
+    non-ASCII or lone-surrogate text, a label without its source or the
+    reverse), a field missing, a record that is not an object, or a bad
+    group token id."""
+    n = draw(st.integers(0, 5))
+    doc = make_doc([draw(result_tokens(i)) for i in range(n)])
+    ids = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=2)))
+    spans = zip([0, *cuts], [*cuts, n])
+    groups = [
+        ProductGroup(g, (g,), tuple(ids[a:b]), draw(unit_boxes()))
+        for g, (a, b) in enumerate(spans)
+    ]
+    payload = json.loads(serialize_result(doc, groups))
+    tokens = payload["tokens"]
+    for _ in range(draw(st.integers(0, 3)) if tokens else 0):
+        j = draw(st.integers(0, n - 1))
+        target = draw(st.sampled_from(["field", "field", "coordinate", "coordinate", "missing",
+                                       "record", "group"]))
+        if target == "record":
+            tokens[j] = draw(st.sampled_from([None, [], "token", 0]))
+        elif target == "group":
+            group = draw(st.sampled_from(payload["products"]))
+            group["token_ids"].append(draw(st.sampled_from([True, 1.0, -1, n, 10**400])))
+        elif not isinstance(tokens[j], dict):
+            continue
+        elif target == "field":
+            key = draw(st.sampled_from(sorted(_TOKEN_DAMAGES)))
+            tokens[j][key] = draw(st.sampled_from(_TOKEN_DAMAGES[key]))
+        elif target == "missing":
+            tokens[j].pop(draw(st.sampled_from(sorted(_TOKEN_DAMAGES))), None)
+        elif isinstance(box := tokens[j].get("bbox"), dict):
+            box[draw(st.sampled_from(sorted(box)))] = draw(st.sampled_from(_COORDINATES))
+    return payload
+
+
+def _result_with(path: str, value) -> dict:
+    """A two-token result with ``value`` at ``path`` (``"1.bbox.x_min"``:
+    the x_min of token 1's box)."""
+    doc = make_doc(
+        [make_token(0, "MILK", 0, 10), make_token(1, "2.50", 50, 10, label=EntityLabel.PRICE)]
+    )
+    payload = json.loads(serialize_result(doc, []))
+    *keys, last = path.split(".")
+    target = payload["tokens"]
+    for key in keys:
+        target = target[int(key) if key.isdigit() else key]
+    target[last] = value
+    return payload
+
+
+@settings(max_examples=500, deadline=None)
+@given(payload=result_payloads())
+# Tokens the inline check sends to the field-by-field one, which reads them
+# (integer coordinates and confidences, non-ASCII text) or names the fault.
+@example(payload=_result_with("1.bbox.x_min", 0))
+@example(payload=_result_with("1.bbox.y_max", 1))
+@example(payload=_result_with("1.confidence", 0))
+@example(payload=_result_with("1.confidence", 1))
+@example(payload=_result_with("1.confidence", 0.5))
+@example(payload=_result_with("1.text", "Café"))
+@example(payload=_result_with("1.text", "A\ud800"))
+@example(payload=_result_with("1.token_id", 0))
+@example(payload=_result_with("0.source", "model"))
+@example(payload=_result_with("1.source", None))
+@example(payload=_result_with("1.bbox.x_max", 0.0))
+def test_parse_result_matches_the_reference(payload):
+    data = json.dumps(payload).encode("utf-8")
+    assert _outcome(parse_result, data) == _outcome(reference_parse_result, data)
