@@ -395,9 +395,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
             adversarial_rate=args.adversarial_rate,
         )
         fn_rates = _parse_rate_flags(args.fn_rate or [], _FN_RATE_NAMES, "--fn-rate")
-        corruption = None
-        if fn_rates or args.ocr_noise > 0.0:
-            corruption = CorruptionSpec(ocr_noise_rate=args.ocr_noise, **fn_rates)
+        corruption = CorruptionSpec(ocr_noise_rate=args.ocr_noise, **fn_rates)
+        if not fn_rates and args.ocr_noise == 0.0:
+            corruption = None  # a clean corpus, without pred/
     except (ValueError, argparse.ArgumentTypeError) as exc:
         log.error("%s", exc)
         return 2

@@ -11,7 +11,9 @@ regularities:
 
 Each rule only fires for a group that lacks the entity entirely (false
 negatives only — an existing model or heuristic label is never touched,
-so a rule can add recall but never undo precision). The code and quantity
+so a rule can add recall but never undo precision); a group that already
+holds all three entities is skipped whole, without parsing a word, and a
+document where no rule fires comes back as it was. The code and quantity
 rules are guarded: the candidate must be strictly greater (code) or
 strictly smaller (quantity) than some *other* integer among the group's
 originally-untagged words, otherwise a lone stray number would be
@@ -81,28 +83,38 @@ def _split_number(
     for a plain integer).
 
     Returns None when the token is not a number. The integer part of a
-    decimal may be empty (".50"); the fractional part may not. Digit runs
-    come back uncapped: each caller applies its own length limit.
+    decimal may be empty (".50"); the fractional part may not, so a token
+    that is not all digits and does not end in a digit is rejected at once.
+    Digit runs come back uncapped: each caller applies its own length limit.
+
+    An ASCII text is stripped by one ``str.strip``, since ``$`` is the only
+    ASCII character in the Unicode "Sc" category; any other text is
+    stripped one character at a time. The split itself runs no Python code
+    per character.
     """
+    if text.isascii():
+        s = text.strip(strip_chars + "$")
+    else:
 
-    def strippable(ch: str) -> bool:
-        return ch in strip_chars or unicodedata.category(ch) == "Sc"
+        def strippable(ch: str) -> bool:
+            return ch in strip_chars or unicodedata.category(ch) == "Sc"
 
-    start, end = 0, len(text)
-    while start < end and strippable(text[start]):
-        start += 1
-    while end > start and strippable(text[end - 1]):
-        end -= 1
-    s = text[start:end]
+        start, end = 0, len(text)
+        while start < end and strippable(text[start]):
+            start += 1
+        while end > start and strippable(text[end - 1]):
+            end -= 1
+        s = text[start:end]
     if _DIGITS.issuperset(s):
         return (s, None) if s else None
-    sep_positions = [i for i, ch in enumerate(s) if ch in config.decimal_separators]
-    if len(sep_positions) != 1:
+    if s[-1] not in _DIGITS:
         return None
-    int_part, frac_part = s[: sep_positions[0]], s[sep_positions[0] + 1 :]
-    if not frac_part or not _DIGITS.issuperset(frac_part) or not _DIGITS.issuperset(int_part):
+    # What is left is digits, one separator and at least one digit to the
+    # end, so the separator is the last character that is not a digit.
+    head = s.rstrip("0123456789")
+    if head[-1] not in config.decimal_separators or not _DIGITS.issuperset(head[:-1]):
         return None
-    return int_part, frac_part
+    return head[:-1], s[len(head) :]
 
 
 def parse_integer(text: str, config: NumericParseConfig = DEFAULT_PARSE_CONFIG) -> int | None:
@@ -181,7 +193,8 @@ def apply_corrections(
 
     Corrected tokens get ``source=CORRECTION``. Tokens that already carry
     a label are never modified, so the output is the input plus zero or
-    more promotions — which also makes a second application a no-op.
+    more promotions — which also makes a second application a no-op. With
+    no promotion, the output is ``doc`` itself.
     """
     current: dict[int, Token] = {tok.token_id: tok for tok in doc.tokens}
     records: list[CorrectionRecord] = []
@@ -189,6 +202,8 @@ def apply_corrections(
     for group in groups:
         tokens = [current[tid] for tid in group.token_ids]
         present = {tok.label for tok in tokens}
+        if _RULES.keys() <= present:  # every rule's outcome is "entity present"
+            continue
         pool = [tok for tok in tokens if tok.label is EntityLabel.UNTAGGED]
         guard_ints = [v for tok in pool if (v := parse_integer(tok.text, config)) is not None]
         for entity, (parse, best, guard) in _RULES.items():
@@ -207,5 +222,7 @@ def apply_corrections(
             pool.remove(tok)
             records.append(CorrectionRecord(group.group_id, entity, tok.token_id, target))
 
+    if not records:
+        return doc, records
     corrected = doc.with_tokens(current[tok.token_id] for tok in doc.tokens)
     return corrected, records

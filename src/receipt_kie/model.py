@@ -10,13 +10,13 @@ so everything downstream (line detection, grouping, rendering) works in
 the same unit square regardless of scan resolution.
 
 All types here are immutable value objects. Pipeline stages never mutate
-a document in place; they return a new one (see e.g.
-:func:`receipt_kie.corrections.apply_corrections`), which keeps shared
-documents safe to read concurrently. :class:`BBox` and :class:`Token`,
-built once per word by every stage, are named tuples, which are cheap to
-build: each compares equal to the plain tuple of its fields and gets a
-changed copy from ``_replace``. The types built once per document or
-group are frozen dataclasses.
+a document in place; they return a new one, or the same one when they
+change nothing (see e.g. :func:`receipt_kie.corrections.apply_corrections`),
+which keeps shared documents safe to read concurrently. :class:`BBox` and
+:class:`Token`, built once per word by every stage, are named tuples,
+which are cheap to build: each compares equal to the plain tuple of its
+fields and gets a changed copy from ``_replace``. The types built once
+per document or group are frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -168,9 +168,13 @@ class Document:
         UNTAGGED. Every other token comes back untagged, with no source and
         no confidence. Text and geometry are kept."""
         untagged = (EntityLabel.UNTAGGED, None, None)
+        # tuple.__new__ builds each Token from fields of a checked token and a
+        # label triple: the arity is fixed, and a named tuple's generated
+        # __new__ costs one Python call.
+        new = tuple.__new__
         return self.with_tokens(
-            Token(tok.token_id, tok.text, tok.bbox, *labels.get(tok.token_id, untagged))
-            for tok in self.tokens
+            new(Token, (token_id, text, bbox) + labels.get(token_id, untagged))
+            for token_id, text, bbox, _, _, _ in self.tokens
         )
 
 

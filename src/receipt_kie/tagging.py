@@ -87,8 +87,7 @@ _TAG_STRIP_CHARS = ""
 
 
 def _alpha_majority(text: str) -> bool:
-    alpha = sum(1 for ch in text if ch.isalpha())
-    return alpha * 2 > len(text)
+    return sum(map(str.isalpha, text)) * 2 > len(text)
 
 
 def heuristic_tag(doc: Document, config: NumericParseConfig = DEFAULT_PARSE_CONFIG) -> Document:
@@ -105,13 +104,19 @@ def heuristic_tag(doc: Document, config: NumericParseConfig = DEFAULT_PARSE_CONF
     5. otherwise untagged
 
     Numbers are read with ``config``'s decimal separators, like the
-    correction rules read them. Pre-existing labels are discarded; output
-    labels carry ``source=HEURISTIC``. Deterministic: same document, same
-    labels, bit for bit.
+    correction rules read them. An all-letter word skips the lexer: it
+    holds no ASCII digit, so it is a description under any config.
+    Pre-existing labels are discarded; output labels carry
+    ``source=HEURISTIC``. Deterministic: same document, same labels, bit
+    for bit.
     """
     qty_lo, qty_hi = _QUANTITY_BAND
     labels: dict[int, tuple[EntityLabel, LabelSource, None]] = {}
     for tok in doc.tokens:
+        if tok.text.isalpha():
+            # No ASCII digit, so rules 1-3 cannot match; all letters, so rule 4 does.
+            labels[tok.token_id] = (EntityLabel.DESCRIPTION, LabelSource.HEURISTIC, None)
+            continue
         number = _split_number(tok.text, _TAG_STRIP_CHARS, config)
         digits, fraction = number or ("", None)
         is_integer = bool(digits) and fraction is None

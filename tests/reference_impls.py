@@ -3,9 +3,10 @@
 Everything here is written from the rules as stated, in the most literal
 way possible, with no code shared with the package — the point is that a
 bug would have to be made twice, in two different shapes, to go unseen.
-The file-format and scorer references at the end are the exception: each
-keeps an earlier, plainer version of one step of the package and shares
-the rest (field checks, entity resolution, the count type) with it.
+The numeric lexer reference and the file-format and scorer references at
+the end are the exception: each keeps an earlier, plainer version of one
+step of the package and shares the rest (the parse config, field checks,
+entity resolution, the count type) with it.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import unicodedata
 from typing import Any, Sequence
 
+from receipt_kie.corrections import NumericParseConfig
 from receipt_kie.errors import SchemaError
 from receipt_kie.evaluation import EntityCounts, MatchMode
 from receipt_kie.ingest import (
@@ -281,6 +283,37 @@ def oracle_price(pool: list[tuple[int, str]]) -> tuple[int, float] | None:
 
 
 # --------------------------------------------------------------------------
+# Numeric lexer reference: ``corrections._split_number`` in its plain form,
+# stripping one character at a time and scanning every character of a text
+# that is not all digits.
+
+_DIGITS = frozenset("0123456789")
+
+
+def reference_split_number(
+    text: str, strip_chars: str, config: NumericParseConfig
+) -> tuple[str, str | None] | None:
+    def strippable(ch: str) -> bool:
+        return ch in strip_chars or unicodedata.category(ch) == "Sc"
+
+    start, end = 0, len(text)
+    while start < end and strippable(text[start]):
+        start += 1
+    while end > start and strippable(text[end - 1]):
+        end -= 1
+    s = text[start:end]
+    if _DIGITS.issuperset(s):
+        return (s, None) if s else None
+    sep_positions = [i for i, ch in enumerate(s) if ch in config.decimal_separators]
+    if len(sep_positions) != 1:
+        return None
+    int_part, frac_part = s[: sep_positions[0]], s[sep_positions[0] + 1 :]
+    if not frac_part or not _DIGITS.issuperset(frac_part) or not _DIGITS.issuperset(int_part):
+        return None
+    return int_part, frac_part
+
+
+# --------------------------------------------------------------------------
 # Heuristic tagger oracle: the five rules of the tagger's docstring, first
 # match wins, with the tagger's own reading of numbers. Only currency signs
 # are stripped (never "*#:"), digit runs have no length cap, and the
@@ -302,16 +335,17 @@ def _ascii_digits(s: str) -> bool:
 def oracle_heuristic_label(
     text: str,
     x_min: float,
+    separators: tuple[str, ...] = (".", ","),
     price_band_min_x: float = 0.65,
     quantity_band: tuple[float, float] = (0.45, 0.70),
     max_quantity: int = 99,
     min_code_length: int = 5,
 ) -> EntityLabel:
     s = _strip_currency_signs(text)
-    separators = [i for i, c in enumerate(s) if c in ".,"]
+    positions = [i for i, c in enumerate(s) if c in separators]
     is_decimal = False
-    if len(separators) == 1:
-        head, tail = s[: separators[0]], s[separators[0] + 1 :]
+    if len(positions) == 1:
+        head, tail = s[: positions[0]], s[positions[0] + 1 :]
         is_decimal = tail != "" and _ascii_digits(tail) and _ascii_digits(head)
     is_integer = s != "" and _ascii_digits(s)
     # 1. a decimal number whose left edge sits in the price column

@@ -95,6 +95,16 @@ class TestSynthCommand:
             "--fn-rate", "totals=0.3",
         ) == 2
 
+    @pytest.mark.parametrize("rate", ["-1", "nan"])
+    def test_bad_ocr_noise_is_a_usage_error_without_fn_rates(self, tmp_path, rate):
+        out = tmp_path / "x"
+        proc = run_module(
+            "synth", "--out", out, "--seed", "1", "--docs", "1", "--ocr-noise", rate
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("ERROR receipt_kie.cli: ocr_noise_rate must be a probability")
+        assert not out.exists()
+
     def test_reruns_are_byte_identical(self, tmp_path):
         for sub in ("a", "b"):
             assert run_cli(

@@ -3,7 +3,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from receipt_kie import corrections
@@ -18,7 +18,7 @@ from receipt_kie.model import SCALAR_ENTITIES, EntityLabel, LabelSource, Product
 from receipt_kie.tagging import heuristic_tag
 
 from helpers import make_doc, make_token
-from reference_impls import oracle_parse_float, oracle_parse_int
+from reference_impls import oracle_parse_float, oracle_parse_int, reference_split_number
 
 TOKEN_ALPHABET = "0123456789.,*#:$€¥ xABy-"
 
@@ -131,6 +131,34 @@ class TestParserProperties:
             assert got is None
         else:
             assert got == pytest.approx(want)
+
+
+# Currency signs (ASCII and not), letters, non-ASCII letters and digits,
+# every separator of LEXER_CONFIGS, and the rules' strip characters.
+LEXER_ALPHABET = "0123456789.,x·$€¥₹*#: AbzÉ١１"
+LEXER_CONFIGS = [
+    NumericParseConfig(separators) for separators in [(".", ","), (",",), ("x",), ("·",)]
+]
+
+
+class TestSplitNumberMatchesReference:
+    """The one lexer against its plain form in reference_impls."""
+
+    @pytest.mark.parametrize("config", LEXER_CONFIGS, ids=lambda c: "".join(c.decimal_separators))
+    @pytest.mark.parametrize("strip_chars", ["", "*#:"])
+    @given(st.text(alphabet=LEXER_ALPHABET, max_size=12))
+    @example("")
+    @example("$")
+    @example("$$")
+    @example("$5")
+    @example(".5")
+    @example("5.")
+    @example("€5")
+    @example("5€")
+    @example("x5")
+    def test_same_split(self, strip_chars, config, text):
+        got = corrections._split_number(text, strip_chars, config)
+        assert got == reference_split_number(text, strip_chars, config)
 
 
 # --------------------------------------------------------------------------
@@ -290,7 +318,7 @@ class TestApplyCorrections:
         twice, second_records = apply_corrections(once, [group])
         assert first_records != []
         assert second_records == []
-        assert twice == once
+        assert twice is once
 
     def test_geometry_and_text_untouched(self):
         doc, group = pool_doc([("4902102", U), ("2", U), ("138.00", U)])

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from receipt_kie.corrections import NumericParseConfig, parse_float, parse_integer
+from receipt_kie import tagging
+from receipt_kie.corrections import NumericParseConfig, _split_number, parse_float, parse_integer
 from receipt_kie.errors import LabelConflictError, SchemaError, TokenReferenceError
 from receipt_kie.model import BBox, Document, EntityLabel, LabelSource, Token
+from receipt_kie.synth import CorpusSpec, generate_corpus
 from receipt_kie.tagging import (
     EmbeddingVector,
     fuse_embeddings,
@@ -185,7 +187,7 @@ class TestHeuristicTagOnFixture:
 
 
 TAG_TEXT_PIECES = st.one_of(
-    st.sampled_from(list("0123456789.,*#:$€xAB")),
+    st.sampled_from(list("0123456789.,*#:$€xABÉßΩ١")),
     st.integers(min_value=16, max_value=22).map(lambda n: "9" * n),
     st.integers(min_value=16, max_value=22).map(lambda n: "0" * (n - 1) + "5"),
 )
@@ -203,10 +205,14 @@ LONG_DECIMAL = "1" * 19 + ".50"
 class TestHeuristicTagMatchesReference:
     """heuristic_tag against a literal transcription of its rules."""
 
+    # The second config's separator is a letter, which an all-letter word
+    # may hold: such a word is still no number.
+    @pytest.mark.parametrize("separators", [(".", ","), ("x",)])
     @given(st.lists(st.tuples(TAG_TEXTS, TAG_X), min_size=1, max_size=8))
     @example([("*12345", 0.1), ("12.50*", 0.8), (LONG_INT, 0.1), (LONG_DECIMAL, 0.8)])
     @example([("0" * 17 + "5", 0.5), ("0" * 18 + "5", 0.5), ("$9.99", 0.7), ("#7:", 0.5)])
-    def test_labels_match_the_reference(self, words):
+    @example([("x", 0.8), ("5x50", 0.8), ("xx5", 0.8), ("ABx", 0.1), ("Éß١", 0.1)])
+    def test_labels_match_the_reference(self, separators, words):
         doc = Document(
             "diff",
             tuple(
@@ -216,9 +222,9 @@ class TestHeuristicTagMatchesReference:
             600,
             400,
         )
-        tagged = heuristic_tag(doc)
+        tagged = heuristic_tag(doc, NumericParseConfig(separators))
         for tok, (text, x) in zip(tagged.tokens, words):
-            expected = oracle_heuristic_label(text, x)
+            expected = oracle_heuristic_label(text, x, separators)
             assert tok.label is expected, (text, x)
             assert tok.source is (None if expected is EntityLabel.UNTAGGED else LabelSource.HEURISTIC)
 
@@ -241,6 +247,25 @@ class TestHeuristicTagMatchesReference:
         assert heuristic_tag(doc).tokens[0].label is label
         read = parse_float(text) if "." in text else parse_integer(text)
         assert read == parsed
+
+
+def test_all_letter_words_skip_the_lexer(monkeypatch):
+    # heuristic_tag labels an all-letter word a description without lexing
+    # it. If that path never ran, every other test would still pass and the
+    # speed would be lost unseen.
+    lexed = []
+
+    def lexer(text, strip_chars, config):
+        if text.isalpha():
+            raise AssertionError(f"all-letter word {text!r} reached the lexer")
+        lexed.append(text)
+        return _split_number(text, strip_chars, config)
+
+    monkeypatch.setattr(tagging, "_split_number", lexer)
+    docs = [doc for doc, _ in generate_corpus(CorpusSpec(seed=7, n_docs=20))]
+    for doc in docs:
+        heuristic_tag(doc)
+    assert lexed and any(tok.text.isalpha() for doc in docs for tok in doc.tokens)
 
 
 class TestImportPredictions:
