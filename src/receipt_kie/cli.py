@@ -337,6 +337,11 @@ def _comparison_table(rows: list[tuple[str, EvalReport]]) -> str:
 def cmd_eval(args: argparse.Namespace) -> int:
     try:
         thresholds = _parse_rate_flags(args.min_f1 or [], _MIN_F1_NAMES, "--min-f1")
+        for key, bar in thresholds.items():
+            # NaN fails the test too: a bar that no F1 can miss, or none can
+            # meet, gates nothing.
+            if not 0.0 <= bar <= 1.0:
+                raise argparse.ArgumentTypeError(f"--min-f1 {key}: {bar} is not within [0, 1]")
     except argparse.ArgumentTypeError as exc:
         log.error("%s", exc)
         return 2
@@ -377,6 +382,31 @@ def cmd_eval(args: argparse.Namespace) -> int:
 _FN_RATE_NAMES = _entity_names(lambda label: f"{label.value}_fn_rate")
 
 
+def _remove_synth_files(out_dir: Path) -> None:
+    """Delete the files of the documents that ``out_dir/manifest.json``
+    lists, in the layout synth writes them, and ``pred/`` if that empties
+    it. Every other file stays."""
+    manifest_path = out_dir / "manifest.json"
+    if not manifest_path.is_file():
+        return
+    doc_ids = _require(_parse_file(manifest_path, _load_object), "doc_ids", str(manifest_path))
+    if not isinstance(doc_ids, list) or not all(
+        isinstance(doc_id, str) and "/" not in doc_id and "\0" not in doc_id for doc_id in doc_ids
+    ):
+        raise CorpusMismatchError(f"{manifest_path}: doc_ids must be a list of file names")
+    pred_dir = out_dir / "pred"
+    for doc_id in doc_ids:
+        for path in (
+            out_dir / f"{doc_id}.json",
+            out_dir / f"{doc_id}.truth.json",
+            pred_dir / f"{doc_id}.json",
+            pred_dir / f"{doc_id}{_PRED_SUFFIX}",
+        ):
+            path.unlink(missing_ok=True)
+    if pred_dir.is_dir() and not any(pred_dir.iterdir()):
+        pred_dir.rmdir()
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
@@ -402,6 +432,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         log.error("%s", exc)
         return 2
 
+    if args.force:
+        _remove_synth_files(out_dir)
     manifest = write_corpus(spec, out_dir, corruption)
     print(
         f"wrote {manifest['n_docs']} documents to {out_dir}"
@@ -470,7 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fn-rate", action="append", metavar="NAME=RATE",
                    help="per-entity false-negative rate; enables pred/ output")
     p.add_argument("--ocr-noise", type=float, default=0.0)
-    p.add_argument("--force", action="store_true", help="overwrite a non-empty directory")
+    p.add_argument("--force", action="store_true",
+                   help="write into a non-empty directory, replacing the corpus it holds")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("render", help="render a result file to SVG")

@@ -10,12 +10,13 @@ Parsers are strict — malformed input raises one of the exception types in
 :mod:`receipt_kie.errors` naming the offending record — but unknown JSON
 fields are ignored so files produced by newer writers still load. All four
 readers share one set of field checks, which alone name errors.
-:func:`parse_ocr` and :func:`parse_result` first test each word or token
-in one inline expression on its raw JSON fields. That expression accepts
-the common record, as the field checks would, and sends every other record
-to them. Writers never emit fields outside the documented schema, and
-every file is written in one canonical form (sorted keys, two-space
-indent, non-ASCII kept) so identical inputs produce identical bytes.
+:func:`parse_ocr` and :func:`parse_result` walk each word or token once,
+field by field in the order the errors name them: the common value of a
+field passes an inline test on its raw JSON value, and any other value
+goes to that field's check. Writers never emit fields outside the
+documented schema, and every file is written in one canonical form
+(sorted keys, two-space indent, non-ASCII kept) so identical inputs
+produce identical bytes.
 :func:`canonical_json` writes that form for any payload.
 :func:`serialize_result`, the one writer on the decode path, writes the
 result schema's canonical text itself, without building a payload; a test
@@ -182,56 +183,22 @@ def _confidence(obj: Mapping[str, Any], where: str) -> float | None:
     return float(value)
 
 
-def _word_token(word: Any, i: int, width: int, height: int, exact: bool) -> Token:
-    """Word ``i`` of an OCR page as an untagged token, by the field-by-field
-    checks, which name the first field at fault."""
-    where = f"word {i}"
-    if not isinstance(word, dict):
-        raise SchemaError(f"{where}: expected an object")
-    text = _text(word, where)
-    polygon = _require(word, "polygon", where)
-    if not isinstance(polygon, list) or len(polygon) < 3:
-        raise SchemaError(f"{where}: polygon needs at least 3 vertices")
-    # The envelope is taken as the vertices are checked. Strict tests keep
-    # the first of equal extremes, as min and max do (0 against -0.0).
-    x_min = y_min = _INF
-    x_max = y_max = -_INF
-    for j, vertex in enumerate(polygon):
-        if (
-            type(vertex) is not list
-            or len(vertex) != 2
-            or type(vertex[0]) not in _NUMBER_TYPES
-            or type(vertex[1]) not in _NUMBER_TYPES
-        ):
-            raise SchemaError(f"{where}: vertex {j} must be an [x, y] number pair")
-        x, y = vertex
-        if not (exact and 0 <= x <= width and 0 <= y <= height):
-            try:
-                fx, fy = float(x), float(y)
-            except OverflowError:
-                raise SchemaError(f"{where}: vertex {j} outside the {width}x{height} page") from None
-            if not (0 <= fx <= width) or not (0 <= fy <= height):
-                raise SchemaError(
-                    f"{where}: vertex {j} ({fx}, {fy}) outside the {width}x{height} page"
-                )
-        if x < x_min:
-            x_min = x
-        if x > x_max:
-            x_max = x
-        if y < y_min:
-            y_min = y
-        if y > y_max:
-            y_max = y
-    confidence = _confidence(word, where)
-    # float is monotone, so the float of the least coordinate is the
-    # least of the coordinates' floats.
-    bbox = BBox(
-        float(x_min) / width,
-        float(y_min) / height,
-        float(x_max) / width,
-        float(y_max) / height,
-    )
-    return Token(i, text, bbox, EntityLabel.UNTAGGED, None, confidence)
+def _vertex_on_page(vertex: Any, where: str, j: int, width: int, height: int) -> None:
+    """Raise unless ``vertex`` is an [x, y] number pair whose floats lie on
+    the ``width`` x ``height`` page."""
+    if (
+        type(vertex) is not list
+        or len(vertex) != 2
+        or type(vertex[0]) not in _NUMBER_TYPES
+        or type(vertex[1]) not in _NUMBER_TYPES
+    ):
+        raise SchemaError(f"{where}: vertex {j} must be an [x, y] number pair")
+    try:
+        fx, fy = float(vertex[0]), float(vertex[1])
+    except OverflowError:
+        raise SchemaError(f"{where}: vertex {j} outside the {width}x{height} page") from None
+    if not (0 <= fx <= width) or not (0 <= fy <= height):
+        raise SchemaError(f"{where}: vertex {j} ({fx}, {fy}) outside the {width}x{height} page")
 
 
 def parse_ocr(data: bytes | str) -> Document:
@@ -244,10 +211,12 @@ def parse_ocr(data: bytes | str) -> Document:
     file name: not empty, ``.`` or ``..``, and free of ``/``, ``\\`` and
     NUL. The doc id and every text must be encodable as UTF-8.
 
-    The common word (ASCII text, a float confidence or none, every vertex
-    a number pair on a page below 2**53) is checked inline; every other
-    word takes the field-by-field checks of :func:`_word_token`, which
-    alone name errors.
+    Each field of a word is checked once, in the order the errors name
+    them: the object, its text, its polygon, each vertex, its confidence.
+    The common value of a field (ASCII text, a vertex of two numbers on a
+    page below 2**53, a float confidence or none) passes an inline test;
+    any other value goes to the field's named check, which reads it or
+    raises.
     """
     raw = _load_object(data)
     doc_id = _doc_id(raw)
@@ -263,51 +232,54 @@ def parse_ocr(data: bytes | str) -> Document:
 
     tokens: list[Token] = []
     for i, word in enumerate(words):
-        if (
-            exact
-            and type(word) is dict
-            and type(text := word.get("text")) is str
-            and text
-            and text.isascii()
-            and type(polygon := word.get("polygon")) is list
-            and len(polygon) >= 3
-            and (
-                (confidence := word.get("confidence")) is None
-                or type(confidence) is float and 0.0 <= confidence <= 1.0
-            )
-        ):
-            # The vertex loop of _word_token, leaving at the first vertex
-            # that is not a number pair inside the page.
-            x_min = y_min = _INF
-            x_max = y_max = -_INF
-            for vertex in polygon:
-                if not (
-                    type(vertex) is list
-                    and len(vertex) == 2
-                    and type(x := vertex[0]) in _NUMBER_TYPES
-                    and type(y := vertex[1]) in _NUMBER_TYPES
-                    and 0 <= x <= width
-                    and 0 <= y <= height
-                ):
-                    break
-                if x < x_min:
-                    x_min = x
-                if x > x_max:
-                    x_max = x
-                if y < y_min:
-                    y_min = y
-                if y > y_max:
-                    y_max = y
-            else:
-                bbox = _tuple_new(BBox, (
-                    float(x_min) / width,
-                    float(y_min) / height,
-                    float(x_max) / width,
-                    float(y_max) / height,
-                ))
-                tokens.append(_tuple_new(Token, (i, text, bbox, _UNTAGGED, None, confidence)))
-                continue
-        tokens.append(_word_token(word, i, width, height, exact))
+        if type(word) is not dict:
+            raise SchemaError(f"word {i}: expected an object")
+        text = word.get("text")
+        if type(text) is not str or not text or not text.isascii():
+            text = _text(word, f"word {i}")
+        polygon = word.get("polygon")
+        if type(polygon) is not list or len(polygon) < 3:
+            _require(word, "polygon", f"word {i}")
+            raise SchemaError(f"word {i}: polygon needs at least 3 vertices")
+        # The envelope is taken as the vertices are checked. Strict tests keep
+        # the first of equal extremes, as min and max do (0 against -0.0).
+        x_min = y_min = _INF
+        x_max = y_max = -_INF
+        for vertex in polygon:
+            if not (
+                type(vertex) is list
+                and len(vertex) == 2
+                and type(x := vertex[0]) in _NUMBER_TYPES
+                and type(y := vertex[1]) in _NUMBER_TYPES
+                and exact
+                and 0 <= x <= width
+                and 0 <= y <= height
+            ):
+                # The index is found only here, by identity: the check raises, if
+                # at all, at the first position that holds this object.
+                j = next(j for j, v in enumerate(polygon) if v is vertex)
+                _vertex_on_page(vertex, f"word {i}", j, width, height)
+                x, y = vertex
+            if x < x_min:
+                x_min = x
+            if x > x_max:
+                x_max = x
+            if y < y_min:
+                y_min = y
+            if y > y_max:
+                y_max = y
+        confidence = word.get("confidence")
+        if confidence is not None and not (type(confidence) is float and 0.0 <= confidence <= 1.0):
+            confidence = _confidence(word, f"word {i}")
+        # float is monotone, so the float of the least coordinate is the
+        # least of the coordinates' floats.
+        bbox = _tuple_new(BBox, (
+            float(x_min) / width,
+            float(y_min) / height,
+            float(x_max) / width,
+            float(y_max) / height,
+        ))
+        tokens.append(_tuple_new(Token, (i, text, bbox, _UNTAGGED, None, confidence)))
     return Document(doc_id=doc_id, tokens=tuple(tokens), page_width=width, page_height=height)
 
 
@@ -322,6 +294,16 @@ def _token_id(value: Any, where: str, what: str, n_tokens: int) -> int:
     if not 0 <= value < n_tokens:
         raise TokenReferenceError(f"{where}: {what} references unknown token id {value}")
     return value
+
+
+def _claim(claimed: dict[int, int], token_ids: Sequence[int], owner: int, where: str) -> None:
+    """Record in ``claimed`` (token id -> owning product) that product
+    ``owner`` holds ``token_ids``; no token id may belong to two products,
+    or twice to one."""
+    for tid in token_ids:
+        if tid in claimed:
+            raise SchemaError(f"{where}: token id {tid} already belongs to product {claimed[tid]}")
+        claimed[tid] = owner
 
 
 def parse_ground_truth(data: bytes | str, doc: Document) -> tuple[Product, ...]:
@@ -347,12 +329,7 @@ def parse_ground_truth(data: bytes | str, doc: Document) -> tuple[Product, ...]:
                 for key in _SCALAR_KEYS
             ],
         )
-        for tid, _ in product.labeled_ids():
-            if tid in claimed:
-                raise SchemaError(
-                    f"{where}: token id {tid} already belongs to product {claimed[tid]}"
-                )
-            claimed[tid] = len(products)
+        _claim(claimed, [tid for tid, _ in product.labeled_ids()], len(products), where)
         products.append(product)
     return tuple(products)
 
@@ -509,36 +486,6 @@ _LABELS_BY_VALUE = {label.value: label for label in EntityLabel}
 _SOURCES_BY_VALUE = {source.value: source for source in LabelSource}
 
 
-def _result_token(rt: Any, i: int) -> Token:
-    """Token ``i`` of a result file, by the field-by-field checks, which
-    name the first field at fault."""
-    where = f"token {i}"
-    if not isinstance(rt, dict):
-        raise SchemaError(f"{where}: expected an object")
-    token_id = _require(rt, "token_id", where)
-    if type(token_id) is not int:
-        raise SchemaError(f"{where}: token_id must be an integer")
-    if token_id != i:
-        raise SchemaError(
-            f"{where}: token_id {token_id} is duplicated or out of order "
-            "(ids must be dense 0..n-1)"
-        )
-    text = _text(rt, where)
-    label = _lookup(_LABELS_BY_VALUE, _require(rt, "label", where), where, "label")
-    source = rt.get("source")
-    if source is not None:
-        source = _lookup(_SOURCES_BY_VALUE, source, where, "label source")
-    if (source is None) is not (label is EntityLabel.UNTAGGED):
-        raise SchemaError(
-            f"{where}: labeled token has no label source"
-            if source is None
-            else f"{where}: untagged token carries a label source"
-        )
-    confidence = _confidence(rt, where)
-    bbox = _bbox_from_json(_require(rt, "bbox", where), where)
-    return Token(token_id, text, bbox, label, source, confidence)
-
-
 def parse_result(data: bytes | str) -> tuple[Document, tuple[ProductGroup, ...]]:
     """Inverse of :func:`serialize_result`.
 
@@ -550,10 +497,12 @@ def parse_result(data: bytes | str) -> tuple[Document, tuple[ProductGroup, ...]]
     No token may belong to two groups, or twice to one. The doc id follows
     the rule of :func:`parse_ocr`.
 
-    The common token (ASCII text, float box and confidence, as
-    :func:`serialize_result` writes them) is checked inline; every other
-    token takes the field-by-field checks of :func:`_result_token`, which
-    alone name errors.
+    Each field of a token is checked once, in the order the errors name
+    them: the object, its token id, text, label, label source, the pairing
+    of the two, confidence and box. The common value of a field (as
+    :func:`serialize_result` writes it: ASCII text, a float confidence and
+    float box) passes an inline test; any other value goes to the field's
+    named check, which reads it or raises.
     """
     raw = _load_object(data)
     doc_id = _doc_id(raw)
@@ -564,26 +513,40 @@ def parse_result(data: bytes | str) -> tuple[Document, tuple[ProductGroup, ...]]
 
     tokens: list[Token] = []
     for i, rt in enumerate(items):
+        if type(rt) is not dict:
+            raise SchemaError(f"token {i}: expected an object")
+        token_id = rt.get("token_id")
+        if type(token_id) is not int or token_id != i:
+            token_id = _require(rt, "token_id", f"token {i}")
+            if type(token_id) is not int:
+                raise SchemaError(f"token {i}: token_id must be an integer")
+            raise SchemaError(
+                f"token {i}: token_id {token_id} is duplicated or out of order "
+                "(ids must be dense 0..n-1)"
+            )
+        text = rt.get("text")
+        if type(text) is not str or not text or not text.isascii():
+            text = _text(rt, f"token {i}")
+        label = rt.get("label")
+        if type(label) is not str or (label := _LABELS_BY_VALUE.get(label)) is None:
+            where = f"token {i}"
+            label = _lookup(_LABELS_BY_VALUE, _require(rt, "label", where), where, "label")
+        source = rt.get("source")
+        if source is not None and (
+            type(source) is not str or (source := _SOURCES_BY_VALUE.get(source)) is None
+        ):
+            source = _lookup(_SOURCES_BY_VALUE, rt["source"], f"token {i}", "label source")
+        if (source is None) is not (label is _UNTAGGED):
+            raise SchemaError(
+                f"token {i}: labeled token has no label source"
+                if source is None
+                else f"token {i}: untagged token carries a label source"
+            )
+        confidence = rt.get("confidence")
+        if confidence is not None and not (type(confidence) is float and 0.0 <= confidence <= 1.0):
+            confidence = _confidence(rt, f"token {i}")
         if (
-            type(rt) is dict
-            and type(token_id := rt.get("token_id")) is int
-            and token_id == i
-            and type(text := rt.get("text")) is str
-            and text
-            and text.isascii()
-            and type(label := rt.get("label")) is str
-            and (label := _LABELS_BY_VALUE.get(label)) is not None
-            and (
-                (source := rt.get("source")) is None
-                if label is _UNTAGGED
-                else type(source := rt.get("source")) is str
-                and (source := _SOURCES_BY_VALUE.get(source)) is not None
-            )
-            and (
-                (confidence := rt.get("confidence")) is None
-                or type(confidence) is float and 0.0 <= confidence <= 1.0
-            )
-            and type(box := rt.get("bbox")) is dict
+            type(box := rt.get("bbox")) is dict
             and type(x_min := box.get("x_min")) is float
             and type(y_min := box.get("y_min")) is float
             and type(x_max := box.get("x_max")) is float
@@ -593,9 +556,9 @@ def parse_result(data: bytes | str) -> tuple[Document, tuple[ProductGroup, ...]]
             and 0.0 <= y_min <= y_max <= 1.0
         ):
             bbox = _tuple_new(BBox, (x_min, y_min, x_max, y_max))
-            tokens.append(_tuple_new(Token, (i, text, bbox, label, source, confidence)))
         else:
-            tokens.append(_result_token(rt, i))
+            bbox = _bbox_from_json(_require(rt, "bbox", f"token {i}"), f"token {i}")
+        tokens.append(_tuple_new(Token, (i, text, bbox, label, source, confidence)))
     doc = Document(doc_id=doc_id, tokens=tuple(tokens), page_width=width, page_height=height)
 
     groups: list[ProductGroup] = []
@@ -623,12 +586,7 @@ def parse_result(data: bytes | str) -> tuple[Document, tuple[ProductGroup, ...]]
             bbox=_bbox_from_json(_require(rp, "bbox", where), where),
             incomplete=incomplete,
         )
-        for tid in group.token_ids:
-            if tid in claimed:
-                raise SchemaError(
-                    f"{where}: token id {tid} already belongs to product {claimed[tid]}"
-                )
-            claimed[tid] = len(groups)
+        _claim(claimed, group.token_ids, len(groups), where)
         groups.append(group)
     return doc, tuple(groups)
 

@@ -83,6 +83,31 @@ class TestSynthCommand:
             "synth", "--out", tmp_path, "--seed", "1", "--docs", "1", "--force"
         ) == 0
 
+    @pytest.mark.parametrize("own_file", ["notes.txt", "pred/notes.txt"])
+    def test_force_replaces_the_previous_corpus_and_keeps_other_files(self, tmp_path, own_file):
+        out, fresh = tmp_path / "f", tmp_path / "fresh"
+        assert run_cli(
+            "synth", "--out", out, "--seed", "1", "--docs", "3", "--fn-rate", "code=0.3"
+        ) == 0
+        (out / own_file).write_text("mine")
+        assert run_cli("synth", "--out", out, "--seed", "2", "--docs", "2", "--force") == 0
+        assert run_cli("synth", "--out", fresh, "--seed", "2", "--docs", "2") == 0
+        expected = {p.relative_to(fresh) for p in fresh.rglob("*")}
+        expected |= {Path(own_file), *Path(own_file).parents} - {Path(".")}
+        assert {p.relative_to(out) for p in out.rglob("*")} == expected
+        for rel in expected - {Path(own_file), Path("pred")}:
+            assert (out / rel).read_bytes() == (fresh / rel).read_bytes()
+        assert (out / own_file).read_text() == "mine"
+
+    def test_force_refuses_a_manifest_whose_ids_are_not_file_names(self, tmp_path):
+        out = tmp_path / "f"
+        out.mkdir()
+        (tmp_path / "x.json").write_text("keep")
+        (out / "manifest.json").write_text('{"doc_ids": ["../x"]}')
+        proc = run_module("synth", "--out", out, "--seed", "1", "--docs", "1", "--force")
+        assert "doc_ids must be a list of file names" in error_line(proc)
+        assert (tmp_path / "x.json").read_text() == "keep"
+
     def test_out_path_that_is_a_file_is_one_error_line(self, tmp_path):
         taken = tmp_path / "taken"
         taken.write_text("x")
@@ -408,11 +433,11 @@ class TestDecodeCommand:
 def test_the_inline_reader_checks_carry_every_synth_record(
     corpus_dir, results_dir, tmp_path, monkeypatch
 ):
-    # parse_ocr and parse_result check the common record inline and send
-    # the rest to the field-by-field checks. A synth corpus, its noised
-    # OCR and its import and heuristic decodes hold only common records:
-    # if one reached the slow path, an inline check that always failed
-    # would pass every other test and lose the speed unseen.
+    # parse_ocr and parse_result test the common value of each field inline
+    # and send any other value to the field's named check. A synth corpus,
+    # its noised OCR and its import and heuristic decodes hold only common
+    # values: if one reached a named check, an inline test that always
+    # failed would pass every other test and lose the speed unseen.
     heuristic = tmp_path / "heuristic"
     assert run_cli("decode", corpus_dir, "--out", heuristic) == 0
     ocr_files = [
@@ -424,11 +449,22 @@ def test_the_inline_reader_checks_carry_every_synth_record(
     result_files = [*results_dir.glob("*.result.json"), *heuristic.glob("*.result.json")]
     assert len(ocr_files) == len(result_files) == 40
 
-    def slow_path(*args):
-        raise AssertionError(f"field-by-field checks reached for record {args[1]}")
+    def named_check(name):
+        def check(*args):
+            raise AssertionError(f"{name} reached with {args!r}")
+        return check
 
-    monkeypatch.setattr(ingest, "_word_token", slow_path)
-    monkeypatch.setattr(ingest, "_result_token", slow_path)
+    for name in ("_text", "_confidence", "_lookup", "_vertex_on_page"):
+        monkeypatch.setattr(ingest, name, named_check(name))
+    # Group boxes take _bbox_from_json by design; token boxes must not.
+    bbox_from_json = ingest._bbox_from_json
+
+    def group_bbox_from_json(raw, where):
+        if not where.startswith("product "):
+            raise AssertionError(f"_bbox_from_json reached for {where}")
+        return bbox_from_json(raw, where)
+
+    monkeypatch.setattr(ingest, "_bbox_from_json", group_bbox_from_json)
     for path in ocr_files:
         ingest.parse_ocr(path.read_bytes())
     sources = set()
@@ -436,6 +472,15 @@ def test_the_inline_reader_checks_carry_every_synth_record(
         doc, _ = ingest.parse_result(path.read_bytes())
         sources.update(tok.source for tok in doc.tokens)
     assert sources == {None, *LabelSource} - {LabelSource.GROUND_TRUTH}
+    # Synth writes no confidence; a float one passes inline too.
+    for path, parse, key in (
+        (ocr_files[0], ingest.parse_ocr, "words"),
+        (result_files[0], ingest.parse_result, "tokens"),
+    ):
+        payload = json.loads(path.read_bytes())
+        for record in payload[key]:
+            record["confidence"] = 0.5
+        parse(json.dumps(payload))
 
 
 class TestEvalCommand:
@@ -477,6 +522,26 @@ class TestEvalCommand:
             "eval", "--results", results_dir, "--truth", corpus_dir,
             "--min-f1", "totals=0.5",
         ) == 2
+
+    @pytest.mark.parametrize("bar", ["nan", "-1", "1.5"])
+    def test_min_f1_outside_the_unit_interval_is_a_usage_error(
+        self, corpus_dir, results_dir, bar
+    ):
+        proc = run_module(
+            "eval", "--results", results_dir, "--truth", corpus_dir, "--min-f1", f"codes={bar}"
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"ERROR receipt_kie.cli: --min-f1 codes: {float(bar)} is not within [0, 1]"
+        ]
+
+    @pytest.mark.parametrize("bar", ["0", "1"])
+    def test_min_f1_of_zero_and_one_are_bars(self, corpus_dir, results_dir, bar):
+        # Corrections recover every dropped code of this corpus: F1 is 1.
+        assert run_cli(
+            "eval", "--results", results_dir, "--truth", corpus_dir, "--min-f1", f"codes={bar}"
+        ) == 0
 
     def test_json_out_is_canonical(self, corpus_dir, results_dir, tmp_path):
         report_path = tmp_path / "report.json"

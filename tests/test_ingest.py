@@ -715,8 +715,11 @@ _MIXED = [[10, 20.5], [90.25, 20], [90, 30], [10.0, 30]]
 @example(payload=ocr_payload(words=[{"text": "A", "polygon": [[-0.0, -0.0], [0, 0], [0, 0]]}]))
 @example(payload=ocr_payload(words=[{"text": "A", "polygon": [[0, 0], [-0.0, -0.0], [-0.0, -0.0]]}]))
 @example(payload=ocr_payload(words=[{"text": "A", "polygon": [[10, 10], [20, True], [20, 20]]}]))
-# Words the inline check sends to the field-by-field one: non-ASCII text and
-# integer confidences, next to a float one that it keeps.
+# The bad vertex equals the one before it (True == 1): the error names vertex 1.
+@example(payload=ocr_payload(words=[{"text": "A", "polygon": [[20, 1], [20, True], [20, 20]]}]))
+# Fields whose inline test sends them to their named check, which reads
+# them: non-ASCII text and integer confidences, next to a float one that
+# passes inline.
 @example(payload=ocr_payload(words=[{"text": "Café", "polygon": _MIXED}]))
 @example(payload=ocr_payload(words=[{"text": "A\ud800", "polygon": _MIXED}]))
 @example(payload=ocr_payload(words=[{"text": "A", "polygon": _MIXED, "confidence": 0}]))
@@ -730,16 +733,22 @@ _MIXED = [[10, 20.5], [90.25, 20], [90, 30], [10.0, 30]]
         words=[{"text": "A", "polygon": [[2**53 + 1, 0], [0, 2**53 + 3], [1, 1]]}],
     )
 )
+# Two faults: the vertex is named, as it comes before the confidence.
+@example(
+    payload=ocr_payload(
+        words=[{"text": "A", "polygon": [[10, 10], [20, None], [20, 20]], "confidence": 2.0}]
+    )
+)
 def test_parse_ocr_matches_the_reference(payload):
     data = json.dumps(payload).encode("utf-8")
     assert _outcome(parse_ocr, data) == _outcome(reference_parse_ocr, data)
 
 
 # --------------------------------------------------------------------------
-# parse_result checks the common token inline and sends every other one to
-# the field-by-field checks; the reference runs those checks on every token.
-# On any input both return equal documents and groups, or raise the same
-# error.
+# parse_result tests the common value of each token field inline and sends
+# any other value to the field's named check; the reference runs the named
+# checks on every field. On any input both return equal documents and
+# groups, or raise the same error.
 
 _UNIT = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 0.1 + 0.2, 1.0]), st.floats(0, 1))
 _RESULT_TEXT = st.sampled_from(["MILK", "12.50", "Café", "€3", "A\ud800", "\u2028"])
@@ -814,25 +823,28 @@ def result_payloads(draw):
     return payload
 
 
-def _result_with(path: str, value) -> dict:
-    """A two-token result with ``value`` at ``path`` (``"1.bbox.x_min"``:
-    the x_min of token 1's box)."""
+def _result_with(*edits) -> dict:
+    """A two-token result with each value of the ``path, value, ...`` pairs
+    in ``edits`` at its path (``"1.bbox.x_min"``: the x_min of token 1's
+    box)."""
     doc = make_doc(
         [make_token(0, "MILK", 0, 10), make_token(1, "2.50", 50, 10, label=EntityLabel.PRICE)]
     )
     payload = json.loads(serialize_result(doc, []))
-    *keys, last = path.split(".")
-    target = payload["tokens"]
-    for key in keys:
-        target = target[int(key) if key.isdigit() else key]
-    target[last] = value
+    for path, value in zip(edits[::2], edits[1::2]):
+        *keys, last = path.split(".")
+        target = payload["tokens"]
+        for key in keys:
+            target = target[int(key) if key.isdigit() else key]
+        target[last] = value
     return payload
 
 
 @settings(max_examples=500, deadline=None)
 @given(payload=result_payloads())
-# Tokens the inline check sends to the field-by-field one, which reads them
-# (integer coordinates and confidences, non-ASCII text) or names the fault.
+# Fields whose inline test sends them to their named check, which reads
+# them (integer coordinates and confidences, non-ASCII text) or names the
+# fault.
 @example(payload=_result_with("1.bbox.x_min", 0))
 @example(payload=_result_with("1.bbox.y_max", 1))
 @example(payload=_result_with("1.confidence", 0))
@@ -844,6 +856,9 @@ def _result_with(path: str, value) -> dict:
 @example(payload=_result_with("0.source", "model"))
 @example(payload=_result_with("1.source", None))
 @example(payload=_result_with("1.bbox.x_max", 0.0))
+# Two faults: the first field in the order of the checks is named.
+@example(payload=_result_with("1.label", "total", "1.token_id", 5))
+@example(payload=_result_with("1.confidence", 1.5, "1.bbox.x_min", _NAN))
 def test_parse_result_matches_the_reference(payload):
     data = json.dumps(payload).encode("utf-8")
     assert _outcome(parse_result, data) == _outcome(reference_parse_result, data)
