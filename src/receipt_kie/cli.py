@@ -111,7 +111,11 @@ def _entity_names(target: Callable[[EntityLabel], str]) -> dict[str, str]:
 
 
 def _parse_rate_flags(pairs: Sequence[str], allowed: dict[str, str], flag: str) -> dict[str, float]:
+    """The value of each ``NAME=VALUE`` under the key ``allowed[NAME]``. A
+    key set twice, through one name or its alias, is refused: which of the
+    two values was meant is not known."""
     out: dict[str, float] = {}
+    given: dict[str, str] = {}  # key -> the pair that set it
     for pair in pairs:
         name, sep, raw_value = pair.partition("=")
         key = allowed.get(name.strip().lower())
@@ -124,6 +128,11 @@ def _parse_rate_flags(pairs: Sequence[str], allowed: dict[str, str], flag: str) 
             value = float(raw_value)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{flag}: {raw_value!r} is not a number") from None
+        if key in given:
+            raise argparse.ArgumentTypeError(
+                f"{flag} sets one name twice: {given[key]!r} and {pair!r}"
+            )
+        given[key] = pair
         out[key] = value
     return out
 
@@ -285,10 +294,18 @@ def _check_same_page(path: Path, doc: Document, page: Document, page_name: str =
     )
 
 
-def _load_results(
-    results: Sequence[str], truth: dict[str, TruthEntry]
-) -> dict[str, DocPrediction]:
-    predictions: dict[str, DocPrediction] = {}
+def _read_pairs(
+    results: Sequence[str], truth_dir: Path
+) -> Iterator[tuple[DocPrediction, TruthEntry]]:
+    """Each result file under ``results``, in ``_expand`` order, with the
+    truth page of its doc id in ``truth_dir``, read one document at a time.
+
+    A result whose doc id has no ``*.truth.json``, or was already read, or
+    that was not decoded from its truth page is refused, and so, after the
+    last result, is a truth doc that no result names."""
+    truth_ids = {path.name[: -len(".truth.json")] for path in truth_dir.glob("*.truth.json")}
+    if not truth_ids:
+        raise CorpusMismatchError(f"no *.truth.json files in {truth_dir}")
     seen: dict[str, Path] = {}
     for path in _expand(results, lambda p: p.name.endswith(".result.json")):
         doc, groups = _parse_file(path, parse_result)
@@ -297,26 +314,19 @@ def _load_results(
                 f"{path}: duplicate doc_id {doc.doc_id!r} (already read from {seen[doc.doc_id]})"
             )
         seen[doc.doc_id] = path
-        if doc.doc_id not in truth:
+        if doc.doc_id not in truth_ids:
             raise CorpusMismatchError(f"{path}: no ground truth for doc_id {doc.doc_id!r}")
-        _check_same_page(path, doc, truth[doc.doc_id][0])
-        predictions[doc.doc_id] = DocPrediction.from_groups(doc, groups)
-    return predictions
-
-
-def _load_truth(truth_dir: Path) -> dict[str, TruthEntry]:
-    truth: dict[str, TruthEntry] = {}
-    for path in sorted(truth_dir.glob("*.truth.json")):
-        doc_id = path.name[: -len(".truth.json")]
-        ocr_path = truth_dir / f"{doc_id}.json"
+        truth_path = truth_dir / f"{doc.doc_id}.truth.json"
+        ocr_path = truth_dir / f"{doc.doc_id}.json"
         if not ocr_path.exists():
-            raise CorpusMismatchError(f"no OCR file next to {path.name}")
-        doc = _parse_file(ocr_path, parse_ocr)
-        products = _parse_file(path, parse_ground_truth, doc)
-        truth[doc_id] = (doc, products)
-    if not truth:
-        raise CorpusMismatchError(f"no *.truth.json files in {truth_dir}")
-    return truth
+            raise CorpusMismatchError(f"no OCR file next to {truth_path.name}")
+        page = _parse_file(ocr_path, parse_ocr)
+        products = _parse_file(truth_path, parse_ground_truth, page)
+        _check_same_page(path, doc, page)
+        yield DocPrediction.from_groups(doc, groups), (page, products)
+    missing = sorted(truth_ids - seen.keys())
+    if missing:
+        raise CorpusMismatchError(f"no predictions for {', '.join(missing[:5])}")
 
 
 # --min-f1 names map to the report's keys.
@@ -347,11 +357,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return 2
 
     mode = MatchMode.STRICT_OCR if args.mode == "strict" else MatchMode.TAG_ONLY
-    truth = _load_truth(Path(args.truth))
-    report = build_report(_load_results(args.results, truth), truth, mode)
+    truth_dir = Path(args.truth)
+    report = build_report(_read_pairs(args.results, truth_dir), mode)
 
     if args.compare:
-        other = build_report(_load_results([args.compare], truth), truth, mode)
+        other = build_report(_read_pairs([args.compare], truth_dir), mode)
         primary_name = Path(args.results[0]).name or "results"
         other_name = Path(args.compare).name or "compare"
         print(_comparison_table([(primary_name, report), (other_name, other)]))

@@ -12,16 +12,20 @@ token-level matches, one-to-one by token id. The whole-products score is
 coarser and much less forgiving: a predicted group counts only if it maps
 to exactly one ground-truth product and reproduces *every* entity field
 of it, with nothing spurious added.
+
+``score_entities`` and ``score_whole_products`` score one page.
+``build_report`` is the corpus fold: it adds up their counts over a
+stream of (prediction, truth) pairs and keeps no pair. Pairing each
+result with its truth page is the caller's job.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .errors import CorpusMismatchError
 from .ingest import normalize_text
 from .layout import assign_entities
 from .model import ENTITY_ORDER, Document, EntityLabel, Product, ProductGroup
@@ -99,18 +103,6 @@ class DocPrediction:
         )
 
 
-def _check_aligned(predictions: Mapping[str, object], truth: Mapping[str, TruthEntry]) -> None:
-    missing = sorted(set(truth) - set(predictions))
-    extra = sorted(set(predictions) - set(truth))
-    if missing or extra:
-        parts = []
-        if missing:
-            parts.append(f"no predictions for {', '.join(missing[:5])}")
-        if extra:
-            parts.append(f"no ground truth for {', '.join(extra[:5])}")
-        raise CorpusMismatchError("; ".join(parts))
-
-
 def _texts_match(pred_doc: Document, truth_doc: Document, token_id: int) -> bool:
     return normalize_text(pred_doc.token(token_id).text) == normalize_text(
         truth_doc.token(token_id).text
@@ -118,32 +110,27 @@ def _texts_match(pred_doc: Document, truth_doc: Document, token_id: int) -> bool
 
 
 def score_entities(
-    predictions: Mapping[str, Document],
-    truth: Mapping[str, TruthEntry],
+    pred_doc: Document,
+    truth_entry: TruthEntry,
     mode: MatchMode = MatchMode.TAG_ONLY,
 ) -> dict[EntityLabel, EntityCounts]:
-    """Token-level micro-averaged counts per entity type.
+    """Token-level counts per entity type on one page.
 
-    ``predictions`` maps doc_id to the labeled document; ``truth`` maps
-    doc_id to the clean document and its annotated products. The two maps
-    must cover exactly the same doc ids.
+    ``pred_doc`` is the labeled document; ``truth_entry`` is the clean
+    document of the same page and its annotated products.
     """
-    _check_aligned(predictions, truth)
+    truth_doc, products = truth_entry
     strict = mode is MatchMode.STRICT_OCR
-    expected: Counter[EntityLabel] = Counter()
-    predicted: Counter[EntityLabel] = Counter()
+    truth_labels = {tid: label for p in products for tid, label in p.labeled_ids()}
+    pred_labels = {tok.token_id: tok.label for tok in pred_doc.tokens if tok.is_tagged}
+    expected = Counter(truth_labels.values())
+    predicted = Counter(pred_labels.values())
     tp: Counter[EntityLabel] = Counter()
-    for doc_id, (truth_doc, products) in truth.items():
-        pred_doc = predictions[doc_id]
-        truth_labels = {tid: label for p in products for tid, label in p.labeled_ids()}
-        pred_labels = {tok.token_id: tok.label for tok in pred_doc.tokens if tok.is_tagged}
-        expected.update(truth_labels.values())
-        predicted.update(pred_labels.values())
-        for tid, label in pred_labels.items():
-            if truth_labels.get(tid) is label and (
-                not strict or _texts_match(pred_doc, truth_doc, tid)
-            ):
-                tp[label] += 1
+    for tid, label in pred_labels.items():
+        if truth_labels.get(tid) is label and (
+            not strict or _texts_match(pred_doc, truth_doc, tid)
+        ):
+            tp[label] += 1
     return {
         label: EntityCounts(tp[label], predicted[label] - tp[label], expected[label] - tp[label])
         for label in ENTITY_ORDER
@@ -168,11 +155,11 @@ def _product_matches(
 
 
 def score_whole_products(
-    predictions: Mapping[str, DocPrediction],
-    truth: Mapping[str, TruthEntry],
+    pred: DocPrediction,
+    truth_entry: TruthEntry,
     mode: MatchMode = MatchMode.TAG_ONLY,
 ) -> EntityCounts:
-    """Product-level counts: a group scores only when perfect.
+    """Product-level counts on one page: a group scores only when perfect.
 
     A predicted group is first aligned to the first truth product that owns
     a strict majority of the group's description tokens; a group with no
@@ -183,29 +170,24 @@ def score_whole_products(
     entity was predicted; anything else makes it a false positive and
     leaves the truth product unmatched (a false negative).
     """
-    _check_aligned(predictions, truth)
-    n_groups = n_products = matched = 0
-    for doc_id, (truth_doc, products) in truth.items():
-        pred = predictions[doc_id]
-        truth_descs = [set(product.description_ids) for product in products]
-        # product index -> its best claim, (-overlap, group id, group position)
-        winners: dict[int, tuple[int, int, int]] = {}
-        for pos, assignment in enumerate(pred.assignments):
-            desc = set(assignment.description_ids)
-            for pi, truth_desc in enumerate(truth_descs):
-                overlap = len(desc & truth_desc)
-                if overlap * 2 > len(desc):
-                    claim = (-overlap, pred.groups[pos].group_id, pos)
-                    if pi not in winners or claim < winners[pi]:
-                        winners[pi] = claim
-                    break  # a strict majority is unique
-        matched += sum(
-            _product_matches(pred.assignments[pos], products[pi], pred.document, truth_doc, mode)
-            for pi, (_, _, pos) in winners.items()
-        )
-        n_groups += len(pred.assignments)
-        n_products += len(products)
-    return EntityCounts(tp=matched, fp=n_groups - matched, fn=n_products - matched)
+    truth_doc, products = truth_entry
+    truth_descs = [set(product.description_ids) for product in products]
+    # product index -> its best claim, (-overlap, group id, group position)
+    winners: dict[int, tuple[int, int, int]] = {}
+    for pos, assignment in enumerate(pred.assignments):
+        desc = set(assignment.description_ids)
+        for pi, truth_desc in enumerate(truth_descs):
+            overlap = len(desc & truth_desc)
+            if overlap * 2 > len(desc):
+                claim = (-overlap, pred.groups[pos].group_id, pos)
+                if pi not in winners or claim < winners[pi]:
+                    winners[pi] = claim
+                break  # a strict majority is unique
+    matched = sum(
+        _product_matches(pred.assignments[pos], products[pi], pred.document, truth_doc, mode)
+        for pi, (_, _, pos) in winners.items()
+    )
+    return EntityCounts(tp=matched, fp=len(pred.assignments) - matched, fn=len(products) - matched)
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,10 +196,8 @@ class EvalReport:
 
     mode: MatchMode
     corpus_size: int
-    entities: dict[EntityLabel, EntityCounts] = field(
-        default_factory=lambda: dict.fromkeys(ENTITY_ORDER, EntityCounts())
-    )
-    whole_products: EntityCounts = field(default_factory=EntityCounts)
+    entities: dict[EntityLabel, EntityCounts]
+    whole_products: EntityCounts
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -254,18 +234,22 @@ def format_rows(rows: Sequence[Sequence[str]]) -> str:
 
 
 def build_report(
-    predictions: Mapping[str, DocPrediction],
-    truth: Mapping[str, TruthEntry],
+    pairs: Iterable[tuple[DocPrediction, TruthEntry]],
     mode: MatchMode = MatchMode.TAG_ONLY,
 ) -> EvalReport:
-    """Score a full corpus: per-entity micro averages plus whole products."""
-    entity_counts = score_entities(
-        {doc_id: pred.document for doc_id, pred in predictions.items()}, truth, mode
-    )
-    whole = score_whole_products(predictions, truth, mode)
+    """Score a corpus, one (prediction, truth) pair of a page at a time:
+    the per-entity micro averages plus whole products. No pair is kept."""
+    entities = dict.fromkeys(ENTITY_ORDER, EntityCounts())
+    whole = EntityCounts()
+    corpus_size = 0
+    for pred, truth_entry in pairs:
+        page = score_entities(pred.document, truth_entry, mode)
+        entities = {label: entities[label] + page[label] for label in ENTITY_ORDER}
+        whole += score_whole_products(pred, truth_entry, mode)
+        corpus_size += 1
     return EvalReport(
         mode=mode,
-        corpus_size=len(truth),
-        entities=entity_counts,
+        corpus_size=corpus_size,
+        entities=entities,
         whole_products=whole,
     )

@@ -19,6 +19,7 @@ from receipt_kie.cli import main
 from receipt_kie.corrections import apply_corrections
 from receipt_kie.evaluation import (
     ENTITY_ORDER,
+    EntityCounts,
     MatchMode,
     score_entities,
 )
@@ -103,8 +104,17 @@ def noisy_pipeline() -> dict:
     return run_pipeline(DROPS_NOISY)
 
 
+def score_corpus(predictions, truth, mode=MatchMode.TAG_ONLY):
+    """``score_entities`` of each page of ``truth``, added up."""
+    totals = dict.fromkeys(ENTITY_ORDER, EntityCounts())
+    for doc_id, entry in truth.items():
+        page = score_entities(predictions[doc_id], entry, mode)
+        totals = {label: totals[label] + page[label] for label in ENTITY_ORDER}
+    return totals
+
+
 def f1_by_entity(predictions, truth, mode=MatchMode.TAG_ONLY):
-    counts = score_entities(predictions, truth, mode)
+    counts = score_corpus(predictions, truth, mode)
     return {label: counts[label].f1 for label in ENTITY_ORDER}
 
 
@@ -143,8 +153,8 @@ def test_2_strict_text_matching_never_scores_higher(pipeline, noisy_pipeline, ca
     noisy_strict = f1_by_entity(
         noisy_pipeline["after"], noisy_pipeline["truth"], MatchMode.STRICT_OCR
     )
-    clean_tag = score_entities(pipeline["after"], pipeline["truth"], MatchMode.TAG_ONLY)
-    clean_strict = score_entities(pipeline["after"], pipeline["truth"], MatchMode.STRICT_OCR)
+    clean_tag = score_corpus(pipeline["after"], pipeline["truth"], MatchMode.TAG_ONLY)
+    clean_strict = score_corpus(pipeline["after"], pipeline["truth"], MatchMode.STRICT_OCR)
 
     monotone = all(noisy_strict[label] <= noisy_tag[label] for label in ENTITY_ORDER)
     identical = clean_tag == clean_strict
@@ -191,14 +201,12 @@ def test_3_corrections_never_reduce_recall(capsys):
     violations = []
     for trial in range(1000):
         doc, products, corrupted, corrected = random_small_pipeline(trial, rng)
-        truth = {doc.doc_id: (doc, products)}
+        truth = (doc, products)
         recall_before = {
-            label: counts.recall
-            for label, counts in score_entities({doc.doc_id: corrupted}, truth).items()
+            label: counts.recall for label, counts in score_entities(corrupted, truth).items()
         }
         recall_after = {
-            label: counts.recall
-            for label, counts in score_entities({doc.doc_id: corrected}, truth).items()
+            label: counts.recall for label, counts in score_entities(corrected, truth).items()
         }
         for label in ENTITY_ORDER:
             if recall_after[label] < recall_before[label]:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from receipt_kie import ingest
+from receipt_kie import cli, evaluation, ingest
 from receipt_kie.cli import main
 from receipt_kie.ingest import canonical_json
 from receipt_kie.model import LabelSource
@@ -119,6 +119,19 @@ class TestSynthCommand:
             "synth", "--out", tmp_path / "x", "--seed", "1", "--docs", "1",
             "--fn-rate", "totals=0.3",
         ) == 2
+
+    def test_repeated_fn_rate_name_is_a_usage_error(self, tmp_path):
+        # The singular name and its plural alias set the same rate.
+        out = tmp_path / "x"
+        proc = run_module(
+            "synth", "--out", out, "--seed", "1", "--docs", "1",
+            "--fn-rate", "code=0.3", "--fn-rate", "codes=0.1",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "ERROR receipt_kie.cli: --fn-rate sets one name twice: 'code=0.3' and 'codes=0.1'"
+        ]
+        assert not out.exists()
 
     @pytest.mark.parametrize("rate", ["-1", "nan"])
     def test_bad_ocr_noise_is_a_usage_error_without_fn_rates(self, tmp_path, rate):
@@ -536,6 +549,18 @@ class TestEvalCommand:
             f"ERROR receipt_kie.cli: --min-f1 codes: {float(bar)} is not within [0, 1]"
         ]
 
+    def test_repeated_min_f1_name_is_a_usage_error(self, corpus_dir, results_dir):
+        # A later, lower bar under the singular alias does not replace the first.
+        proc = run_module(
+            "eval", "--results", results_dir, "--truth", corpus_dir,
+            "--min-f1", "codes=0.9", "--min-f1", "code=0.5",
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "ERROR receipt_kie.cli: --min-f1 sets one name twice: 'codes=0.9' and 'code=0.5'"
+        ]
+
     @pytest.mark.parametrize("bar", ["0", "1"])
     def test_min_f1_of_zero_and_one_are_bars(self, corpus_dir, results_dir, bar):
         # Corrections recover every dropped code of this corpus: F1 is 1.
@@ -681,6 +706,43 @@ class TestEvalCommand:
         typo = tmp_path / "typo"
         error = error_line(run_module("eval", "--results", results, "--truth", typo))
         assert error == f"ERROR receipt_kie.cli: no *.truth.json files in {typo}"
+
+    @pytest.mark.parametrize("damage", [None, "malformed-truth", "missing-ocr"])
+    def test_truth_doc_without_a_result_fails(self, corpus_dir, results_dir, tmp_path, damage):
+        # The files of a truth doc that no result names are never read, so
+        # a fault in them does not hide the missing result.
+        truth = tmp_path / "truth"
+        truth.mkdir()
+        for path in corpus_dir.glob("*.json"):
+            (truth / path.name).write_bytes(path.read_bytes())
+        *results, victim = sorted(results_dir.glob("*.result.json"))
+        doc_id = victim.name[: -len(".result.json")]
+        if damage == "malformed-truth":
+            (truth / f"{doc_id}.truth.json").write_text("{")
+        elif damage == "missing-ocr":
+            (truth / f"{doc_id}.json").unlink()
+        error = error_line(run_module("eval", "--results", *results, "--truth", truth))
+        assert error.endswith(f"no predictions for {doc_id}")
+
+    def test_each_result_is_scored_before_the_next_is_read(
+        self, corpus_dir, results_dir, monkeypatch
+    ):
+        calls = []
+
+        def logged(name, fn):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(cli, "parse_result", logged("parse", cli.parse_result))
+        monkeypatch.setattr(
+            evaluation, "score_whole_products",
+            logged("score", evaluation.score_whole_products),
+        )
+        assert run_cli("eval", "--results", results_dir, "--truth", corpus_dir) == 0
+        assert calls == ["parse", "score"] * 20
 
     def test_a_token_in_two_groups_is_refused(self, corpus_dir, results_dir, tmp_path):
         # Group 0 lists each of its tokens twice, and a copy of it follows

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from receipt_kie.errors import CorpusMismatchError
 from receipt_kie.evaluation import (
     ENTITY_ORDER,
     DocPrediction,
@@ -52,14 +51,12 @@ class TestEntityCounts:
 
 
 def truth_for(doc, products):
-    return {doc.doc_id: (doc, tuple(products))}
+    return doc, tuple(products)
 
 
 class TestScoreEntities:
     def test_perfect_predictions(self, receipt_doc, receipt_truth, labeled_receipt):
-        counts = score_entities(
-            {receipt_doc.doc_id: labeled_receipt}, truth_for(receipt_doc, receipt_truth)
-        )
+        counts = score_entities(labeled_receipt, truth_for(receipt_doc, receipt_truth))
         assert counts[EntityLabel.DESCRIPTION] == EntityCounts(tp=3, fp=0, fn=0)
         assert counts[EntityLabel.CODE] == EntityCounts(tp=2, fp=0, fn=0)
         assert counts[EntityLabel.QUANTITY] == EntityCounts(tp=2, fp=0, fn=0)
@@ -74,9 +71,7 @@ class TestScoreEntities:
                 for tok in labeled_receipt.tokens
             ]
         )
-        counts = score_entities(
-            {receipt_doc.doc_id: dropped}, truth_for(receipt_doc, receipt_truth)
-        )
+        counts = score_entities(dropped, truth_for(receipt_doc, receipt_truth))
         assert counts[EntityLabel.CODE] == EntityCounts(tp=1, fp=0, fn=1)
 
     def test_mislabeled_token_is_fp_for_one_and_fn_for_the_other(
@@ -92,9 +87,7 @@ class TestScoreEntities:
                 for tok in labeled_receipt.tokens
             ]
         )
-        counts = score_entities(
-            {receipt_doc.doc_id: swapped}, truth_for(receipt_doc, receipt_truth)
-        )
+        counts = score_entities(swapped, truth_for(receipt_doc, receipt_truth))
         assert counts[EntityLabel.CODE] == EntityCounts(tp=2, fp=1, fn=0)
         assert counts[EntityLabel.QUANTITY] == EntityCounts(tp=1, fp=0, fn=1)
 
@@ -109,11 +102,9 @@ class TestScoreEntities:
                 for tok in labeled_receipt.tokens
             ]
         )
-        tag_counts = score_entities(
-            {receipt_doc.doc_id: garbled}, truth_for(receipt_doc, receipt_truth)
-        )
+        tag_counts = score_entities(garbled, truth_for(receipt_doc, receipt_truth))
         strict_counts = score_entities(
-            {receipt_doc.doc_id: garbled},
+            garbled,
             truth_for(receipt_doc, receipt_truth),
             MatchMode.STRICT_OCR,
         )
@@ -135,9 +126,7 @@ class TestScoreEntities:
             ]
         )
         for mode in MatchMode:
-            counts = score_entities(
-                {receipt_doc.doc_id: moved}, truth_for(receipt_doc, receipt_truth), mode
-            )
+            counts = score_entities(moved, truth_for(receipt_doc, receipt_truth), mode)
             assert counts[EntityLabel.CODE] == EntityCounts(tp=1, fp=1, fn=1)
 
     def test_strict_mode_compares_nfc_forms(self):
@@ -146,23 +135,11 @@ class TestScoreEntities:
             [make_token(0, "Cafe\u0301", 40, 100, label=EntityLabel.DESCRIPTION)]
         )
         counts = score_entities(
-            {pred_doc.doc_id: pred_doc},
+            pred_doc,
             truth_for(truth_doc, [Product(description_ids=(0,))]),
             MatchMode.STRICT_OCR,
         )
         assert counts[EntityLabel.DESCRIPTION] == EntityCounts(tp=1, fp=0, fn=0)
-
-    def test_misaligned_corpora_rejected(self, receipt_doc, receipt_truth, labeled_receipt):
-        with pytest.raises(CorpusMismatchError, match="receipt-fixture"):
-            score_entities({}, truth_for(receipt_doc, receipt_truth))
-        with pytest.raises(CorpusMismatchError, match="stray-doc"):
-            score_entities(
-                {
-                    receipt_doc.doc_id: labeled_receipt,
-                    "stray-doc": labeled_receipt,
-                },
-                truth_for(receipt_doc, receipt_truth),
-            )
 
 
 def predict(doc, groups=None):
@@ -176,7 +153,7 @@ class TestScoreWholeProducts:
         self, receipt_doc, receipt_truth, labeled_receipt
     ):
         counts = score_whole_products(
-            {receipt_doc.doc_id: predict(labeled_receipt)},
+            predict(labeled_receipt),
             truth_for(receipt_doc, receipt_truth),
         )
         assert counts == EntityCounts(tp=2, fp=0, fn=0)
@@ -194,9 +171,7 @@ class TestScoreWholeProducts:
                 for tok in labeled_receipt.tokens
             ]
         )
-        counts = score_whole_products(
-            {receipt_doc.doc_id: predict(dropped)}, truth_for(receipt_doc, receipt_truth)
-        )
+        counts = score_whole_products(predict(dropped), truth_for(receipt_doc, receipt_truth))
         assert counts == EntityCounts(tp=1, fp=1, fn=1)
 
     def test_spurious_extra_entity_fails_the_product(self, receipt_doc, receipt_truth):
@@ -209,7 +184,7 @@ class TestScoreWholeProducts:
         )
         labeled = apply_truth_labels(receipt_doc, receipt_truth, source=LabelSource.MODEL)
         counts = score_whole_products(
-            {receipt_doc.doc_id: predict(labeled)},
+            predict(labeled),
             truth_for(receipt_doc, truth_without_code),
         )
         assert counts == EntityCounts(tp=1, fp=1, fn=1)
@@ -227,9 +202,7 @@ class TestScoreWholeProducts:
                 for tok in partial.tokens
             ]
         )
-        counts = score_whole_products(
-            {receipt_doc.doc_id: predict(partial)}, truth_for(receipt_doc, receipt_truth)
-        )
+        counts = score_whole_products(predict(partial), truth_for(receipt_doc, receipt_truth))
         assert counts == EntityCounts(tp=1, fp=1, fn=1)
 
     def test_group_without_majority_claims_nothing(self, receipt_doc, receipt_truth):
@@ -245,7 +218,7 @@ class TestScoreWholeProducts:
             incomplete=False,
         )
         counts = score_whole_products(
-            {receipt_doc.doc_id: predict(labeled, [mega])},
+            predict(labeled, [mega]),
             truth_for(receipt_doc, receipt_truth),
         )
         assert counts == EntityCounts(tp=0, fp=1, fn=2)
@@ -266,7 +239,7 @@ class TestScoreWholeProducts:
             incomplete=False,
         )
         counts = score_whole_products(
-            {receipt_doc.doc_id: predict(labeled, [mega])},
+            predict(labeled, [mega]),
             truth_for(receipt_doc, receipt_truth),
         )
         assert counts == EntityCounts(tp=0, fp=1, fn=2)
@@ -291,9 +264,7 @@ class TestScoreWholeProducts:
         group_b = ProductGroup(
             1, (1,), (1, 2, 3), union_bbox(t.bbox for t in tokens[1:]), False
         )
-        counts = score_whole_products(
-            {"competing": predict(doc, [group_a, group_b])}, {"competing": (doc, tuple(truth))}
-        )
+        counts = score_whole_products(predict(doc, [group_a, group_b]), (doc, tuple(truth)))
         # group A wins the alignment but misses quantity and price, so
         # nothing scores: 2 group FPs and the product unmatched
         assert counts == EntityCounts(tp=0, fp=2, fn=1)
@@ -312,8 +283,8 @@ class TestScoreWholeProducts:
         full = ProductGroup(0, (0, 1), (0, 1, 2, 3), union_bbox(t.bbox for t in tokens), False)
         partial = ProductGroup(1, (0,), (1,), tokens[1].bbox, True)
         counts = score_whole_products(
-            {"competing-2": predict(doc, [full, partial])},
-            {"competing-2": (doc, tuple(truth))},
+            predict(doc, [full, partial]),
+            (doc, tuple(truth)),
         )
         assert counts == EntityCounts(tp=1, fp=1, fn=0)
 
@@ -331,9 +302,7 @@ class TestScoreWholeProducts:
         truth = [Product(description_ids=(0, 1))]
         group_a = ProductGroup(0, (0, 1), (0, 1, 2, 3), union_bbox(t.bbox for t in tokens))
         group_b = ProductGroup(1, (0,), (0, 1), union_bbox(t.bbox for t in tokens[:2]))
-        counts = score_whole_products(
-            {"half": predict(doc, [group_a, group_b])}, {"half": (doc, tuple(truth))}
-        )
+        counts = score_whole_products(predict(doc, [group_a, group_b]), (doc, tuple(truth)))
         assert counts == EntityCounts(tp=1, fp=1, fn=0)
 
     def test_strict_mode_fails_products_with_garbled_text(
@@ -347,11 +316,9 @@ class TestScoreWholeProducts:
                 for tok in labeled_receipt.tokens
             ]
         )
-        tag = score_whole_products(
-            {receipt_doc.doc_id: predict(garbled)}, truth_for(receipt_doc, receipt_truth)
-        )
+        tag = score_whole_products(predict(garbled), truth_for(receipt_doc, receipt_truth))
         strict = score_whole_products(
-            {receipt_doc.doc_id: predict(garbled)},
+            predict(garbled),
             truth_for(receipt_doc, receipt_truth),
             MatchMode.STRICT_OCR,
         )
@@ -361,19 +328,13 @@ class TestScoreWholeProducts:
 
 class TestReport:
     def test_build_report_wires_both_scorers(self, receipt_doc, receipt_truth, labeled_receipt):
-        report = build_report(
-            {receipt_doc.doc_id: predict(labeled_receipt)},
-            truth_for(receipt_doc, receipt_truth),
-        )
+        report = build_report([(predict(labeled_receipt), truth_for(receipt_doc, receipt_truth))])
         assert report.corpus_size == 1
         assert report.whole_products == EntityCounts(tp=2, fp=0, fn=0)
         assert report.entities[EntityLabel.CODE].f1 == pytest.approx(1.0)
 
     def test_as_dict_shape(self, receipt_doc, receipt_truth, labeled_receipt):
-        report = build_report(
-            {receipt_doc.doc_id: predict(labeled_receipt)},
-            truth_for(receipt_doc, receipt_truth),
-        )
+        report = build_report([(predict(labeled_receipt), truth_for(receipt_doc, receipt_truth))])
         payload = report.as_dict()
         assert payload["mode"] == "tag"
         assert set(payload["entities"]) == {"descriptions", "codes", "quantities", "prices"}
@@ -381,10 +342,7 @@ class TestReport:
         assert payload["whole_products"]["f1"] == pytest.approx(1.0)
 
     def test_format_table_lists_every_row(self, receipt_doc, receipt_truth, labeled_receipt):
-        report = build_report(
-            {receipt_doc.doc_id: predict(labeled_receipt)},
-            truth_for(receipt_doc, receipt_truth),
-        )
+        report = build_report([(predict(labeled_receipt), truth_for(receipt_doc, receipt_truth))])
         table = report.format_table()
         lines = table.splitlines()
         assert lines[0].split()[0] == "entity"
@@ -396,14 +354,9 @@ class TestReport:
             mode=MatchMode.TAG_ONLY,
             corpus_size=0,
             entities={label: EntityCounts() for label in ENTITY_ORDER},
+            whole_products=EntityCounts(),
         )
         assert "0.000" in report.format_table()
-
-    def test_default_report_has_a_zero_row_per_entity(self):
-        report = EvalReport(MatchMode.STRICT_OCR, 0)
-        assert report.entities == {label: EntityCounts() for label in ENTITY_ORDER}
-        assert report.as_dict()["entities"]["prices"]["tp"] == 0
-        assert len(report.format_table().splitlines()) == len(ENTITY_ORDER) + 2
 
 
 # --------------------------------------------------------------------------
@@ -474,9 +427,6 @@ def _scoring_corpus(draw):
 def test_scorers_match_their_references(corpus, mode):
     predictions, truth = corpus
     documents = {doc_id: pred.document for doc_id, pred in predictions.items()}
-    assert score_entities(documents, truth, mode) == reference_score_entities(
-        documents, truth, mode
-    )
-    assert score_whole_products(predictions, truth, mode) == reference_score_whole_products(
-        predictions, truth, mode
-    )
+    report = build_report(((predictions[doc_id], truth[doc_id]) for doc_id in truth), mode)
+    assert report.entities == reference_score_entities(documents, truth, mode)
+    assert report.whole_products == reference_score_whole_products(predictions, truth, mode)
