@@ -10,10 +10,10 @@ Four subcommands::
 ``eval`` and ``render`` refuse a result whose doc id, token count or any
 token box differs from those of the page it is read with.
 
-Log verbosity is controlled by the ``RECEIPT_KIE_LOG`` environment
-variable (error|warn|info|debug; default warn). All outputs are
-deterministic: running the same command twice produces byte-identical
-files.
+Errors and warnings go to stderr, one line each, as
+``ERROR receipt_kie.cli: <message>`` or ``WARNING receipt_kie.cli: <message>``.
+All outputs are deterministic: running the same command twice produces
+byte-identical files.
 
 Exit codes: 0 success; 1 input/processing failure; 2 flag validation
 errors (argparse's convention) and ``eval --min-f1`` threshold misses.
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from contextlib import contextmanager
@@ -45,6 +44,7 @@ from .evaluation import (
     format_rows,
 )
 from .ingest import (
+    _is_file_name,
     _load_object,
     _require,
     canonical_json,
@@ -56,32 +56,15 @@ from .ingest import (
 from .layout import GroupingConfig, detect_lines_geometric, group_product_lines
 from .model import Document, EntityLabel
 from .render import render_svg
-from .synth import CorpusSpec, CorruptionSpec, write_corpus
-
-log = logging.getLogger("receipt_kie.cli")
-
-_LOG_LEVELS = {
-    "error": logging.ERROR,
-    "warn": logging.WARNING,
-    "warning": logging.WARNING,
-    "info": logging.INFO,
-    "debug": logging.DEBUG,
-}
+from .synth import CorpusSpec, CorruptionSpec, remove_corpus, write_corpus
 
 _PRED_SUFFIX = ".pred.json"
 _RESERVED_SUFFIXES = (".truth.json", _PRED_SUFFIX, ".result.json")
 
 
-def _configure_logging() -> None:
-    raw = os.environ.get("RECEIPT_KIE_LOG", "warn").lower()
-    level = _LOG_LEVELS.get(raw)
-    if level is None:
-        level = logging.WARNING
-    logging.basicConfig(
-        level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
-    )
-    if raw not in _LOG_LEVELS:
-        log.warning("unknown RECEIPT_KIE_LOG value %r; using warn", raw)
+def _stderr_line(level: str, message: object) -> None:
+    """One ``LEVEL receipt_kie.cli: message`` line on the current stderr."""
+    print(f"{level} receipt_kie.cli: {message}", file=sys.stderr)
 
 
 def _is_ocr_input(path: Path) -> bool:
@@ -214,21 +197,21 @@ def cmd_decode(args: argparse.Namespace) -> int:
         grouping = GroupingConfig(y_overlap_threshold=args.y_overlap)
         parse_cfg = NumericParseConfig(decimal_separators=tuple(args.decimal_separators))
     except ValueError as exc:
-        log.error("%s", exc)
+        _stderr_line("ERROR", exc)
         return 2
     if args.tagger == "import" and not args.predictions:
-        log.error("--tagger import requires --predictions")
+        _stderr_line("ERROR", "--tagger import requires --predictions")
         return 2
     inputs = _expand(args.inputs, _is_ocr_input)
     if not inputs:
-        log.warning("no OCR input files found under %s", ", ".join(args.inputs))
+        _stderr_line("WARNING", f"no OCR input files found under {', '.join(args.inputs)}")
         return 0
 
     if args.tagger == "import":
         try:
             tag = _import_tagger(Path(args.predictions))
         except (ReceiptKieError, OSError) as exc:
-            log.error("%s: %s", args.predictions, exc)
+            _stderr_line("ERROR", f"{args.predictions}: {exc}")
             return 1
     else:
         tag = partial(tagging.heuristic_tag, config=parse_cfg)
@@ -250,12 +233,11 @@ def cmd_decode(args: argparse.Namespace) -> int:
                 fh.write(payload)
         except (ReceiptKieError, OSError, ValueError) as exc:
             failures += 1
-            log.error("%s: %s", path, exc)
+            _stderr_line("ERROR", f"{path}: {exc}")
             if args.fail_fast:
                 break  # the results already written still get their audit
             continue
         decoded[doc_id] = (path, records)
-        log.info("decoded %s -> %s.result.json (%d corrections)", path, doc_id, len(records))
 
     audit_path = Path(args.audit) if args.audit else out_dir / "corrections.jsonl"
     try:
@@ -266,7 +248,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
                             "token_id": rec.token_id, "parsed_value": rec.parsed_value}
                     fh.write(json.dumps(line, sort_keys=True, ensure_ascii=False) + "\n")
     except OSError as exc:
-        log.error("%s: %s", audit_path, exc)
+        _stderr_line("ERROR", f"{audit_path}: {exc}")
         return 1
     return 1 if failures else 0
 
@@ -353,7 +335,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             if not 0.0 <= bar <= 1.0:
                 raise argparse.ArgumentTypeError(f"--min-f1 {key}: {bar} is not within [0, 1]")
     except argparse.ArgumentTypeError as exc:
-        log.error("%s", exc)
+        _stderr_line("ERROR", exc)
         return 2
 
     mode = MatchMode.STRICT_OCR if args.mode == "strict" else MatchMode.TAG_ONLY
@@ -392,35 +374,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 _FN_RATE_NAMES = _entity_names(lambda label: f"{label.value}_fn_rate")
 
 
-def _remove_synth_files(out_dir: Path) -> None:
-    """Delete the files of the documents that ``out_dir/manifest.json``
-    lists, in the layout synth writes them, and ``pred/`` if that empties
-    it. Every other file stays."""
-    manifest_path = out_dir / "manifest.json"
-    if not manifest_path.is_file():
-        return
-    doc_ids = _require(_parse_file(manifest_path, _load_object), "doc_ids", str(manifest_path))
-    if not isinstance(doc_ids, list) or not all(
-        isinstance(doc_id, str) and "/" not in doc_id and "\0" not in doc_id for doc_id in doc_ids
-    ):
-        raise CorpusMismatchError(f"{manifest_path}: doc_ids must be a list of file names")
-    pred_dir = out_dir / "pred"
-    for doc_id in doc_ids:
-        for path in (
-            out_dir / f"{doc_id}.json",
-            out_dir / f"{doc_id}.truth.json",
-            pred_dir / f"{doc_id}.json",
-            pred_dir / f"{doc_id}{_PRED_SUFFIX}",
-        ):
-            path.unlink(missing_ok=True)
-    if pred_dir.is_dir() and not any(pred_dir.iterdir()):
-        pred_dir.rmdir()
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
-        log.error("output directory %s is not empty (pass --force to overwrite)", out_dir)
+        _stderr_line("ERROR", f"output directory {out_dir} is not empty (pass --force to overwrite)")
         return 1
 
     try:
@@ -439,11 +396,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
         if not fn_rates and args.ocr_noise == 0.0:
             corruption = None  # a clean corpus, without pred/
     except (ValueError, argparse.ArgumentTypeError) as exc:
-        log.error("%s", exc)
+        _stderr_line("ERROR", exc)
         return 2
 
-    if args.force:
-        _remove_synth_files(out_dir)
+    manifest_path = out_dir / "manifest.json"
+    if args.force and manifest_path.is_file():
+        doc_ids = _require(_parse_file(manifest_path, _load_object), "doc_ids", str(manifest_path))
+        if not isinstance(doc_ids, list) or not all(map(_is_file_name, doc_ids)):
+            raise CorpusMismatchError(f"{manifest_path}: doc_ids must be a list of file names")
+        remove_corpus(out_dir, doc_ids)
     manifest = write_corpus(spec, out_dir, corruption)
     print(
         f"wrote {manifest['n_docs']} documents to {out_dir}"
@@ -526,12 +487,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    _configure_logging()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ReceiptKieError, OSError) as exc:
-        log.error("%s", exc)
+        _stderr_line("ERROR", exc)
         return 1
 
 

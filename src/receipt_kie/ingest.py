@@ -133,16 +133,21 @@ def _lookup(table: Mapping[str, Any], value: Any, where: str, what: str) -> Any:
     return table[value]
 
 
+def _is_file_name(name: Any) -> bool:
+    """Whether ``name`` is a string that names a file in a directory."""
+    return (
+        isinstance(name, str)
+        and name not in ("", ".", "..")
+        and "/" not in name
+        and "\\" not in name
+        and "\0" not in name
+    )
+
+
 def _doc_id(raw: Mapping[str, Any]) -> str:
     doc_id = _require(raw, "doc_id", "top level")
     # Results are written to <doc_id>.result.json: the id must name a file.
-    if (
-        not isinstance(doc_id, str)
-        or doc_id in ("", ".", "..")
-        or "/" in doc_id
-        or "\\" in doc_id
-        or "\0" in doc_id
-    ):
+    if not _is_file_name(doc_id):
         raise SchemaError(f"doc_id: expected a plain file name, got {doc_id!r}")
     if not doc_id.isascii():
         _check_utf8(doc_id, "doc_id")

@@ -11,7 +11,6 @@ out from model output at a glance.
 from __future__ import annotations
 
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 from .model import Document, EntityLabel, LabelSource, ProductGroup
 
@@ -25,6 +24,13 @@ LABEL_FILLS: dict[EntityLabel, str] = {
 
 _GROUP_RAMP_START = (30, 80, 255)  # blue
 _GROUP_RAMP_END = (142, 36, 170)  # purple
+
+
+def _escape(text: str) -> str:
+    """``text`` as XML character data: ``&``, ``<`` and ``>`` escaped, ``&``
+    first, as ``xml.sax.saxutils.escape`` does. That module is not imported:
+    it pulls in ``urllib`` and ``email`` on every command's startup."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _group_stroke(index: int, count: int) -> str:
@@ -41,7 +47,7 @@ def render_svg(doc: Document, groups: Sequence[ProductGroup]) -> str:
     parts: list[str] = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">',
-        f"<title>{escape(doc.doc_id)}</title>",
+        f"<title>{_escape(doc.doc_id)}</title>",
         f'<rect x="0" y="0" width="{w}" height="{h}" fill="#fdfdf8"/>',
     ]
 
@@ -75,7 +81,7 @@ def render_svg(doc: Document, groups: Sequence[ProductGroup]) -> str:
         parts.append(
             f'<text x="{x + 3:.1f}" y="{y + th * 0.72:.1f}" '
             f'font-family="monospace" font-size="{font_size:.1f}" '
-            f"fill=\"#14141e\">{escape(tok.text)}</text>"
+            f"fill=\"#14141e\">{_escape(tok.text)}</text>"
         )
 
     parts.append("</svg>")

@@ -30,7 +30,7 @@ import hashlib
 import random
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .ingest import apply_truth_labels, canonical_json, write_ground_truth_json
 from .model import BBox, Document, EntityLabel, LabelSource, Product, Token
@@ -189,13 +189,11 @@ def _generate_doc(
     return doc, tuple(products), ocr_payload
 
 
-def _doc_records(spec: CorpusSpec) -> list[tuple[Document, tuple[Product, ...], dict[str, Any]]]:
+def _doc_records(spec: CorpusSpec) -> Iterator[tuple[Document, tuple[Product, ...], dict[str, Any]]]:
+    """Each document of the corpus in turn, generated only when it is asked for."""
     rng = random.Random(spec.seed)
-    records = []
     for i in range(spec.n_docs):
-        doc_id = f"synth-{spec.seed & 0xFFFFFFFF:08x}-{i:05d}"
-        records.append(_generate_doc(doc_id, rng, spec))
-    return records
+        yield _generate_doc(f"synth-{spec.seed & 0xFFFFFFFF:08x}-{i:05d}", rng, spec)
 
 
 def generate_corpus(spec: CorpusSpec) -> list[tuple[Document, tuple[Product, ...]]]:
@@ -260,6 +258,18 @@ def predictions_payload(doc: Document) -> dict[str, Any]:
     return {"doc_id": doc.doc_id, "labels": labels}
 
 
+def _doc_files(out_dir: Path, doc_id: str) -> tuple[Path, Path, Path, Path]:
+    """The files of one document: its OCR and truth files, and in ``pred/``
+    its noised OCR file and its predictions."""
+    pred_dir = out_dir / "pred"
+    return (
+        out_dir / f"{doc_id}.json",
+        out_dir / f"{doc_id}.truth.json",
+        pred_dir / f"{doc_id}.json",
+        pred_dir / f"{doc_id}.pred.json",
+    )
+
+
 def write_corpus(
     spec: CorpusSpec,
     out_dir: Path,
@@ -281,12 +291,9 @@ def write_corpus(
     doc_ids: list[str] = []
     for doc, products, ocr_payload in _doc_records(spec):
         doc_ids.append(doc.doc_id)
-        (out_dir / f"{doc.doc_id}.json").write_text(
-            canonical_json(ocr_payload), encoding="utf-8"
-        )
-        (out_dir / f"{doc.doc_id}.truth.json").write_text(
-            write_ground_truth_json(doc.doc_id, products), encoding="utf-8"
-        )
+        ocr_path, truth_path, noised_path, pred_path = _doc_files(out_dir, doc.doc_id)
+        ocr_path.write_text(canonical_json(ocr_payload), encoding="utf-8")
+        truth_path.write_text(write_ground_truth_json(doc.doc_id, products), encoding="utf-8")
         if corruption is None:
             continue
         corrupted = corrupt_predictions(
@@ -299,12 +306,8 @@ def write_corpus(
             dict(word, text=tok.text)
             for word, tok in zip(ocr_payload["words"], corrupted.tokens)
         ]
-        (pred_dir / f"{doc.doc_id}.json").write_text(
-            canonical_json(noised_payload), encoding="utf-8"
-        )
-        (pred_dir / f"{doc.doc_id}.pred.json").write_text(
-            canonical_json(predictions_payload(corrupted)), encoding="utf-8"
-        )
+        noised_path.write_text(canonical_json(noised_payload), encoding="utf-8")
+        pred_path.write_text(canonical_json(predictions_payload(corrupted)), encoding="utf-8")
 
     manifest: dict[str, Any] = {
         **asdict(spec),
@@ -313,3 +316,15 @@ def write_corpus(
     }
     (out_dir / "manifest.json").write_text(canonical_json(manifest), encoding="utf-8")
     return manifest
+
+
+def remove_corpus(out_dir: Path, doc_ids: Sequence[str]) -> None:
+    """Delete the files that :func:`write_corpus` writes for ``doc_ids``,
+    each a plain file name, and ``pred/`` if that empties it. Every other
+    file in ``out_dir`` stays."""
+    for doc_id in doc_ids:
+        for path in _doc_files(out_dir, doc_id):
+            path.unlink(missing_ok=True)
+    pred_dir = out_dir / "pred"
+    if pred_dir.is_dir() and not any(pred_dir.iterdir()):
+        pred_dir.rmdir()

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import errno
 import importlib
+import io
 import json
+import logging
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -107,6 +109,17 @@ class TestSynthCommand:
         proc = run_module("synth", "--out", out, "--seed", "1", "--docs", "1", "--force")
         assert "doc_ids must be a list of file names" in error_line(proc)
         assert (tmp_path / "x.json").read_text() == "keep"
+
+    @pytest.mark.parametrize("doc_id", ["", "..", "a\\b"])
+    def test_force_refuses_a_manifest_id_that_is_not_a_plain_file_name(self, tmp_path, doc_id):
+        out = tmp_path / "f"
+        out.mkdir()
+        (out / "manifest.json").write_text(json.dumps({"doc_ids": [doc_id]}))
+        kept = out / f"{doc_id}.json"
+        kept.write_text("keep")
+        proc = run_module("synth", "--out", out, "--seed", "1", "--docs", "1", "--force")
+        assert "doc_ids must be a list of file names" in error_line(proc)
+        assert kept.read_text() == "keep"
 
     def test_out_path_that_is_a_file_is_one_error_line(self, tmp_path):
         taken = tmp_path / "taken"
@@ -960,6 +973,39 @@ def test_benchmark_trace_points_see_every_layer(corpus_dir, tmp_path, monkeypatc
         "evaluation.from_groups",
         "evaluation.build_report",
     }
+
+
+class TestStderrLines:
+    """``main`` writes its lines to ``sys.stderr`` as it is at each call and
+    sets up no logging. The root logger is emptied first, as it is in a
+    program that has not configured logging."""
+
+    def test_each_call_writes_to_the_stderr_it_runs_under(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(logging.getLogger(), "handlers", [])
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        (taken / "x").write_text("x")
+        calls = [
+            (["synth", "--out", taken], 1),
+            (["decode", tmp_path, "--out", tmp_path / "o", "--tagger", "import"], 2),
+        ]
+        written = []
+        for argv, code in calls:
+            stream = io.StringIO()
+            monkeypatch.setattr(sys, "stderr", stream)
+            assert run_cli(*argv) == code
+            written.append(stream.getvalue())
+        assert written == [
+            f"ERROR receipt_kie.cli: output directory {taken} is not empty (pass --force to overwrite)\n",
+            "ERROR receipt_kie.cli: --tagger import requires --predictions\n",
+        ]
+
+    def test_main_adds_no_handler_to_the_root_logger(self, tmp_path, monkeypatch, capsys):
+        root = logging.getLogger()
+        monkeypatch.setattr(root, "handlers", [])
+        assert run_cli("decode", tmp_path, "--out", tmp_path / "o") == 0
+        assert capsys.readouterr().err == f"WARNING receipt_kie.cli: no OCR input files found under {tmp_path}\n"
+        assert root.handlers == []
 
 
 class TestModuleEntryPoint:

@@ -1,6 +1,6 @@
 """Every name that a module of the package imports is used in that module,
-and every private top-level name that a module defines is read somewhere in
-the package.
+every private top-level name that a module defines is read somewhere in
+the package, and importing the CLI loads no heavy standard-library module.
 
 No linter ships with the project, so this stands in for the checks that
 matter most after code is removed: an import or a private helper left
@@ -11,6 +11,8 @@ line marked ``# noqa: F401`` is exempt, as under flake8.
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,3 +93,16 @@ def test_the_check_sees_an_unread_private_name():
         "c.py": "import b\nb._Box()\nprint(_y)\n",
     }
     assert unread_private_names(sources) == ["a.py: _left", "b.py: _x"]
+
+
+def test_importing_the_cli_loads_no_heavy_stdlib_module():
+    # A fresh interpreter, and only the modules the import adds: what
+    # ``site`` loads at startup does not count.
+    code = (
+        f"import sys; sys.path.insert(0, {str(_PACKAGE.parent)!r}); before = set(sys.modules); "
+        "import receipt_kie.cli; print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    added = set(proc.stdout.split())
+    heavy = {"logging", "xml.sax.saxutils", "urllib.request", "http.client", "email.parser", "ssl"}
+    assert sorted(added & heavy) == []

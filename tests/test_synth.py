@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from receipt_kie import synth
 from receipt_kie.corrections import apply_corrections, parse_float, parse_integer
 from receipt_kie.ingest import parse_ground_truth, parse_ocr, write_ground_truth_json
 from receipt_kie.layout import detect_lines_geometric, group_product_lines
@@ -346,6 +347,20 @@ class TestWriteCorpus:
             for product in products:
                 assert product.price_id not in labeled_ids
                 assert set(product.description_ids) <= labeled_ids
+
+    def test_each_document_is_written_before_the_next_is_generated(self, tmp_path, monkeypatch):
+        generated: list[str] = []
+        generate = synth._generate_doc
+
+        def generate_after_the_last_is_written(doc_id, rng, spec):
+            if generated:
+                assert (tmp_path / f"{generated[-1]}.json").is_file()
+            generated.append(doc_id)
+            return generate(doc_id, rng, spec)
+
+        monkeypatch.setattr(synth, "_generate_doc", generate_after_the_last_is_written)
+        manifest = write_corpus(CorpusSpec(seed=3, n_docs=4), tmp_path)
+        assert generated == manifest["doc_ids"]
 
     def test_without_corruption_no_pred_directory(self, tmp_path):
         write_corpus(CorpusSpec(seed=15, n_docs=1), tmp_path)
