@@ -26,7 +26,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence, TextIO
 
@@ -374,6 +374,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
 _FN_RATE_NAMES = _entity_names(lambda label: f"{label.value}_fn_rate")
 
 
+def _is_manifest_id(doc_id: Any) -> bool:
+    """Whether ``doc_id`` names the files of a synth document: a plain file
+    name that UTF-8 can encode. A lone surrogate (a JSON ``\\ud800``
+    escape gives one) is in no file name."""
+    if not _is_file_name(doc_id):
+        return False
+    try:
+        doc_id.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
@@ -402,7 +415,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     manifest_path = out_dir / "manifest.json"
     if args.force and manifest_path.is_file():
         doc_ids = _require(_parse_file(manifest_path, _load_object), "doc_ids", str(manifest_path))
-        if not isinstance(doc_ids, list) or not all(map(_is_file_name, doc_ids)):
+        if not isinstance(doc_ids, list) or not all(map(_is_manifest_id, doc_ids)):
             raise CorpusMismatchError(f"{manifest_path}: doc_ids must be a list of file names")
         remove_corpus(out_dir, doc_ids)
     manifest = write_corpus(spec, out_dir, corruption)
@@ -432,7 +445,15 @@ def cmd_render(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused:
+    building it costs more than parsing a command line with it.
+
+    ``set_defaults`` binds each subcommand's ``cmd_*`` function once, so a
+    ``cmd_*`` replaced in this module after the first call is not run.
+    Everything those functions call (``parse_ocr``, ``serialize_result``
+    and the rest) is still looked up in this module at call time."""
     parser = argparse.ArgumentParser(
         prog="receipt-kie",
         description="Key information extraction for purchase documents.",

@@ -414,12 +414,26 @@ def _bbox_from_json(raw: Any, where: str) -> BBox:
 _QUOTED = {member: _quote(member.value) for enum in (EntityLabel, LabelSource) for member in enum}
 
 
-def _box_text(bbox: BBox) -> str:
-    # A box is the value of a key six spaces in, in tokens and in products.
+class _CoordinateTexts(dict):
+    """The text of each coordinate looked up, made by ``repr`` on first use.
+    Keys are floats, as in every box the readers and synth make: an int
+    would get the text of the float equal to it."""
+
+    def __missing__(self, coordinate: float) -> str:
+        text = self[coordinate] = repr(coordinate)
+        return text
+
+
+def _box_text(bbox: BBox, texts: _CoordinateTexts) -> str:
+    """A box as the value of a key six spaces in, in tokens and in products.
+    ``texts`` gives the text of a nonzero coordinate; a zero is written by
+    ``repr``, since ``0.0`` and ``-0.0`` are one key with two texts."""
     x_min, y_min, x_max, y_max = bbox
     return (
-        f'{{\n        "x_max": {x_max!r},\n        "x_min": {x_min!r},\n'
-        f'        "y_max": {y_max!r},\n        "y_min": {y_min!r}\n      }}'
+        f'{{\n        "x_max": {texts[x_max] if x_max else repr(x_max)},\n'
+        f'        "x_min": {texts[x_min] if x_min else repr(x_min)},\n'
+        f'        "y_max": {texts[y_max] if y_max else repr(y_max)},\n'
+        f'        "y_min": {texts[y_min] if y_min else repr(y_min)}\n      }}'
     )
 
 
@@ -445,6 +459,10 @@ def serialize_result(doc: Document, groups: Sequence[ProductGroup]) -> str:
     strings by ``json``'s own escaper and numbers by ``repr``, as
     ``json.dumps`` writes them.
     """
+    # Neighbouring tokens share edges: each distinct nonzero coordinate of
+    # the document is formatted once, for token and group boxes alike.
+    texts = _CoordinateTexts()
+
     # Tokens and boxes are unpacked: one unpack of a named tuple costs less
     # than reading its fields one by one.
     token_texts = []
@@ -452,7 +470,7 @@ def serialize_result(doc: Document, groups: Sequence[ProductGroup]) -> str:
         confidence_text = "" if confidence is None else f'"confidence": {confidence!r},\n      '
         source_text = "" if source is None else f'"source": {_QUOTED[source]},\n      '
         token_texts.append(
-            f'{{\n      "bbox": {_box_text(bbox)},\n      {confidence_text}'
+            f'{{\n      "bbox": {_box_text(bbox, texts)},\n      {confidence_text}'
             f'"label": {_QUOTED[label]},\n      {source_text}"text": {_quote(text)},\n'
             f'      "token_id": {token_id!r}\n    }}'
         )
@@ -470,7 +488,7 @@ def serialize_result(doc: Document, groups: Sequence[ProductGroup]) -> str:
                 corrected.append(_QUOTED[label])
         entity_text = ",\n        ".join(f'"{name}": {entities[name]}' for name in sorted(entities))
         product_texts.append(
-            f'{{\n      "bbox": {_box_text(group.bbox)},\n'
+            f'{{\n      "bbox": {_box_text(group.bbox, texts)},\n'
             f'      "corrected": {_list_text(corrected, "      ")},\n'
             f'      "entities": {{\n        {entity_text}\n      }},\n'
             f'      "group_id": {group.group_id!r},\n'

@@ -23,6 +23,7 @@ still open at the end of the document is emitted flagged ``incomplete``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, pairwise
 from typing import Sequence
 
 from .model import (
@@ -32,9 +33,12 @@ from .model import (
     EntityLabel,
     Product,
     ProductGroup,
-    reading_order,
-    union_bbox,
 )
+
+# Enum members read in the per-token loops, bound once.
+_DESCRIPTION = EntityLabel.DESCRIPTION
+_QUANTITY = EntityLabel.QUANTITY
+_PRICE = EntityLabel.PRICE
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,13 +62,20 @@ def vertical_overlap_ratio(a: BBox, b: BBox) -> float:
     Returns a value in [0, 1]. Degenerate zero-height boxes count as fully
     overlapping anything whose interval they touch.
     """
-    intersection = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    # Each extreme is a conditional expression, not a min or max call, and
+    # keeps the first operand on a tie as min and max do.
+    _, a_min, _, a_max = a
+    _, b_min, _, b_max = b
+    intersection = (b_max if b_max < a_max else a_max) - (b_min if b_min > a_min else a_min)
     if intersection < 0.0:
         return 0.0
-    shorter = min(a.height, b.height)
+    a_height = a_max - a_min
+    b_height = b_max - b_min
+    shorter = b_height if b_height < a_height else a_height
     if shorter <= 0.0:
         return 1.0
-    return min(1.0, intersection / shorter)
+    ratio = intersection / shorter
+    return ratio if ratio < 1.0 else 1.0
 
 
 def detect_lines_geometric(
@@ -120,18 +131,18 @@ def detect_lines_geometric(
     lines: dict[int, list[int]] = {}
     for i in range(len(boxes)):
         lines.setdefault(find(i), []).append(i)
+    # Each token's left edge and (left edge, id) key, read once.
+    x_mins = [box[0] for box in boxes]
+    keys = list(zip(x_mins, [tok.token_id for tok in doc.tokens]))
     # A line's mean center sums its members in token order.
     ordered = sorted(
         lines.values(),
         key=lambda members: (
-            sum(centers[i] for i in members) / len(members),
-            min(boxes[i].x_min for i in members),
+            sum(map(centers.__getitem__, members)) / len(members),
+            min(map(x_mins.__getitem__, members)),
         ),
     )
-    return [
-        tuple(tid for _, tid in sorted((boxes[i].x_min, doc.tokens[i].token_id) for i in members))
-        for members in ordered
-    ]
+    return [tuple([tid for _, tid in sorted(map(keys.__getitem__, members))]) for members in ordered]
 
 
 def group_product_lines(doc: Document, lines: Sequence[tuple[int, ...]]) -> list[ProductGroup]:
@@ -142,17 +153,26 @@ def group_product_lines(doc: Document, lines: Sequence[tuple[int, ...]]) -> list
     ids; groups cover contiguous line runs and are returned in reading
     order with dense group ids.
     """
-    labels = [{doc.token(tid).label for tid in line} for line in lines]
+    # The lines' tokens, each read once through Document.token, which checks
+    # its id, in line order: the tokens of a run of lines are one slice of
+    # each column.
+    tokens = list(map(doc.token, chain.from_iterable(lines)))
+    if not tokens:
+        return []
+    ids, _, boxes, token_labels, _, _ = zip(*tokens)
+    x_mins, y_mins, x_maxs, y_maxs = zip(*boxes)
+    starts = [0, *accumulate(map(len, lines))]
+    labels = [set(token_labels[a:b]) for a, b in pairwise(starts)]
     groups: list[ProductGroup] = []
     i = 0
     n = len(lines)
     while i < n:
-        if EntityLabel.DESCRIPTION not in labels[i]:
+        if _DESCRIPTION not in labels[i]:
             # Step 1: not a product start; skip (covers stray entity lines
             # that follow no open group, headers, footers, blank noise).
             i += 1
             continue
-        if EntityLabel.QUANTITY in labels[i] and EntityLabel.PRICE in labels[i]:
+        if _QUANTITY in labels[i] and _PRICE in labels[i]:
             # Step 2a: description plus quantity and price on one line is
             # a complete product on its own.
             end, incomplete = i + 1, False
@@ -164,13 +184,14 @@ def group_product_lines(doc: Document, lines: Sequence[tuple[int, ...]]) -> list
             while j < n and labels[j].isdisjoint(SCALAR_ENTITIES):
                 j += 1
             end, incomplete = min(j + 1, n), j == n
-        token_ids = tuple(tid for line in lines[i:end] for tid in line)
+        a, b = starts[i], starts[end]
         groups.append(
             ProductGroup(
                 group_id=len(groups),
                 line_indices=tuple(range(i, end)),
-                token_ids=token_ids,
-                bbox=union_bbox(doc.token(tid).bbox for tid in token_ids),
+                token_ids=ids[a:b],
+                # As union_bbox: min and max over the tokens in order.
+                bbox=BBox(min(x_mins[a:b]), min(y_mins[a:b]), max(x_maxs[a:b]), max(y_maxs[a:b])),
                 incomplete=incomplete,
             )
         )
@@ -189,11 +210,14 @@ def assign_entities(group: ProductGroup, doc: Document) -> Product:
     """
     descriptions: list[int] = []
     scalars: dict[EntityLabel, int] = {}
-    # reading_order ends in the token id, a total order: the first token of
+    # The sort key ends in the token id, a total order: the first token of
     # a label wins its role. Untagged tokens fill a slot no role reads.
-    for tok in sorted(map(doc.token, group.token_ids), key=reading_order):
-        if tok.label is EntityLabel.DESCRIPTION:
-            descriptions.append(tok.token_id)
+    for _, _, token_id, label in sorted(
+        [(y_min, x_min, token_id, label)
+         for token_id, _, (x_min, y_min, _, _), label, _, _ in map(doc.token, group.token_ids)]
+    ):
+        if label is _DESCRIPTION:
+            descriptions.append(token_id)
         else:
-            scalars.setdefault(tok.label, tok.token_id)
+            scalars.setdefault(label, token_id)
     return Product(tuple(descriptions), *map(scalars.get, SCALAR_ENTITIES))

@@ -87,6 +87,22 @@ def brute_force_lines(doc: Document, threshold: float = 0.4) -> set[frozenset[in
 
 
 # --------------------------------------------------------------------------
+# The overlap test as stated, with min and max: the vertical intersection
+# over the shorter height, 0 for disjoint intervals, 1 for a zero-height box
+# that touches the other, at most 1.
+
+
+def reference_overlap_ratio(a: BBox, b: BBox) -> float:
+    intersection = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    if intersection < 0.0:
+        return 0.0
+    shorter = min(a.y_max - a.y_min, b.y_max - b.y_min)
+    if shorter <= 0.0:
+        return 1.0
+    return min(1.0, intersection / shorter)
+
+
+# --------------------------------------------------------------------------
 # Ordered line oracle: the all-pairs union-find that compares every pair of
 # tokens, with the package's line ordering (mean y-center, then the least
 # x_min per line; (x_min, token_id) inside a line). It returns
@@ -104,18 +120,9 @@ def oracle_detect_lines(doc: Document, threshold: float = 0.4) -> list[tuple[int
             i = parent[i]
         return i
 
-    def overlap_ratio(a, b) -> float:
-        intersection = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-        if intersection < 0.0:
-            return 0.0
-        shorter = min(a.y_max - a.y_min, b.y_max - b.y_min)
-        if shorter <= 0.0:
-            return 1.0
-        return min(1.0, intersection / shorter)
-
     for i in range(n):
         for j in range(i + 1, n):
-            if overlap_ratio(tokens[i].bbox, tokens[j].bbox) >= threshold:
+            if reference_overlap_ratio(tokens[i].bbox, tokens[j].bbox) >= threshold:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[rj] = ri

@@ -121,6 +121,17 @@ class TestSynthCommand:
         assert "doc_ids must be a list of file names" in error_line(proc)
         assert kept.read_text() == "keep"
 
+    def test_force_refuses_a_manifest_id_with_a_lone_surrogate(self, tmp_path):
+        # "\ud800" is valid JSON but names no file: UTF-8 cannot encode it.
+        out = tmp_path / "f"
+        out.mkdir()
+        (out / "manifest.json").write_text(json.dumps({"doc_ids": ["kept", "\ud800"]}))
+        kept = out / "kept.json"
+        kept.write_text("keep")
+        proc = run_module("synth", "--out", out, "--seed", "1", "--docs", "1", "--force")
+        assert "doc_ids must be a list of file names" in error_line(proc)
+        assert kept.read_text() == "keep"
+
     def test_out_path_that_is_a_file_is_one_error_line(self, tmp_path):
         taken = tmp_path / "taken"
         taken.write_text("x")
@@ -975,6 +986,21 @@ def test_benchmark_trace_points_see_every_layer(corpus_dir, tmp_path, monkeypatc
     }
 
 
+class TestParser:
+    def test_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_is_not_built_at_import(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import receipt_kie.cli as cli; print(cli.build_parser.cache_info().currsize)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
+
+
 class TestStderrLines:
     """``main`` writes its lines to ``sys.stderr`` as it is at each call and
     sets up no logging. The root logger is emptied first, as it is in a
@@ -999,6 +1025,19 @@ class TestStderrLines:
             f"ERROR receipt_kie.cli: output directory {taken} is not empty (pass --force to overwrite)\n",
             "ERROR receipt_kie.cli: --tagger import requires --predictions\n",
         ]
+
+    def test_a_usage_error_goes_to_the_stderr_of_its_own_call(self, monkeypatch):
+        # The parser is built once; argparse looks up sys.stderr as it reports.
+        written = []
+        for _ in range(2):
+            stream = io.StringIO()
+            monkeypatch.setattr(sys, "stderr", stream)
+            with pytest.raises(SystemExit) as exit_info:
+                run_cli("decode")
+            assert exit_info.value.code == 2
+            written.append(stream.getvalue())
+        assert written[1] == written[0]
+        assert written[1].startswith("usage: receipt-kie decode ")
 
     def test_main_adds_no_handler_to_the_root_logger(self, tmp_path, monkeypatch, capsys):
         root = logging.getLogger()

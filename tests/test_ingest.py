@@ -624,9 +624,20 @@ _NO_DESCRIPTION = make_doc(
 )
 
 
+# 0.0 and -0.0 compare and hash as one number, but JSON writes them apart:
+# both stand in token boxes and in a group box, each sign first somewhere.
+_SIGNED_ZEROS = make_doc(
+    [
+        Token(0, "A", BBox(0.0, -0.0, 0.5, 0.0)),
+        Token(1, "B", BBox(-0.0, 0.0, -0.0, 0.5)),
+    ]
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=decoded_documents())
 @example(case=(make_doc([], doc_id="empty"), []))
+@example(case=(_SIGNED_ZEROS, [ProductGroup(0, (0,), (0, 1), BBox(-0.0, 0.0, 0.5, -0.0))]))
 @example(case=(_NO_DESCRIPTION, []))
 @example(
     case=(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 
@@ -36,6 +37,7 @@ from reference_impls import (
     literal_grouping,
     oracle_detect_lines,
     reference_assign_entities,
+    reference_overlap_ratio,
 )
 
 
@@ -73,6 +75,33 @@ class TestVerticalOverlapRatio:
         flat = BBox(0.0, 0.25, 1.0, 0.25)
         below = BBox(0.0, 0.30, 1.0, 0.40)
         assert vertical_overlap_ratio(flat, below) == 0.0
+
+
+# Interval ends with many ties: both zeros, shared endpoints, and boxes of
+# zero or negative height. Boxes that reach layout are finite: every reader
+# rejects NaN.
+_ENDS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 0.2, 0.4, 0.6, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=st.tuples(_ENDS, _ENDS), b=st.tuples(_ENDS, _ENDS))
+@example(a=(-0.5, -0.0), b=(0.0, 0.5))  # touching at zeros of two signs: -0.0
+@example(a=(-0.5, 0.0), b=(-0.0, 0.5))
+@example(a=(0.0, 0.0), b=(-0.0, -0.0))  # two zero-height boxes
+@example(a=(0.2, 0.4), b=(0.2, 0.4))  # equal endpoints
+@example(a=(0.2, 0.4), b=(0.4, 0.6))
+@example(a=(0.0, 1.0), b=(0.6, 2.0))  # exactly the default threshold, 0.4
+@example(a=(0.0, 1.0), b=(0.0, 2.0))  # exactly 1
+def test_overlap_ratio_matches_the_min_max_reference(a, b):
+    box_a, box_b = (BBox(0.1, y_min, 0.2, y_max) for y_min, y_max in (a, b))
+    for first, second in ((box_a, box_b), (box_b, box_a)):
+        got = vertical_overlap_ratio(first, second)
+        want = reference_overlap_ratio(first, second)
+        # Equal values and, for a zero, the same sign.
+        assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
 
 
 class TestDetectLines:
@@ -395,6 +424,21 @@ class TestGroupProductLines:
             doc, groups = run_grouping(seq)
             got = [(g.line_indices, g.incomplete) for g in groups]
             assert got == literal_grouping(seq), f"sequence {seq} disagrees with oracle"
+
+
+def test_grouping_and_assignment_refuse_a_token_id_that_is_not_its_position():
+    # Ids 1 and 0 at positions 0 and 1: each id names the other token's
+    # position, so reading a token by position alone would take the wrong one.
+    doc = make_doc(
+        [
+            make_token(1, "MILK", 40, 100, label=DESC),
+            make_token(0, "2.00", 300, 100, label=PRICE),
+        ]
+    )
+    with pytest.raises(KeyError):
+        group_product_lines(doc, [(1, 0)])
+    with pytest.raises(KeyError):
+        assign_entities(ProductGroup(0, (0,), (1, 0), BBox(0.0, 0.0, 1.0, 1.0)), doc)
 
 
 class TestAssignEntities:
