@@ -40,7 +40,6 @@ from .evaluation import (
     score_whole_products,
 )
 from .ingest import (
-    apply_truth_labels,
     parse_ground_truth,
     parse_ocr,
     parse_result,
@@ -60,7 +59,6 @@ from .model import (
     Product,
     ProductGroup,
     Token,
-    union_bbox,
 )
 from .render import render_svg
 from .synth import (
@@ -106,7 +104,6 @@ __all__ = [
     "Token",
     "TokenReferenceError",
     "apply_corrections",
-    "apply_truth_labels",
     "as_model_predictions",
     "assign_entities",
     "build_report",
@@ -127,6 +124,5 @@ __all__ = [
     "score_entities",
     "score_whole_products",
     "serialize_result",
-    "union_bbox",
     "write_corpus",
 ]

@@ -369,28 +369,6 @@ def import_predictions(doc: Document, data: bytes | str) -> Document:
     return doc.relabel(assigned)
 
 
-def apply_truth_labels(
-    doc: Document,
-    products: Sequence[Product],
-    source: LabelSource = LabelSource.GROUND_TRUTH,
-) -> Document:
-    """Return a copy of ``doc`` labeled according to ``products``.
-
-    Tokens not referenced by any product come back untagged; pre-existing
-    labels are discarded. Useful both for building the truth side of an
-    evaluation and for simulating a perfect tagger (``source=MODEL``).
-    """
-    labels: dict[int, tuple[EntityLabel, LabelSource, None]] = {}
-    for product in products:
-        for tid, label in product.labeled_ids():
-            if tid in labels and labels[tid][0] is not label:
-                raise ValueError(
-                    f"token {tid} assigned both {labels[tid][0].value} and {label.value}"
-                )
-            labels[tid] = (label, source, None)
-    return doc.relabel(labels)
-
-
 def _bbox_from_json(raw: Any, where: str) -> BBox:
     if not isinstance(raw, dict):
         raise SchemaError(f"{where}: bbox must be an object")
@@ -403,11 +381,11 @@ def _bbox_from_json(raw: Any, where: str) -> BBox:
             coords.append(float(value))
         except OverflowError:
             raise SchemaError(f"{where}: bbox.{key} is not within the unit page") from None
-    bbox = BBox(*coords)
+    x_min, y_min, x_max, y_max = coords
     # Also rejects NaN and infinities, which the JSON reader accepts.
-    if not bbox.is_valid():
+    if not (0.0 <= x_min <= x_max <= 1.0 and 0.0 <= y_min <= y_max <= 1.0):
         raise SchemaError(f"{where}: bbox {coords} is not a box within the unit page")
-    return bbox
+    return BBox(x_min, y_min, x_max, y_max)
 
 
 # The JSON string of each label and label source.
@@ -415,9 +393,9 @@ _QUOTED = {member: _quote(member.value) for enum in (EntityLabel, LabelSource) f
 
 
 class _CoordinateTexts(dict):
-    """The text of each coordinate looked up, made by ``repr`` on first use.
-    Keys are floats, as in every box the readers and synth make: an int
-    would get the text of the float equal to it."""
+    """The text of each float coordinate looked up, made by ``repr`` on
+    first use. Keys are nonzero floats only: an int, or a zero of either
+    sign, would share a key with a number that ``repr`` writes otherwise."""
 
     def __missing__(self, coordinate: float) -> str:
         text = self[coordinate] = repr(coordinate)
@@ -426,14 +404,15 @@ class _CoordinateTexts(dict):
 
 def _box_text(bbox: BBox, texts: _CoordinateTexts) -> str:
     """A box as the value of a key six spaces in, in tokens and in products.
-    ``texts`` gives the text of a nonzero coordinate; a zero is written by
-    ``repr``, since ``0.0`` and ``-0.0`` are one key with two texts."""
+    ``texts`` gives the text of a nonzero float coordinate; any other
+    coordinate is written by ``repr``, since ``1`` and ``1.0``, or ``0.0``
+    and ``-0.0``, are one key with two texts."""
     x_min, y_min, x_max, y_max = bbox
     return (
-        f'{{\n        "x_max": {texts[x_max] if x_max else repr(x_max)},\n'
-        f'        "x_min": {texts[x_min] if x_min else repr(x_min)},\n'
-        f'        "y_max": {texts[y_max] if y_max else repr(y_max)},\n'
-        f'        "y_min": {texts[y_min] if y_min else repr(y_min)}\n      }}'
+        f'{{\n        "x_max": {texts[x_max] if type(x_max) is float and x_max else repr(x_max)},\n'
+        f'        "x_min": {texts[x_min] if type(x_min) is float and x_min else repr(x_min)},\n'
+        f'        "y_max": {texts[y_max] if type(y_max) is float and y_max else repr(y_max)},\n'
+        f'        "y_min": {texts[y_min] if type(y_min) is float and y_min else repr(y_min)}\n      }}'
     )
 
 
@@ -459,8 +438,8 @@ def serialize_result(doc: Document, groups: Sequence[ProductGroup]) -> str:
     strings by ``json``'s own escaper and numbers by ``repr``, as
     ``json.dumps`` writes them.
     """
-    # Neighbouring tokens share edges: each distinct nonzero coordinate of
-    # the document is formatted once, for token and group boxes alike.
+    # Neighbouring tokens share edges: each distinct nonzero float coordinate
+    # of the document is formatted once, for token and group boxes alike.
     texts = _CoordinateTexts()
 
     # Tokens and boxes are unpacked: one unpack of a named tuple costs less
@@ -574,7 +553,7 @@ def parse_result(data: bytes | str) -> tuple[Document, tuple[ProductGroup, ...]]
             and type(y_min := box.get("y_min")) is float
             and type(x_max := box.get("x_max")) is float
             and type(y_max := box.get("y_max")) is float
-            # BBox.is_valid; NaN fails it.
+            # As _bbox_from_json; NaN fails it.
             and 0.0 <= x_min <= x_max <= 1.0
             and 0.0 <= y_min <= y_max <= 1.0
         ):

@@ -190,7 +190,7 @@ def group_product_lines(doc: Document, lines: Sequence[tuple[int, ...]]) -> list
                 group_id=len(groups),
                 line_indices=tuple(range(i, end)),
                 token_ids=ids[a:b],
-                # As union_bbox: min and max over the tokens in order.
+                # Min and max over the tokens in line order: the first of equal extremes wins.
                 bbox=BBox(min(x_mins[a:b]), min(y_mins[a:b]), max(x_maxs[a:b]), max(y_maxs[a:b])),
                 incomplete=incomplete,
             )

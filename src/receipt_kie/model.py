@@ -81,26 +81,6 @@ class BBox(NamedTuple):
     def height(self) -> float:
         return self.y_max - self.y_min
 
-    def is_valid(self) -> bool:
-        return (
-            0.0 <= self.x_min <= self.x_max <= 1.0
-            and 0.0 <= self.y_min <= self.y_max <= 1.0
-        )
-
-
-def union_bbox(boxes: Iterable[BBox]) -> BBox:
-    """Smallest box covering all of ``boxes``.
-
-    Raises ValueError on an empty iterable — there is no meaningful
-    union of nothing.
-    """
-    try:
-        x_mins, y_mins, x_maxs, y_maxs = zip(*boxes)
-    except ValueError:
-        raise ValueError("union_bbox() requires at least one box") from None
-    # min and max over a column compare as a pairwise fold from the first box.
-    return BBox(min(x_mins), min(y_mins), max(x_maxs), max(y_maxs))
-
 
 class Token(NamedTuple):
     """One OCR word with its (possibly absent) entity label.

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
-from .ingest import apply_truth_labels, canonical_json, write_ground_truth_json
+from .ingest import canonical_json, write_ground_truth_json
 from .model import BBox, Document, EntityLabel, LabelSource, Product, Token
 
 _VOCAB = (
@@ -206,12 +206,20 @@ def generate_corpus(spec: CorpusSpec) -> list[tuple[Document, tuple[Product, ...
     return [(doc, products) for doc, products, _ in _doc_records(spec)]
 
 
-def as_model_predictions(
-    doc: Document, products: Sequence[Product]
-) -> Document:
+def as_model_predictions(doc: Document, products: Sequence[Product]) -> Document:
     """Label a clean document with its ground truth as if a perfect model
-    had tagged it (``source=MODEL``) — the starting point for corruption."""
-    return apply_truth_labels(doc, products, source=LabelSource.MODEL)
+    had tagged it (``source=MODEL``, no confidence) — the starting point for
+    corruption. Tokens no product names come back untagged; a token that
+    two products label differently raises ValueError."""
+    labels: dict[int, tuple[EntityLabel, LabelSource, None]] = {}
+    for product in products:
+        for tid, label in product.labeled_ids():
+            if tid in labels and labels[tid][0] is not label:
+                raise ValueError(
+                    f"token {tid} assigned both {labels[tid][0].value} and {label.value}"
+                )
+            labels[tid] = (label, LabelSource.MODEL, None)
+    return doc.relabel(labels)
 
 
 # Visually confusable characters, the classic OCR substitution pairs.

@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from receipt_kie.ingest import apply_truth_labels
-from receipt_kie.model import Document, LabelSource, Product
+from receipt_kie.model import Document, Product
+from receipt_kie.synth import as_model_predictions
 
 from helpers import make_doc, make_token
 
@@ -64,4 +64,4 @@ def receipt_truth() -> tuple[Product, ...]:
 @pytest.fixture()
 def labeled_receipt(receipt_doc, receipt_truth) -> Document:
     """The fixture receipt with its truth labels applied as model output."""
-    return apply_truth_labels(receipt_doc, receipt_truth, source=LabelSource.MODEL)
+    return as_model_predictions(receipt_doc, receipt_truth)

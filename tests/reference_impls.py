@@ -12,7 +12,7 @@ entity resolution, the count type) with it.
 from __future__ import annotations
 
 import unicodedata
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from receipt_kie.corrections import NumericParseConfig
 from receipt_kie.errors import SchemaError
@@ -183,6 +183,21 @@ def literal_grouping(line_entities: list[set[EntityLabel]]) -> list[tuple[tuple[
 
 def entities_other_than_description(entities: set[EntityLabel]) -> bool:
     return bool(entities & {CODE, QTY, PRICE})
+
+
+# --------------------------------------------------------------------------
+# Group box oracle: the smallest box over ``boxes``, as a fold of
+# two-argument min and max from the first box. Of equal extremes the fold
+# keeps the earlier one, which ``repr`` tells apart for 0.0 and -0.0.
+
+
+def union_bbox(boxes: Iterable[BBox]) -> BBox:
+    first, *rest = boxes
+    x_min, y_min, x_max, y_max = first
+    for b in rest:
+        x_min, y_min = min(x_min, b.x_min), min(y_min, b.y_min)
+        x_max, y_max = max(x_max, b.x_max), max(y_max, b.y_max)
+    return BBox(x_min, y_min, x_max, y_max)
 
 
 # --------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from receipt_kie.model import (
     LabelSource,
     ProductGroup,
     Token,
-    union_bbox,
 )
 from receipt_kie.synth import (
     CorpusSpec,
@@ -51,6 +50,7 @@ from reference_impls import (
     oracle_code,
     oracle_price,
     oracle_quantity,
+    union_bbox,
 )
 
 SPEC = CorpusSpec(seed=7, n_docs=200)

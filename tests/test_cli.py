@@ -466,6 +466,61 @@ class TestDecodeCommand:
         results = list(out.glob("*.result.json"))
         assert len(results) == 20
 
+    def test_only_a_predicted_confidence_reaches_the_result(self, tmp_path):
+        # Every OCR word carries a confidence; the predictions give one to
+        # the price only and drop the quantity, which the rules restore.
+        words = [
+            ("SUPERMART", 40, 20), ("MILK", 40, 60), ("4902102", 40, 100),
+            ("123", 200, 100), ("2", 300, 100), ("1.50", 480, 100),
+        ]
+        ocr = {
+            "doc_id": "c",
+            "page": {"width": 600, "height": 400},
+            "words": [
+                {
+                    "text": text,
+                    "polygon": [[x, y], [x + 40, y], [x + 40, y + 20], [x, y + 20]],
+                    "confidence": 0.9 + i / 100,
+                }
+                for i, (text, x, y) in enumerate(words)
+            ],
+        }
+        labels = [
+            {"token_id": 1, "label": "description"},
+            {"token_id": 2, "label": "code"},
+            {"token_id": 5, "label": "price", "confidence": 0.5},
+        ]
+        (tmp_path / "c.json").write_text(json.dumps(ocr))
+        (tmp_path / "c.pred.json").write_text(json.dumps({"doc_id": "c", "labels": labels}))
+        decoded = {}
+        for tagger in ("import", "heuristic"):
+            out = tmp_path / tagger
+            argv = ["decode", tmp_path / "c.json", "--out", out, "--tagger", tagger]
+            if tagger == "import":
+                argv += ["--predictions", tmp_path / "c.pred.json"]
+            assert run_cli(*argv) == 0
+            result = json.loads((out / "c.result.json").read_text())
+            decoded[tagger] = [
+                (tok["label"], tok.get("source"), tok.get("confidence"))
+                for tok in result["tokens"]
+            ]
+        assert decoded["import"] == [
+            ("untagged", None, None),
+            ("description", "model", None),
+            ("code", "model", None),
+            ("untagged", None, None),
+            ("quantity", "correction", None),
+            ("price", "model", 0.5),
+        ]
+        assert decoded["heuristic"] == [
+            ("description", "heuristic", None),
+            ("description", "heuristic", None),
+            ("code", "heuristic", None),
+            ("untagged", None, None),
+            ("quantity", "heuristic", None),
+            ("price", "heuristic", None),
+        ]
+
 
 def test_the_inline_reader_checks_carry_every_synth_record(
     corpus_dir, results_dir, tmp_path, monkeypatch

@@ -14,11 +14,11 @@ from receipt_kie.corrections import (
     parse_float,
     parse_integer,
 )
-from receipt_kie.model import SCALAR_ENTITIES, EntityLabel, LabelSource, ProductGroup, union_bbox
+from receipt_kie.model import SCALAR_ENTITIES, EntityLabel, LabelSource, ProductGroup
 from receipt_kie.tagging import heuristic_tag
 
 from helpers import make_doc, make_token
-from reference_impls import oracle_parse_float, oracle_parse_int, reference_split_number
+from reference_impls import oracle_parse_float, oracle_parse_int, reference_split_number, union_bbox
 
 TOKEN_ALPHABET = "0123456789.,*#:$€¥ xABy-"
 

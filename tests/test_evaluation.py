@@ -14,7 +14,6 @@ from receipt_kie.evaluation import (
     score_entities,
     score_whole_products,
 )
-from receipt_kie.ingest import apply_truth_labels
 from receipt_kie.layout import detect_lines_geometric, group_product_lines
 from receipt_kie.model import (
     BBox,
@@ -23,11 +22,11 @@ from receipt_kie.model import (
     Product,
     ProductGroup,
     Token,
-    union_bbox,
 )
+from receipt_kie.synth import as_model_predictions
 
 from helpers import make_doc, make_token
-from reference_impls import reference_score_entities, reference_score_whole_products
+from reference_impls import reference_score_entities, reference_score_whole_products, union_bbox
 
 
 class TestEntityCounts:
@@ -182,7 +181,7 @@ class TestScoreWholeProducts:
                 description_ids=(8,), quantity_id=10, price_id=11,
             ),
         )
-        labeled = apply_truth_labels(receipt_doc, receipt_truth, source=LabelSource.MODEL)
+        labeled = as_model_predictions(receipt_doc, receipt_truth)
         counts = score_whole_products(
             predict(labeled),
             truth_for(receipt_doc, truth_without_code),
@@ -193,7 +192,7 @@ class TestScoreWholeProducts:
         # label only one of the two description tokens: the group's
         # description set is a strict subset, so the product fails even
         # though the majority alignment still finds it
-        partial = apply_truth_labels(receipt_doc, receipt_truth, source=LabelSource.MODEL)
+        partial = as_model_predictions(receipt_doc, receipt_truth)
         partial = partial.with_tokens(
             [
                 tok
@@ -209,7 +208,7 @@ class TestScoreWholeProducts:
         # a group whose description tokens split evenly between two truth
         # products (one from each): neither owns a strict majority, so the
         # group aligns to nothing and both products go unmatched
-        labeled = apply_truth_labels(receipt_doc, receipt_truth, source=LabelSource.MODEL)
+        labeled = as_model_predictions(receipt_doc, receipt_truth)
         mega = ProductGroup(
             group_id=0,
             line_indices=(1, 2, 3, 4),
@@ -230,7 +229,7 @@ class TestScoreWholeProducts:
         # lone description of product two still aligns to product one (2 of
         # 3 is a strict majority) but its description set is a superset, so
         # the match fails
-        labeled = apply_truth_labels(receipt_doc, receipt_truth, source=LabelSource.MODEL)
+        labeled = as_model_predictions(receipt_doc, receipt_truth)
         mega = ProductGroup(
             group_id=0,
             line_indices=(1, 2, 3, 4),

@@ -4,8 +4,9 @@ the package, and importing the CLI loads no heavy standard-library module.
 
 No linter ships with the project, so this stands in for the checks that
 matter most after code is removed: an import or a private helper left
-behind. ``__init__`` re-exports names, and its imports are not checked; a
-line marked ``# noqa: F401`` is exempt, as under flake8.
+behind. ``__init__`` re-exports names: instead of the import check, its
+``__all__`` must list exactly the names it imports, sorted. A line marked
+``# noqa: F401`` is exempt, as under flake8.
 """
 
 from __future__ import annotations
@@ -79,6 +80,18 @@ def test_every_import_is_used(module):
 
 def test_every_private_name_is_read():
     assert unread_private_names(_SOURCES) == []
+
+
+def test_the_package_exports_exactly_what_it_imports_in_sorted_order():
+    tree = ast.parse(_SOURCES["__init__.py"])
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert receipt_kie.__all__ == sorted(receipt_kie.__all__)
+    assert sorted(imported) == receipt_kie.__all__
 
 
 def test_the_check_sees_an_unused_import():

@@ -13,7 +13,6 @@ from receipt_kie.errors import (
     TokenReferenceError,
 )
 from receipt_kie.ingest import (
-    apply_truth_labels,
     canonical_json,
     import_predictions,
     normalize_text,
@@ -196,27 +195,6 @@ class TestParseGroundTruth:
     def test_round_trip_through_writer(self, receipt_doc, receipt_truth):
         text = write_ground_truth_json(receipt_doc.doc_id, receipt_truth)
         assert parse_ground_truth(text, receipt_doc) == receipt_truth
-
-
-class TestApplyTruthLabels:
-    def test_labels_and_source(self, receipt_doc, receipt_truth):
-        labeled = apply_truth_labels(receipt_doc, receipt_truth)
-        assert labeled.token(3).label is EntityLabel.CODE
-        assert labeled.token(3).source is LabelSource.GROUND_TRUTH
-        assert labeled.token(4).label is EntityLabel.QUANTITY
-        assert labeled.token(0).label is EntityLabel.UNTAGGED
-        assert labeled.token(0).source is None
-
-    def test_simulated_model_source(self, receipt_doc, receipt_truth):
-        labeled = apply_truth_labels(receipt_doc, receipt_truth, source=LabelSource.MODEL)
-        assert labeled.token(3).source is LabelSource.MODEL
-
-    def test_conflicting_claims_rejected(self, receipt_doc):
-        products = [
-            Product(description_ids=(1,), code_id=1),
-        ]
-        with pytest.raises(ValueError, match="token 1"):
-            apply_truth_labels(receipt_doc, products)
 
 
 class TestNormalizeText:
@@ -633,12 +611,19 @@ _SIGNED_ZEROS = make_doc(
     ]
 )
 
+# An int and a float of one value also hash as one number, and JSON writes
+# them apart too.
+_INT_AND_FLOAT = Document(
+    "d", (Token(0, "a", BBox(0.5, 0.5, 1, 1)), Token(1, "b", BBox(0.5, 0.5, 1.0, 1.0))), 10, 10
+)
+
 
 @settings(max_examples=300, deadline=None)
 @given(case=decoded_documents())
 @example(case=(make_doc([], doc_id="empty"), []))
 @example(case=(_SIGNED_ZEROS, [ProductGroup(0, (0,), (0, 1), BBox(-0.0, 0.0, 0.5, -0.0))]))
 @example(case=(_NO_DESCRIPTION, []))
+@example(case=(_INT_AND_FLOAT, [ProductGroup(0, (0,), (0, 1), BBox(0.5, 0.5, 1.0, 1))]))
 @example(
     case=(
         _NO_DESCRIPTION,

@@ -20,10 +20,10 @@ from receipt_kie.model import (
     BBox,
     Document,
     EntityLabel,
+    LabelSource,
     Product,
     ProductGroup,
     Token,
-    union_bbox,
 )
 from receipt_kie.synth import CorpusSpec, generate_corpus
 
@@ -38,6 +38,7 @@ from reference_impls import (
     oracle_detect_lines,
     reference_assign_entities,
     reference_overlap_ratio,
+    union_bbox,
 )
 
 
@@ -439,6 +440,43 @@ def test_grouping_and_assignment_refuse_a_token_id_that_is_not_its_position():
         group_product_lines(doc, [(1, 0)])
     with pytest.raises(KeyError):
         assign_entities(ProductGroup(0, (0,), (1, 0), BBox(0.0, 0.0, 1.0, 1.0)), doc)
+
+
+# Boxes over both zeros and a few shared values, on lines of drawn labels:
+# the scan closes groups, and their boxes meet ties of 0.0 and -0.0.
+_FOLD_COORDS = st.sampled_from([-0.0, 0.0, 0.5, 1.0])
+_FOLD_BOXES = st.builds(
+    lambda x0, y0, x1, y1: BBox(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1)),
+    _FOLD_COORDS,
+    _FOLD_COORDS,
+    _FOLD_COORDS,
+    _FOLD_COORDS,
+)
+_FOLD_LINES = st.lists(
+    st.lists(st.tuples(st.sampled_from(list(EntityLabel)), _FOLD_BOXES), min_size=1, max_size=4),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_specs=_FOLD_LINES)
+@example(line_specs=[[(DESC, BBox(0.0, 0.0, 0.5, 0.5))], [(PRICE, BBox(-0.0, -0.0, 0.5, 0.5))]])
+@example(line_specs=[[(DESC, BBox(-0.0, -0.0, 0.5, 0.5))], [(PRICE, BBox(0.0, 0.0, 0.5, 0.5))]])
+def test_group_boxes_are_the_reference_fold_over_their_tokens(line_specs):
+    """Each group box repr-equals the pairwise min/max fold over its
+    tokens in order: of equal extremes the first stays, sign of zero
+    included."""
+    tokens, lines = [], []
+    for spec in line_specs:
+        start = len(tokens)
+        for label, box in spec:
+            source = None if label is EntityLabel.UNTAGGED else LabelSource.MODEL
+            tokens.append(Token(len(tokens), "w", box, label, source))
+        lines.append(tuple(range(start, len(tokens))))
+    doc = make_doc(tokens)
+    for group in group_product_lines(doc, lines):
+        want = union_bbox(doc.token(tid).bbox for tid in group.token_ids)
+        assert repr(group.bbox) == repr(want)
 
 
 class TestAssignEntities:

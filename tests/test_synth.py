@@ -8,7 +8,7 @@ from receipt_kie import synth
 from receipt_kie.corrections import apply_corrections, parse_float, parse_integer
 from receipt_kie.ingest import parse_ground_truth, parse_ocr, write_ground_truth_json
 from receipt_kie.layout import detect_lines_geometric, group_product_lines
-from receipt_kie.model import Document, EntityLabel, Token
+from receipt_kie.model import Document, EntityLabel, LabelSource, Product, Token
 from receipt_kie.synth import (
     CorpusSpec,
     CorruptionSpec,
@@ -217,6 +217,24 @@ class TestSingleDropRecovery:
                     assert extras == []
                 checked += 1
         assert checked > 20  # the corpus really exercised the rule
+
+
+class TestAsModelPredictions:
+    def test_labels_the_truth_as_model_output(self, receipt_doc, receipt_truth):
+        labeled = as_model_predictions(receipt_doc, receipt_truth)
+        assert labeled.token(3).label is EntityLabel.CODE
+        assert labeled.token(3).source is LabelSource.MODEL
+        assert labeled.token(4).label is EntityLabel.QUANTITY
+        assert labeled.token(0).label is EntityLabel.UNTAGGED
+        assert labeled.token(0).source is None
+        assert all(tok.confidence is None for tok in labeled.tokens)
+
+    def test_conflicting_claims_rejected(self, receipt_doc):
+        products = [
+            Product(description_ids=(1,), code_id=1),
+        ]
+        with pytest.raises(ValueError, match="token 1"):
+            as_model_predictions(receipt_doc, products)
 
 
 class TestCorruption:
