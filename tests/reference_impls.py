@@ -192,7 +192,10 @@ def entities_other_than_description(entities: set[EntityLabel]) -> bool:
 
 
 def union_bbox(boxes: Iterable[BBox]) -> BBox:
-    first, *rest = boxes
+    rest = iter(boxes)
+    first = next(rest, None)
+    if first is None:
+        raise ValueError("union_bbox requires at least one box")
     x_min, y_min, x_max, y_max = first
     for b in rest:
         x_min, y_min = min(x_min, b.x_min), min(y_min, b.y_min)

@@ -265,6 +265,19 @@ class TestResultRoundTrip:
         with pytest.raises(SchemaError, match=r"product 1: line_indices"):
             parse_result(json.dumps(payload))
 
+    def test_boxes_on_the_page_edges_are_accepted(self, labeled_receipt):
+        """The bounds are inclusive: a box over the whole page reads back,
+        as a token's box and as a group's, written as floats or as ints."""
+        payload = json.loads(serialize_result(labeled_receipt, self._decode(labeled_receipt)))
+        whole_page = {"x_min": 0.0, "y_min": 0.0, "x_max": 1.0, "y_max": 1.0}
+        payload["tokens"][3]["bbox"] = whole_page
+        payload["tokens"][4]["bbox"] = {"x_min": 0, "y_min": 0, "x_max": 1, "y_max": 1}
+        payload["products"][0]["bbox"] = whole_page
+        doc, groups = parse_result(json.dumps(payload))
+        assert doc.token(3).bbox == BBox(0.0, 0.0, 1.0, 1.0)
+        assert doc.token(4).bbox == BBox(0.0, 0.0, 1.0, 1.0)
+        assert groups[0].bbox == BBox(0.0, 0.0, 1.0, 1.0)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -0.25, 1.5])
     def test_token_bbox_must_lie_within_the_page(self, labeled_receipt, value):
         payload = json.loads(serialize_result(labeled_receipt, []))

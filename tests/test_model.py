@@ -1,10 +1,23 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from receipt_kie.model import BBox, EntityLabel, LabelSource, Token
 
 from helpers import make_doc, make_token
+from reference_impls import union_bbox
+
+
+def boxes(draw_coords=st.floats(0.0, 1.0, allow_nan=False)):
+    return st.builds(
+        lambda x0, y0, x1, y1: BBox(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1)),
+        draw_coords,
+        draw_coords,
+        draw_coords,
+        draw_coords,
+    )
 
 
 class TestBBox:
@@ -12,6 +25,43 @@ class TestBBox:
         b = BBox(0.1, 0.2, 0.5, 0.4)
         assert b.width == pytest.approx(0.4)
         assert b.height == pytest.approx(0.2)
+
+
+class TestUnionBBox:
+    """The group box oracle that the grouping, correction, evaluation and
+    acceptance tests build their expected boxes with."""
+
+    def test_two_boxes(self):
+        got = union_bbox([BBox(0.1, 0.1, 0.3, 0.2), BBox(0.2, 0.15, 0.5, 0.4)])
+        assert got == BBox(0.1, 0.1, 0.5, 0.4)
+
+    def test_single_box_is_identity(self):
+        b = BBox(0.2, 0.3, 0.4, 0.5)
+        assert union_bbox([b]) == b
+
+    def test_empty_raises(self):
+        with pytest.raises(ValueError, match="requires at least one box"):
+            union_bbox([])
+
+    @given(st.lists(boxes(), min_size=1, max_size=8), st.randoms(use_true_random=False))
+    def test_order_invariant_and_matches_pairwise_fold(self, box_list, rng):
+        """The union must not depend on input order and must equal the
+        fold of pairwise unions."""
+        shuffled = list(box_list)
+        rng.shuffle(shuffled)
+        assert union_bbox(shuffled) == union_bbox(box_list)
+
+        folded = box_list[0]
+        for b in box_list[1:]:
+            folded = union_bbox([folded, b])
+        assert union_bbox(box_list) == folded
+
+    @given(st.lists(boxes(), min_size=1, max_size=8))
+    def test_union_contains_all_inputs(self, box_list):
+        u = union_bbox(box_list)
+        for b in box_list:
+            assert u.x_min <= b.x_min and u.y_min <= b.y_min
+            assert u.x_max >= b.x_max and u.y_max >= b.y_max
 
 
 class TestDocument:
