@@ -69,13 +69,7 @@ from .synth import (
     generate_corpus,
     write_corpus,
 )
-from .tagging import (
-    EmbeddingVector,
-    fuse_embeddings,
-    fuse_sequences,
-    heuristic_tag,
-    import_predictions,
-)
+from .tagging import heuristic_tag, import_predictions
 
 __version__ = "0.1.0"
 
@@ -87,7 +81,6 @@ __all__ = [
     "CorruptionSpec",
     "DocPrediction",
     "Document",
-    "EmbeddingVector",
     "EntityCounts",
     "EntityLabel",
     "EvalReport",
@@ -109,8 +102,6 @@ __all__ = [
     "build_report",
     "corrupt_predictions",
     "detect_lines_geometric",
-    "fuse_embeddings",
-    "fuse_sequences",
     "generate_corpus",
     "group_product_lines",
     "heuristic_tag",

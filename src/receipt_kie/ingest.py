@@ -221,7 +221,8 @@ def parse_ocr(data: bytes | str) -> Document:
     The common value of a field (ASCII text, a vertex of two numbers on a
     page below 2**53, a float confidence or none) passes an inline test;
     any other value goes to the field's named check, which reads it or
-    raises.
+    raises. A word's confidence must be a number in [0, 1] but is not
+    kept: every token comes back with no confidence.
     """
     raw = _load_object(data)
     doc_id = _doc_id(raw)
@@ -273,9 +274,10 @@ def parse_ocr(data: bytes | str) -> Document:
                 y_min = y
             if y > y_max:
                 y_max = y
+        # Checked, not kept: a token's confidence is its label's.
         confidence = word.get("confidence")
         if confidence is not None and not (type(confidence) is float and 0.0 <= confidence <= 1.0):
-            confidence = _confidence(word, f"word {i}")
+            _confidence(word, f"word {i}")
         # float is monotone, so the float of the least coordinate is the
         # least of the coordinates' floats.
         bbox = _tuple_new(BBox, (
@@ -284,7 +286,7 @@ def parse_ocr(data: bytes | str) -> Document:
             float(x_max) / width,
             float(y_max) / height,
         ))
-        tokens.append(_tuple_new(Token, (i, text, bbox, _UNTAGGED, None, confidence)))
+        tokens.append(_tuple_new(Token, (i, text, bbox, _UNTAGGED, None, None)))
     return Document(doc_id=doc_id, tokens=tuple(tokens), page_width=width, page_height=height)
 
 

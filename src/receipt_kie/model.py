@@ -42,7 +42,6 @@ class LabelSource(str, Enum):
     MODEL = "model"
     HEURISTIC = "heuristic"
     CORRECTION = "correction"
-    GROUND_TRUTH = "ground_truth"
 
 
 # The labels that mark a token as an entity of interest, in report order.
@@ -93,7 +92,8 @@ class Token(NamedTuple):
     check this: the file readers in :mod:`receipt_kie.ingest` reject a
     token that breaks it, and the labeling stages build their tokens with
     :meth:`Document.relabel`, which gives a source only to the tokens it
-    labels.
+    labels. ``confidence`` is the confidence a tagger gave the token's
+    label, if it gave one; the OCR reader keeps no word confidence.
     """
 
     token_id: int
@@ -144,9 +144,10 @@ class Document:
         self, labels: Mapping[int, tuple[EntityLabel, LabelSource, float | None]]
     ) -> "Document":
         """A copy whose tokens carry the ``(label, source, confidence)`` that
-        ``labels`` gives their id; each label there is an entity label, not
-        UNTAGGED. Every other token comes back untagged, with no source and
-        no confidence. Text and geometry are kept."""
+        ``labels`` gives their id, the confidence being the one the tagger
+        gave that label; each label there is an entity label, not UNTAGGED.
+        Every other token comes back untagged, with no source and no
+        confidence. Text and geometry are kept."""
         untagged = (EntityLabel.UNTAGGED, None, None)
         # tuple.__new__ builds each Token from fields of a checked token and a
         # label triple: the arity is fixed, and a named tuple's generated

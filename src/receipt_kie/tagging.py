@@ -1,16 +1,12 @@
 """Token tagging: entity labels from a model or from layout heuristics.
 
-The learned tagger itself (a fine-tuned language-and-layout encoder) is a
-training artifact and lives outside this package. What lives here is its
-*seams*:
-
-* the embedding fusion contract the encoder stack relies on — image and
-  text embeddings of equal shape combined by element-wise addition;
-* :func:`import_predictions`, which loads a model's token labels from a
-  JSON file (defined in :mod:`receipt_kie.ingest` with the other readers,
-  and re-exported here, where the CLI looks it up); and
-* :func:`heuristic_tag`, a dependency-free geometric/lexical tagger good
-  enough to exercise the full pipeline without any model.
+The learned tagger (a fine-tuned language-and-layout encoder) is a
+training artifact and lives outside this package. Its labels enter as a
+predictions file, which :func:`import_predictions` loads (it is defined
+in :mod:`receipt_kie.ingest` with the other readers, and re-exported
+here, where the CLI looks it up). :func:`heuristic_tag` is a
+dependency-free geometric/lexical tagger good enough to exercise the
+full pipeline without any model.
 
 Both taggers build their output with :meth:`~receipt_kie.model.Document.relabel`,
 so they return a new Document and never touch geometry or text.
@@ -18,58 +14,9 @@ so they return a new Document and never touch geometry or text.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
-
 from .corrections import DEFAULT_PARSE_CONFIG, MAX_INTEGER_DIGITS, NumericParseConfig, _split_number
 from .ingest import import_predictions  # noqa: F401 (re-export)
 from .model import Document, EntityLabel, LabelSource
-
-
-@dataclass(frozen=True, slots=True)
-class EmbeddingVector:
-    """A fixed-dimension embedding; values are finite floats."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.values, tuple):
-            object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        for v in self.values:
-            if not math.isfinite(v):
-                raise ValueError(f"embedding values must be finite, got {v!r}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.values)
-
-    @classmethod
-    def of(cls, values: Iterable[float]) -> "EmbeddingVector":
-        return cls(tuple(float(v) for v in values))
-
-
-def fuse_embeddings(image: EmbeddingVector, text: EmbeddingVector) -> EmbeddingVector:
-    """Combine an image embedding and a text embedding element-wise.
-
-    The combined representation is simply ``image[i] + text[i]`` — both
-    inputs must share a dimension. Addition is exact per index, so fusion
-    commutes and the zero vector is the identity.
-    """
-    if image.dim != text.dim:
-        raise ValueError(f"dimension mismatch: image dim {image.dim} vs text dim {text.dim}")
-    return EmbeddingVector(tuple(a + b for a, b in zip(image.values, text.values)))
-
-
-def fuse_sequences(
-    image_seq: Sequence[EmbeddingVector], text_seq: Sequence[EmbeddingVector]
-) -> tuple[EmbeddingVector, ...]:
-    """Fuse two equal-length sequences of embeddings pairwise."""
-    if len(image_seq) != len(text_seq):
-        raise ValueError(
-            f"sequence length mismatch: {len(image_seq)} image vs {len(text_seq)} text"
-        )
-    return tuple(fuse_embeddings(a, b) for a, b in zip(image_seq, text_seq))
 
 
 # Column bands are page-normalized x positions tested against a token's

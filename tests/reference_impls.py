@@ -6,12 +6,15 @@ bug would have to be made twice, in two different shapes, to go unseen.
 The numeric lexer reference and the file-format and scorer references at
 the end are the exception: each keeps an earlier, plainer version of one
 step of the package and shares the rest (the parse config, field checks,
-entity resolution, the count type) with it.
+the JSON writer, the count type) with it. The decode reference chains the
+references and shares only what they share.
 """
 
 from __future__ import annotations
 
+import json
 import unicodedata
+from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from receipt_kie.corrections import NumericParseConfig
@@ -31,8 +34,8 @@ from receipt_kie.ingest import (
     _require,
     _text,
     _token_id,
+    canonical_json,
 )
-from receipt_kie.layout import assign_entities
 from receipt_kie.model import (
     ENTITY_ORDER,
     SCALAR_ENTITIES,
@@ -252,12 +255,12 @@ def oracle_parse_int(text: str) -> int | None:
     return None
 
 
-def oracle_parse_float(text: str) -> float | None:
+def oracle_parse_float(text: str, separators: str = ".,") -> float | None:
     s = _oracle_strip(text)
-    separators = [i for i, c in enumerate(s) if c in ".,"]
-    if len(separators) != 1:
+    positions = [i for i, c in enumerate(s) if c in separators]
+    if len(positions) != 1:
         return None
-    head, tail = s[: separators[0]], s[separators[0] + 1 :]
+    head, tail = s[: positions[0]], s[positions[0] + 1 :]
     if not tail or not all(c in "0123456789" for c in tail):
         return None
     if head and not all(c in "0123456789" for c in head):
@@ -305,6 +308,42 @@ def oracle_price(pool: list[tuple[int, str]]) -> tuple[int, float] | None:
         if v == largest:
             return tid, v
     raise AssertionError("unreachable")
+
+
+def oracle_corrections(
+    pool: list[tuple[int, str]], present: Iterable[EntityLabel] = (), separators: str = ".,"
+) -> list[tuple[EntityLabel, int, int | float]]:
+    """The three rules composed as stated, on a group's untagged words
+    ``pool`` ([(token_id, text)] in reading order): code on the whole pool,
+    quantity on what the code left, price on what both left, each skipped
+    when the group holds its entity in ``present``. Both guards compare
+    with the integers of the whole pool. Returns (entity, token_id, value)
+    per firing."""
+    original_ints = [v for _, s in pool if (v := oracle_parse_int(s)) is not None]
+    out: list[tuple[EntityLabel, int, int | float]] = []
+
+    ints = [(tid, v) for tid, s in pool if (v := oracle_parse_int(s)) is not None]
+    if CODE not in present and ints:
+        largest = max(v for _, v in ints)
+        if original_ints and largest > min(original_ints):
+            tid = next(t for t, v in ints if v == largest)
+            out.append((CODE, tid, largest))
+            pool = [(t, s) for t, s in pool if t != tid]
+
+    ints = [(tid, v) for tid, s in pool if (v := oracle_parse_int(s)) is not None]
+    if QTY not in present and ints:
+        smallest = min(v for _, v in ints)
+        if original_ints and smallest < max(original_ints):
+            tid = next(t for t, v in ints if v == smallest)
+            out.append((QTY, tid, smallest))
+            pool = [(t, s) for t, s in pool if t != tid]
+
+    floats = [(tid, v) for tid, s in pool if (v := oracle_parse_float(s, separators)) is not None]
+    if PRICE not in present and floats:
+        largest = max(v for _, v in floats)
+        tid = next(t for t, v in floats if v == largest)
+        out.append((PRICE, tid, largest))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -419,7 +458,7 @@ def reference_result_payload(doc: Document, groups: Sequence[ProductGroup]) -> d
 
     product_objs = []
     for group in groups:
-        product = assign_entities(group, doc)
+        product = reference_assign_entities(group, doc)
         entities: dict[str, Any] = {"description": list(product.description_ids)}
         corrected: list[str] = []
         for label, tid in zip(SCALAR_ENTITIES, product.scalar_ids()):
@@ -479,10 +518,87 @@ def reference_parse_ocr(data: bytes | str) -> Document:
                 )
             xs.append(x)
             ys.append(y)
-        confidence = _confidence(word, where)
+        _confidence(word, where)  # checked, not kept
         bbox = BBox(min(xs) / width, min(ys) / height, max(xs) / width, max(ys) / height)
-        tokens.append(Token(token_id=len(tokens), text=text, bbox=bbox, confidence=confidence))
+        tokens.append(Token(token_id=len(tokens), text=text, bbox=bbox))
     return Document(doc_id=doc_id, tokens=tuple(tokens), page_width=width, page_height=height)
+
+
+# --------------------------------------------------------------------------
+# Decode reference: the references above chained as ``decode`` runs its
+# stages on one OCR file. Labels come from the document's ``.pred.json`` in
+# ``pred_dir``, read literally, or from the heuristic tagger's oracle.
+
+
+def reference_import_labels(doc: Document, data: bytes) -> Document:
+    labels = {entry["token_id"]: entry for entry in json.loads(data)["labels"]}
+    tokens = []
+    for tok in doc.tokens:
+        entry = labels.get(tok.token_id)
+        if entry is None:
+            tokens.append(Token(tok.token_id, tok.text, tok.bbox))
+            continue
+        confidence = entry.get("confidence")
+        tokens.append(
+            Token(
+                tok.token_id, tok.text, tok.bbox, EntityLabel(entry["label"]), LabelSource.MODEL,
+                None if confidence is None else float(confidence),
+            )
+        )
+    return Document(doc.doc_id, tuple(tokens), doc.page_width, doc.page_height)
+
+
+def reference_heuristic_tag(doc: Document, separators: str) -> Document:
+    tokens = []
+    for tok in doc.tokens:
+        label = oracle_heuristic_label(tok.text, tok.bbox.x_min, tuple(separators))
+        source = None if label is EntityLabel.UNTAGGED else LabelSource.HEURISTIC
+        tokens.append(Token(tok.token_id, tok.text, tok.bbox, label, source))
+    return Document(doc.doc_id, tuple(tokens), doc.page_width, doc.page_height)
+
+
+def reference_decode(
+    ocr: bytes,
+    pred_dir: Path | None = None,
+    *,
+    corrections: bool = True,
+    separators: str = ".,",
+    threshold: float = 0.4,
+) -> tuple[str, list[str]]:
+    """The result text of one OCR file and its lines of the corrections
+    audit, each ending in a newline."""
+    doc = reference_parse_ocr(ocr)
+    if pred_dir is None:
+        doc = reference_heuristic_tag(doc, separators)
+    else:
+        doc = reference_import_labels(doc, (pred_dir / f"{doc.doc_id}.pred.json").read_bytes())
+
+    lines = [ids for _, ids in oracle_detect_lines(doc, threshold)]
+    tokens = list(doc.tokens)
+    groups = []
+    for members, incomplete in literal_grouping([{tokens[t].label for t in ids} for ids in lines]):
+        token_ids = tuple(t for m in members for t in lines[m])
+        bbox = union_bbox(tokens[t].bbox for t in token_ids)
+        groups.append(ProductGroup(len(groups), members, token_ids, bbox, incomplete))
+
+    audit = []
+    for group in groups if corrections else ():
+        members = [tokens[t] for t in group.token_ids]
+        pool = sorted(
+            (t for t in members if t.label is EntityLabel.UNTAGGED),
+            key=lambda t: (t.bbox.y_min, t.bbox.x_min, t.token_id),
+        )
+        firings = oracle_corrections(
+            [(t.token_id, t.text) for t in pool], {t.label for t in members}, separators
+        )
+        for entity, tid, value in firings:
+            tok = tokens[tid]
+            tokens[tid] = Token(tid, tok.text, tok.bbox, entity, LabelSource.CORRECTION)
+            record = {"doc_id": doc.doc_id, "group_id": group.group_id, "entity": entity.value,
+                      "token_id": tid, "parsed_value": value}
+            audit.append(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+    doc = Document(doc.doc_id, tuple(tokens), doc.page_width, doc.page_height)
+    return canonical_json(reference_result_payload(doc, groups)), audit
 
 
 # --------------------------------------------------------------------------

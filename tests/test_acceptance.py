@@ -1,5 +1,9 @@
 """Acceptance suite: the properties this package is contractually built to.
 
+There are eight, numbered 1-6, 8 and 9. Number 7 checked the embedding
+fusion helpers, which left the package with the rest of the DL tagger's
+inside; the others keep their numbers, which the project's notes cite.
+
 Each test prints exactly one ``[acceptance N] ... PASS/FAIL`` line on the
 real terminal (bypassing capture) so a full run reads as a checklist. The
 numeric bars are fixed here on purpose — they are the definition of done,
@@ -43,7 +47,7 @@ from receipt_kie.synth import (
     generate_corpus,
     write_corpus,
 )
-from receipt_kie.tagging import EmbeddingVector, fuse_embeddings, fuse_sequences, heuristic_tag
+from receipt_kie.tagging import heuristic_tag
 
 from reference_impls import (
     literal_grouping,
@@ -370,35 +374,6 @@ def test_6_grouping_matches_the_literal_three_step_scan_exhaustively(capsys):
     announce(
         capsys, 6, "grouping equals the literal scan",
         ok, f"{checked} sequences, {mismatches} mismatches, {elapsed:.1f}s CPU",
-    )
-    assert ok
-
-
-def test_7_embedding_fusion_is_exact_commutative_addition(capsys):
-    """10,000 random pairs across dims 1-512: fusion equals index-wise
-    addition exactly, commutes exactly, and the zero vector is an exact
-    identity. No tolerance."""
-    rng = random.Random(777)
-    failures = 0
-    for _ in range(10_000):
-        dim = rng.randint(1, 512)
-        a = EmbeddingVector.of([rng.uniform(-10, 10) for _ in range(dim)])
-        b = EmbeddingVector.of([rng.uniform(-10, 10) for _ in range(dim)])
-        fused = fuse_embeddings(a, b)
-        zero = EmbeddingVector.of([0.0] * dim)
-        if fused.values != tuple(x + y for x, y in zip(a.values, b.values)):
-            failures += 1
-        elif fuse_embeddings(b, a) != fused:
-            failures += 1
-        elif fuse_embeddings(a, zero) != a:
-            failures += 1
-    (seq_fused,) = fuse_sequences([a], [b])
-    if seq_fused != fused:
-        failures += 1
-    ok = failures == 0
-    announce(
-        capsys, 7, "embedding fusion is exact addition",
-        ok, f"10000 pairs, dims 1-512, {failures} deviations",
     )
     assert ok
 

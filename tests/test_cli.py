@@ -8,14 +8,19 @@ import logging
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from receipt_kie import cli, evaluation, ingest
 from receipt_kie.cli import main
 from receipt_kie.ingest import canonical_json
 from receipt_kie.model import LabelSource
+
+from reference_impls import reference_decode
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -563,7 +568,7 @@ def test_the_inline_reader_checks_carry_every_synth_record(
     for path in result_files:
         doc, _ = ingest.parse_result(path.read_bytes())
         sources.update(tok.source for tok in doc.tokens)
-    assert sources == {None, *LabelSource} - {LabelSource.GROUND_TRUTH}
+    assert sources == {None, *LabelSource}
     # Synth writes no confidence; a float one passes inline too.
     for path, parse, key in (
         (ocr_files[0], ingest.parse_ocr, "words"),
@@ -573,6 +578,109 @@ def test_the_inline_reader_checks_carry_every_synth_record(
         for record in payload[key]:
             record["confidence"] = 0.5
         parse(json.dumps(payload))
+
+
+@dataclass(frozen=True)
+class DecodeCase:
+    """The synth and decode knobs of one composed-reference check."""
+
+    seed: int = 7
+    products: str = "1:4"
+    multiline_prob: float = 0.35
+    code_prob: float = 0.8
+    adversarial_rate: float = 0.05
+    ocr_noise: float = 0.0
+    description_fn_rate: float = 0.0
+    scalar_fn_rate: float = 0.3  # for codes, quantities and prices alike
+    tagger: str = "import"
+    separators: str = ".,"
+    y_overlap: float | None = None  # None: the CLI default
+    corrections: bool = True
+    confidences: bool = False  # a confidence on every OCR word and predicted label
+
+
+_CONFIDENCES = (0, 0.25, 0.5, 1, 0.93)
+
+
+def _add_confidences(pred_dir: Path) -> None:
+    for path in pred_dir.glob("*.json"):
+        payload = json.loads(path.read_bytes())
+        records = payload["labels" if path.name.endswith(".pred.json") else "words"]
+        for k, record in enumerate(records):
+            record["confidence"] = _CONFIDENCES[k % len(_CONFIDENCES)]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    case=st.builds(
+        DecodeCase,
+        seed=st.integers(0, 999),
+        products=st.sampled_from(["1:1", "1:3", "2:5"]),
+        multiline_prob=st.sampled_from([0.0, 0.35, 1.0]),
+        code_prob=st.sampled_from([0.0, 0.5, 1.0]),
+        adversarial_rate=st.sampled_from([0.0, 0.5, 1.0]),
+        ocr_noise=st.sampled_from([0.0, 0.2]),
+        description_fn_rate=st.sampled_from([0.0, 0.3]),
+        scalar_fn_rate=st.sampled_from([0.0, 0.3, 1.0]),
+        tagger=st.sampled_from(["import", "heuristic"]),
+        separators=st.sampled_from([".,", ".", "x"]),
+        y_overlap=st.sampled_from([None, 0.8, 0.85]),
+        corrections=st.booleans(),
+        confidences=st.booleans(),
+    )
+)
+@example(case=DecodeCase())
+@example(case=DecodeCase(corrections=False))
+@example(case=DecodeCase(tagger="heuristic", code_prob=0.5, adversarial_rate=1.0))
+@example(case=DecodeCase(ocr_noise=0.2, separators="x"))
+@example(case=DecodeCase(tagger="heuristic", separators="x", corrections=False))
+@example(case=DecodeCase(code_prob=0.5, scalar_fn_rate=1.0, confidences=True))
+@example(case=DecodeCase(tagger="heuristic", y_overlap=0.8))
+def test_decode_matches_the_composed_reference(case, tmp_path_factory):
+    """The result files and corrections.jsonl of a decode are, byte for
+    byte, what reference_decode makes of the same files: small synth
+    corpora over the spec, corruption and decode knobs."""
+    base = tmp_path_factory.mktemp("reference-decode")
+    corpus, pred, out = base / "corpus", base / "corpus" / "pred", base / "out"
+    fn_rates = [f"--fn-rate=description={case.description_fn_rate}"] + [
+        f"--fn-rate={name}={case.scalar_fn_rate}" for name in ("code", "quantity", "price")
+    ]
+    code = run_cli(
+        "synth", "--out", corpus, "--seed", case.seed, "--docs", 4, "--products", case.products,
+        "--multiline-prob", case.multiline_prob, "--code-prob", case.code_prob,
+        "--adversarial-rate", case.adversarial_rate, "--ocr-noise", case.ocr_noise, *fn_rates,
+    )
+    assert code == 0
+    if case.confidences:
+        _add_confidences(pred)
+    argv = ["decode", pred, "--out", out, "--tagger", case.tagger,
+            "--decimal-separators", case.separators]
+    if case.tagger == "import":
+        argv += ["--predictions", pred]
+    if case.y_overlap is not None:
+        argv += ["--y-overlap", case.y_overlap]
+    if not case.corrections:
+        argv.append("--no-corrections")
+    assert run_cli(*argv) == 0
+
+    audit = []
+    names = ["corrections.jsonl"]
+    for path in sorted(pred.glob("*.json")):  # synth doc ids sort as their files do
+        if path.name.endswith(".pred.json"):
+            continue
+        result, records = reference_decode(
+            path.read_bytes(),
+            pred if case.tagger == "import" else None,
+            corrections=case.corrections,
+            separators=case.separators,
+            threshold=0.4 if case.y_overlap is None else case.y_overlap,
+        )
+        names.append(f"{path.stem}.result.json")
+        assert (out / names[-1]).read_bytes() == result.encode("utf-8"), path.name
+        audit += records
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    assert (out / "corrections.jsonl").read_bytes() == "".join(audit).encode("utf-8")
 
 
 class TestEvalCommand:

@@ -18,7 +18,13 @@ from receipt_kie.model import SCALAR_ENTITIES, EntityLabel, LabelSource, Product
 from receipt_kie.tagging import heuristic_tag
 
 from helpers import make_doc, make_token
-from reference_impls import oracle_parse_float, oracle_parse_int, reference_split_number, union_bbox
+from reference_impls import (
+    oracle_corrections,
+    oracle_parse_float,
+    oracle_parse_int,
+    reference_split_number,
+    union_bbox,
+)
 
 TOKEN_ALPHABET = "0123456789.,*#:$€¥ xABy-"
 
@@ -362,32 +368,7 @@ class TestApplyAgainstComposedOracle:
     _MENU = ["4902102", "2", "138.00", "9.99", "1", "99", "COOKIES", "x", "*250*", "$5.00", "12"]
 
     def expected(self, entries):
-        pool = list(enumerate(entries))
-        original_ints = [v for _, s in pool if (v := oracle_parse_int(s)) is not None]
-        out = []
-
-        ints = [(tid, v) for tid, s in pool if (v := oracle_parse_int(s)) is not None]
-        if ints:
-            largest = max(v for _, v in ints)
-            if original_ints and largest > min(original_ints):
-                tid = next(t for t, v in ints if v == largest)
-                out.append((EntityLabel.CODE, tid, largest))
-                pool = [(t, s) for t, s in pool if t != tid]
-
-        ints = [(tid, v) for tid, s in pool if (v := oracle_parse_int(s)) is not None]
-        if ints:
-            smallest = min(v for _, v in ints)
-            if original_ints and smallest < max(original_ints):
-                tid = next(t for t, v in ints if v == smallest)
-                out.append((EntityLabel.QUANTITY, tid, smallest))
-                pool = [(t, s) for t, s in pool if t != tid]
-
-        floats = [(tid, v) for tid, s in pool if (v := oracle_parse_float(s)) is not None]
-        if floats:
-            largest = max(v for _, v in floats)
-            tid = next(t for t, v in floats if v == largest)
-            out.append((EntityLabel.PRICE, tid, largest))
-        return out
+        return oracle_corrections(list(enumerate(entries)))
 
     def test_every_pool_matches(self):
         checked = 0

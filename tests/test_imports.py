@@ -1,10 +1,12 @@
 """Every name that a module of the package imports is used in that module,
 every private top-level name that a module defines is read somewhere in
-the package, and importing the CLI loads no heavy standard-library module.
+the package, every public one and every enum member is read there outside
+its own definition (bar a short list of names kept for users, each with
+its reason), and importing the CLI loads no heavy standard-library module.
 
 No linter ships with the project, so this stands in for the checks that
-matter most after code is removed: an import or a private helper left
-behind. ``__init__`` re-exports names: instead of the import check, its
+matter most after code is removed: an import, a helper or an enum member
+left behind. ``__init__`` re-exports names: instead of the import check, its
 ``__all__`` must list exactly the names it imports, sorted. A line marked
 ``# noqa: F401`` is exempt, as under flake8.
 """
@@ -43,32 +45,80 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def defined_names(node: ast.stmt) -> list[str]:
+    """The names a statement defines: a function's or class's own name, or
+    every name an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def read_names(node: ast.AST) -> set[str]:
+    """The names read under ``node``: a loaded name, or an attribute."""
+    read = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            read.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            read.add(sub.attr)
+    return read
+
+
 def unread_private_names(sources: dict[str, str]) -> list[str]:
     """The private top-level names (``_x``: a function, class or assigned
     name, not a dunder) that a module of ``sources`` defines and no module
     reads, as ``"module: name"``."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    read = set().union(*map(read_names, trees.values()))
+    return [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        for name in defined_names(node)
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+def _is_enum(node: ast.stmt) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        (base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)) == "Enum"
+        for base in node.bases
+    )
+
+
+def unread_public_names(sources: dict[str, str]) -> list[str]:
+    """The public top-level names (a function, class or assigned name that
+    starts with no underscore) that a module of ``sources`` defines and no
+    statement reads but their own definition, and the members of each enum
+    that no other statement reads as an attribute, as ``"module: name"`` or
+    ``"module: Enum.MEMBER"``. An import is no read."""
+    statements = [
+        (module, node) for module, source in sources.items() for node in ast.parse(source).body
+    ]
+    reads = [read_names(node) for _, node in statements]
+    attributes = [
+        {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+        for _, node in statements
+    ]
+
+    def read_elsewhere(name: str, where: int, table: list[set[str]]) -> bool:
+        return any(name in names for i, names in enumerate(table) if i != where)
+
     unread = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-            else:
-                continue
+    for i, (module, node) in enumerate(statements):
+        for name in defined_names(node):
+            if not name.startswith("_") and not read_elsewhere(name, i, reads):
+                unread.append(f"{module}: {name}")
+        if _is_enum(node):
             unread.extend(
-                f"{module}: {name}"
-                for name in names
-                if name.startswith("_") and not name.startswith("__") and name not in read
+                f"{module}: {node.name}.{member}"
+                for stmt in node.body
+                if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                for member in defined_names(stmt)
+                if not member.startswith("_") and not read_elsewhere(member, i, attributes)
             )
     return unread
 
@@ -80,6 +130,19 @@ def test_every_import_is_used(module):
 
 def test_every_private_name_is_read():
     assert unread_private_names(_SOURCES) == []
+
+
+# Public names the package defines for its users and never reads itself,
+# each with its reason.
+_READ_ONLY_OUTSIDE = {
+    # The in-memory corpus the tests build from; the CLI writes corpora
+    # with write_corpus, which generates each document as it writes it.
+    "synth.py: generate_corpus",
+}
+
+
+def test_every_public_name_and_enum_member_is_read():
+    assert sorted(unread_public_names(_SOURCES)) == sorted(_READ_ONLY_OUTSIDE)
 
 
 def test_the_package_exports_exactly_what_it_imports_in_sorted_order():
@@ -106,6 +169,22 @@ def test_the_check_sees_an_unread_private_name():
         "c.py": "import b\nb._Box()\nprint(_y)\n",
     }
     assert unread_private_names(sources) == ["a.py: _left", "b.py: _x"]
+
+
+def test_the_check_sees_an_unread_public_name():
+    sources = {
+        "a.py": (
+            "from enum import Enum\n"
+            "LIMIT = 3\nUNUSED = 4\n__version__ = '1'\n"
+            "class Kind(str, Enum):\n    A = 'a'\n    B = 'b'\n    C = 'c'\n"
+            "    def other(self):\n        return Kind.C\n"
+            "def walk(n):\n    return walk(n - 1) if n else Kind.A\n"
+        ),
+        "b.py": "from a import UNUSED, walk\nimport a\ndef run():\n    return a.LIMIT, {'B': 1}\n",
+    }
+    assert unread_public_names(sources) == [
+        "a.py: UNUSED", "a.py: Kind.B", "a.py: Kind.C", "a.py: walk", "b.py: run",
+    ]
 
 
 def test_importing_the_cli_loads_no_heavy_stdlib_module():

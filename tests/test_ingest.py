@@ -54,7 +54,7 @@ class TestParseOcr:
         assert tok.text == "MILK"
         assert tok.bbox == BBox(0.1, 0.1, 0.9, 0.3)
         assert tok.label is EntityLabel.UNTAGGED
-        assert tok.confidence == pytest.approx(0.93)
+        assert tok.confidence is None
 
     def test_skewed_polygon_collapses_to_envelope(self):
         payload = ocr_payload()
@@ -108,6 +108,29 @@ class TestParseOcr:
         payload["words"][0]["confidence"] = 1.2
         with pytest.raises(SchemaError, match="confidence"):
             parse_ocr(json.dumps(payload))
+
+    @pytest.mark.parametrize("value", [0, 0.5, 0.93, 1.0])
+    def test_word_confidence_is_checked_but_not_kept(self, value):
+        payload = ocr_payload()
+        payload["words"][0]["confidence"] = value
+        assert parse_ocr(json.dumps(payload)).tokens[0].confidence is None
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (-0.1, "confidence -0.1 outside [0, 1]"),
+            (float("nan"), "confidence nan outside [0, 1]"),
+            (True, "confidence must be a number"),
+            (10**400, f"confidence {10**400} outside [0, 1]"),
+        ],
+        ids=["-0.1", "nan", "true", "400-digits"],
+    )
+    def test_word_confidence_outside_the_unit_interval_is_refused(self, value, message):
+        payload = ocr_payload()
+        payload["words"][0]["confidence"] = value
+        with pytest.raises(SchemaError) as exc:
+            parse_ocr(json.dumps(payload))
+        assert str(exc.value) == f"word 0: {message}"
 
     @pytest.mark.parametrize("missing", ["doc_id", "page", "words"])
     def test_missing_top_level_field(self, missing):
@@ -292,8 +315,9 @@ class TestResultRoundTrip:
             ({"source": None}, "labeled token has no label source"),
             ({"label": "untagged"}, "untagged token carries a label source"),
             ({"text": ""}, "text must be a non-empty string"),
+            ({"source": "ground_truth"}, "unknown label source 'ground_truth'"),
         ],
-        ids=["label-without-source", "source-without-label", "empty-text"],
+        ids=["label-without-source", "source-without-label", "empty-text", "ground-truth-source"],
     )
     def test_token_errors_name_the_token(self, labeled_receipt, edit, message):
         payload = json.loads(serialize_result(labeled_receipt, []))
@@ -785,7 +809,7 @@ _TOKEN_DAMAGES = {
     "token_id": [True, 0.0, 1.0, -1, 0, 1, 10**400, "0"],
     "text": ["", "é", "A\ud800", "\ud800\udc00", 5],
     "label": ["untagged", "price", "total", 3],
-    "source": [None, "model", "correction", "oracle", 3],
+    "source": [None, "model", "correction", "oracle", "ground_truth", 3],
     "confidence": [0, 1, 0.5, -0.0, 1.5, -0.25, _NAN, _INF, 10**400, *_NOT_A_NUMBER],
     "bbox": [None, [0.0, 0.0, 1.0, 1.0], {"x_min": 0.0}],
 }

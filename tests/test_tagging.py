@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import random
 
 import pytest
 from hypothesis import example, given
@@ -12,75 +11,10 @@ from receipt_kie.corrections import NumericParseConfig, _split_number, parse_flo
 from receipt_kie.errors import LabelConflictError, SchemaError, TokenReferenceError
 from receipt_kie.model import BBox, Document, EntityLabel, LabelSource, Token
 from receipt_kie.synth import CorpusSpec, generate_corpus
-from receipt_kie.tagging import (
-    EmbeddingVector,
-    fuse_embeddings,
-    fuse_sequences,
-    heuristic_tag,
-    import_predictions,
-)
+from receipt_kie.tagging import heuristic_tag, import_predictions
 
 from helpers import make_doc, make_token
 from reference_impls import oracle_heuristic_label
-
-finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-
-
-class TestEmbeddingVector:
-    def test_of_infers_dim(self):
-        v = EmbeddingVector.of([1.0, 2.0, 3.0])
-        assert v.dim == 3
-        assert v.values == (1.0, 2.0, 3.0)
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            EmbeddingVector.of([0.0, bad])
-
-
-class TestFusion:
-    def test_element_wise_addition(self):
-        image = EmbeddingVector.of([1.0, 2.0, -0.5])
-        text = EmbeddingVector.of([0.25, -2.0, 0.5])
-        assert fuse_embeddings(image, text) == EmbeddingVector.of([1.25, 0.0, 0.0])
-
-    def test_zero_vector_is_identity(self):
-        rng = random.Random(11)
-        v = EmbeddingVector.of([rng.uniform(-1, 1) for _ in range(64)])
-        zero = EmbeddingVector.of([0.0] * 64)
-        assert fuse_embeddings(v, zero) == v
-        assert fuse_embeddings(zero, v) == v
-
-    def test_commutes_exactly_at_dim_64(self):
-        rng = random.Random(23)
-        a = EmbeddingVector.of([rng.uniform(-10, 10) for _ in range(64)])
-        b = EmbeddingVector.of([rng.uniform(-10, 10) for _ in range(64)])
-        assert fuse_embeddings(a, b) == fuse_embeddings(b, a)
-
-    @given(st.lists(st.tuples(finite_floats, finite_floats), min_size=1, max_size=128))
-    def test_every_index_is_the_exact_sum(self, pairs):
-        image = EmbeddingVector.of([p[0] for p in pairs])
-        text = EmbeddingVector.of([p[1] for p in pairs])
-        fused = fuse_embeddings(image, text)
-        assert fused.dim == len(pairs)
-        for got, (a, b) in zip(fused.values, pairs):
-            assert got == a + b  # exact, not approximate
-
-    def test_dimension_mismatch_names_both_dims(self):
-        with pytest.raises(ValueError, match=r"image dim 3 vs text dim 2"):
-            fuse_embeddings(EmbeddingVector.of([0.0] * 3), EmbeddingVector.of([0.0] * 2))
-
-    def test_sequence_fusion(self):
-        a = [EmbeddingVector.of([1.0]), EmbeddingVector.of([2.0])]
-        b = [EmbeddingVector.of([3.0]), EmbeddingVector.of([4.0])]
-        assert fuse_sequences(a, b) == (
-            EmbeddingVector.of([4.0]),
-            EmbeddingVector.of([6.0]),
-        )
-
-    def test_sequence_length_mismatch(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            fuse_sequences([EmbeddingVector.of([1.0])], [])
 
 
 class TestHeuristicRules:
