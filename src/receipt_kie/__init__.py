@@ -17,7 +17,6 @@ The pipeline: OCR words in, labeled tokens and product groups out.
 
 from .corrections import (
     CorrectionRecord,
-    NumericParseConfig,
     apply_corrections,
     parse_float,
     parse_integer,
@@ -46,7 +45,6 @@ from .ingest import (
     serialize_result,
 )
 from .layout import (
-    GroupingConfig,
     assign_entities,
     detect_lines_geometric,
     group_product_lines,
@@ -84,12 +82,10 @@ __all__ = [
     "EntityCounts",
     "EntityLabel",
     "EvalReport",
-    "GroupingConfig",
     "LabelConflictError",
     "LabelSource",
     "MalformedJsonError",
     "MatchMode",
-    "NumericParseConfig",
     "Product",
     "ProductGroup",
     "ReceiptKieError",

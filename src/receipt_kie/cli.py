@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence, TextIO
 
 from . import __version__, tagging
-from .corrections import NumericParseConfig, apply_corrections
+from .corrections import DECIMAL_SEPARATORS, apply_corrections
 from .errors import CorpusMismatchError, ReceiptKieError, TokenReferenceError
 from .evaluation import (
     ENTITY_ORDER,
@@ -53,7 +53,7 @@ from .ingest import (
     parse_result,
     serialize_result,
 )
-from .layout import GroupingConfig, detect_lines_geometric, group_product_lines
+from .layout import _check_y_overlap_threshold, detect_lines_geometric, group_product_lines
 from .model import Document, EntityLabel
 from .render import render_svg
 from .synth import CorpusSpec, CorruptionSpec, remove_corpus, write_corpus
@@ -152,17 +152,17 @@ def _parse_file(path: Path, parse: Callable[..., Any], *args: Any) -> Any:
 def _decode_one(
     path: Path,
     tag: Callable[[Document], Document],
-    grouping: GroupingConfig,
-    parse_cfg: NumericParseConfig,
+    y_overlap_threshold: float,
+    decimal_separators: str,
     corrections_enabled: bool,
 ) -> tuple[str, str, list]:
     doc = parse_ocr(path.read_bytes())
     tagged = tag(doc)
-    lines = detect_lines_geometric(tagged, grouping)
+    lines = detect_lines_geometric(tagged, y_overlap_threshold)
     groups = group_product_lines(tagged, lines)
     records: list = []
     if corrections_enabled:
-        tagged, records = apply_corrections(tagged, groups, parse_cfg)
+        tagged, records = apply_corrections(tagged, groups, decimal_separators)
     return doc.doc_id, serialize_result(tagged, groups), records
 
 
@@ -194,13 +194,16 @@ def _import_tagger(predictions: Path) -> Callable[[Document], Document]:
 
 def cmd_decode(args: argparse.Namespace) -> int:
     try:
-        grouping = GroupingConfig(y_overlap_threshold=args.y_overlap)
-        parse_cfg = NumericParseConfig(decimal_separators=tuple(args.decimal_separators))
+        _check_y_overlap_threshold(args.y_overlap)
+        # Separators that read no decimal, or a digit that can never be one.
+        if not args.decimal_separators:
+            raise ValueError("decimal_separators must not be empty")
+        if digit := next((sep for sep in args.decimal_separators if sep in "0123456789"), None):
+            raise ValueError(f"digit {digit!r} cannot be a decimal separator")
+        if args.tagger == "import" and not args.predictions:
+            raise ValueError("--tagger import requires --predictions")
     except ValueError as exc:
         _stderr_line("ERROR", exc)
-        return 2
-    if args.tagger == "import" and not args.predictions:
-        _stderr_line("ERROR", "--tagger import requires --predictions")
         return 2
     inputs = _expand(args.inputs, _is_ocr_input)
     if not inputs:
@@ -214,7 +217,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
             _stderr_line("ERROR", f"{args.predictions}: {exc}")
             return 1
     else:
-        tag = partial(tagging.heuristic_tag, config=parse_cfg)
+        tag = partial(tagging.heuristic_tag, decimal_separators=args.decimal_separators)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -223,7 +226,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     for path in inputs:
         try:
             doc_id, payload, records = _decode_one(
-                path, tag, grouping, parse_cfg, not args.no_corrections
+                path, tag, args.y_overlap, args.decimal_separators, not args.no_corrections
             )
             if doc_id in decoded:
                 raise CorpusMismatchError(
@@ -374,19 +377,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 _FN_RATE_NAMES = _entity_names(lambda label: f"{label.value}_fn_rate")
 
 
-def _is_manifest_id(doc_id: Any) -> bool:
-    """Whether ``doc_id`` names the files of a synth document: a plain file
-    name that UTF-8 can encode. A lone surrogate (a JSON ``\\ud800``
-    escape gives one) is in no file name."""
-    if not _is_file_name(doc_id):
-        return False
-    try:
-        doc_id.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
@@ -415,7 +405,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     manifest_path = out_dir / "manifest.json"
     if args.force and manifest_path.is_file():
         doc_ids = _require(_parse_file(manifest_path, _load_object), "doc_ids", str(manifest_path))
-        if not isinstance(doc_ids, list) or not all(map(_is_manifest_id, doc_ids)):
+        if not isinstance(doc_ids, list) or not all(map(_is_file_name, doc_ids)):
             raise CorpusMismatchError(f"{manifest_path}: doc_ids must be a list of file names")
         remove_corpus(out_dir, doc_ids)
     manifest = write_corpus(spec, out_dir, corruption)
@@ -468,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", help="prediction file or directory (for --tagger import)")
     p.add_argument("--no-corrections", action="store_true", help="skip the correction rules")
     p.add_argument("--y-overlap", type=float, default=0.4, help="line clustering threshold")
-    p.add_argument("--decimal-separators", default=".,", help="accepted decimal separators")
+    p.add_argument("--decimal-separators", default=DECIMAL_SEPARATORS,
+                   help="accepted decimal separators")
     p.add_argument("--fail-fast", action="store_true", help="stop at the first bad input")
     p.add_argument("--audit", help="corrections audit log path (default OUT/corrections.jsonl)")
     p.set_defaults(func=cmd_decode)

@@ -50,42 +50,27 @@ MAX_INTEGER_DIGITS = 18
 _RULE_STRIP_CHARS = "*#:"
 
 
-@dataclass(frozen=True, slots=True)
-class NumericParseConfig:
-    """Lexical rules for reading numbers out of OCR tokens.
-
-    ``decimal_separators`` lists the characters accepted between the
-    integer and fractional part; a token is a decimal number only if
-    exactly one of them occurs.
-    """
-
-    decimal_separators: tuple[str, ...] = (".", ",")
-
-    def __post_init__(self) -> None:
-        if not self.decimal_separators:
-            raise ValueError("decimal_separators must not be empty")
-        for sep in self.decimal_separators:
-            if len(sep) != 1:
-                raise ValueError(f"decimal separators are single characters, got {sep!r}")
-            if sep in _DIGITS:
-                raise ValueError(f"digit {sep!r} cannot be a decimal separator")
-
-
-DEFAULT_PARSE_CONFIG = NumericParseConfig()
+# The characters accepted between the integer and fractional part of a
+# decimal number, each one a separator.
+DECIMAL_SEPARATORS = ".,"
 
 
 def _split_number(
-    text: str, strip_chars: str, config: NumericParseConfig
+    text: str, strip_chars: str, decimal_separators: str
 ) -> tuple[str, str | None] | None:
     """The one numeric lexer: strip ``strip_chars`` and currency symbols
     from both ends of ``text`` and split the rest into its integer digits
-    and, after exactly one decimal separator, its fractional digits (None
-    for a plain integer).
+    and, after exactly one decimal separator (a character of
+    ``decimal_separators``), its fractional digits (None for a plain
+    integer).
 
     Returns None when the token is not a number. The integer part of a
     decimal may be empty (".50"); the fractional part may not, so a token
     that is not all digits and does not end in a digit is rejected at once.
     Digit runs come back uncapped: each caller applies its own length limit.
+    The separator is the last character that is not a digit, so a digit in
+    ``decimal_separators`` never matches, and an empty string reads no
+    decimal at all.
 
     An ASCII text is stripped by one ``str.strip``, since ``$`` is the only
     ASCII character in the Unicode "Sc" category; any other text is
@@ -112,12 +97,12 @@ def _split_number(
     # What is left is digits, one separator and at least one digit to the
     # end, so the separator is the last character that is not a digit.
     head = s.rstrip("0123456789")
-    if head[-1] not in config.decimal_separators or not _DIGITS.issuperset(head[:-1]):
+    if head[-1] not in decimal_separators or not _DIGITS.issuperset(head[:-1]):
         return None
     return head[:-1], s[len(head) :]
 
 
-def parse_integer(text: str, config: NumericParseConfig = DEFAULT_PARSE_CONFIG) -> int | None:
+def parse_integer(text: str, decimal_separators: str = DECIMAL_SEPARATORS) -> int | None:
     """Read ``text`` as a plain integer, or None if it is not one.
 
     After decoration stripping the token must consist solely of ASCII
@@ -125,23 +110,23 @@ def parse_integer(text: str, config: NumericParseConfig = DEFAULT_PARSE_CONFIG) 
     integers). Digit runs longer than ``MAX_INTEGER_DIGITS`` are rejected
     as OCR garbage rather than parsed.
     """
-    number = _split_number(text, _RULE_STRIP_CHARS, config)
+    number = _split_number(text, _RULE_STRIP_CHARS, decimal_separators)
     if number is None or number[1] is not None or len(number[0]) > MAX_INTEGER_DIGITS:
         return None
     return int(number[0])
 
 
-def parse_float(text: str, config: NumericParseConfig = DEFAULT_PARSE_CONFIG) -> float | None:
+def parse_float(text: str, decimal_separators: str = DECIMAL_SEPARATORS) -> float | None:
     """Read ``text`` as a decimal number with a fractional part.
 
     Exactly one decimal separator must occur, followed by at least one
     digit; the integer part may be empty (".50" is 0.5). Pure integers do
     not parse — quantities and codes must not be mistaken for prices —
-    and neither do tokens with thousands grouping ("1,150.00" has two
-    separator characters, which is ambiguous under a two-separator
-    config, so it is rejected outright).
+    and neither do tokens with thousands grouping ("1,150.00" holds two
+    separator characters; which one ends the integer part is ambiguous,
+    so it is rejected outright).
     """
-    number = _split_number(text, _RULE_STRIP_CHARS, config)
+    number = _split_number(text, _RULE_STRIP_CHARS, decimal_separators)
     if number is None or number[1] is None or len(number[0]) > MAX_INTEGER_DIGITS:
         return None
     int_part, frac_part = number
@@ -177,7 +162,7 @@ _RULES: dict[EntityLabel, _Rule] = {
 def apply_corrections(
     doc: Document,
     groups: Sequence[ProductGroup],
-    config: NumericParseConfig = DEFAULT_PARSE_CONFIG,
+    decimal_separators: str = DECIMAL_SEPARATORS,
 ) -> tuple[Document, list[CorrectionRecord]]:
     """Run all three rules over every group; return the corrected document
     and the firings in order.
@@ -205,11 +190,15 @@ def apply_corrections(
         if _RULES.keys() <= present:  # every rule's outcome is "entity present"
             continue
         pool = [tok for tok in tokens if tok.label is EntityLabel.UNTAGGED]
-        guard_ints = [v for tok in pool if (v := parse_integer(tok.text, config)) is not None]
+        guard_ints = [
+            v for tok in pool if (v := parse_integer(tok.text, decimal_separators)) is not None
+        ]
         for entity, (parse, best, guard) in _RULES.items():
             if entity in present:
                 continue
-            parsed = [(v, tok) for tok in pool if (v := parse(tok.text, config)) is not None]
+            parsed = [
+                (v, tok) for tok in pool if (v := parse(tok.text, decimal_separators)) is not None
+            ]
             if not parsed:
                 continue
             target = best(v for v, _ in parsed)

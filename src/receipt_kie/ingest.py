@@ -134,23 +134,26 @@ def _lookup(table: Mapping[str, Any], value: Any, where: str, what: str) -> Any:
 
 
 def _is_file_name(name: Any) -> bool:
-    """Whether ``name`` is a string that names a file in a directory."""
+    """Whether ``name`` is a string that names a file in a directory. UTF-8
+    encodes every code point but a surrogate, and a lone surrogate (a JSON
+    ``\\ud800`` escape gives one) is in no file name."""
     return (
         isinstance(name, str)
         and name not in ("", ".", "..")
         and "/" not in name
         and "\\" not in name
         and "\0" not in name
+        and (name.isascii() or not any("\ud800" <= ch <= "\udfff" for ch in name))
     )
 
 
 def _doc_id(raw: Mapping[str, Any]) -> str:
     doc_id = _require(raw, "doc_id", "top level")
+    if isinstance(doc_id, str) and not doc_id.isascii():
+        _check_utf8(doc_id, "doc_id")
     # Results are written to <doc_id>.result.json: the id must name a file.
     if not _is_file_name(doc_id):
         raise SchemaError(f"doc_id: expected a plain file name, got {doc_id!r}")
-    if not doc_id.isascii():
-        _check_utf8(doc_id, "doc_id")
     return doc_id
 
 

@@ -2,8 +2,9 @@
 
 Two stages. First, tokens are clustered into horizontal text lines purely
 from their boxes: two tokens share a line when their vertical intervals
-overlap by at least ``y_overlap_threshold`` of the shorter box, and
-clusters are the single-linkage (transitive) closure of that relation.
+overlap by at least ``y_overlap_threshold`` of the shorter box (a plain
+float in (0, 1], 0.4 by default), and clusters are the single-linkage
+(transitive) closure of that relation.
 Second, consecutive lines are grouped into products by a scan that mirrors
 how a human reads a receipt:
 
@@ -22,7 +23,6 @@ still open at the end of the document is emitted flagged ``incomplete``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain, pairwise
 from typing import Sequence
 
@@ -33,6 +33,7 @@ from .model import (
     EntityLabel,
     Product,
     ProductGroup,
+    reading_order,
 )
 
 # Enum members read in the per-token loops, bound once.
@@ -41,19 +42,10 @@ _QUANTITY = EntityLabel.QUANTITY
 _PRICE = EntityLabel.PRICE
 
 
-@dataclass(frozen=True, slots=True)
-class GroupingConfig:
-    """Layout parameters. ``y_overlap_threshold`` is the minimum vertical
-    interval overlap, as a fraction of the shorter box, for two tokens to
-    be considered part of the same line."""
-
-    y_overlap_threshold: float = 0.4
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.y_overlap_threshold <= 1.0):
-            raise ValueError(
-                f"y_overlap_threshold must be in (0, 1], got {self.y_overlap_threshold}"
-            )
+def _check_y_overlap_threshold(threshold: float) -> None:
+    """Refuse a line threshold outside (0, 1], NaN included."""
+    if not (0.0 < threshold <= 1.0):
+        raise ValueError(f"y_overlap_threshold must be in (0, 1], got {threshold}")
 
 
 def vertical_overlap_ratio(a: BBox, b: BBox) -> float:
@@ -78,10 +70,10 @@ def vertical_overlap_ratio(a: BBox, b: BBox) -> float:
     return ratio if ratio < 1.0 else 1.0
 
 
-def detect_lines_geometric(
-    doc: Document, config: GroupingConfig | None = None
-) -> list[tuple[int, ...]]:
-    """Cluster tokens into lines by single-linkage vertical overlap.
+def detect_lines_geometric(doc: Document, y_overlap_threshold: float = 0.4) -> list[tuple[int, ...]]:
+    """Cluster tokens into lines by single-linkage vertical overlap of at
+    least ``y_overlap_threshold`` of the shorter box. A threshold outside
+    (0, 1] raises ValueError before the document is read.
 
     Lines come back ordered top to bottom (by mean y-center). Each line is
     its token ids, ordered left to right by x_min; a line's index is its
@@ -94,7 +86,7 @@ def detect_lines_geometric(
     all differ slightly in height or offset (a jittered row) still
     compares every pair of its boxes: quadratic in the row's length.
     """
-    threshold = (config or GroupingConfig()).y_overlap_threshold
+    _check_y_overlap_threshold(y_overlap_threshold)
     boxes = [tok.bbox for tok in doc.tokens]
 
     # Union-find over token positions; single linkage = connected
@@ -125,7 +117,7 @@ def detect_lines_geometric(
             (b_min, _), j = order[k]
             if b_min > a_max:
                 break
-            if vertical_overlap_ratio(boxes[i], boxes[j]) >= threshold:
+            if vertical_overlap_ratio(boxes[i], boxes[j]) >= y_overlap_threshold:
                 parent[find(j)] = find(i)
 
     lines: dict[int, list[int]] = {}
@@ -210,12 +202,9 @@ def assign_entities(group: ProductGroup, doc: Document) -> Product:
     """
     descriptions: list[int] = []
     scalars: dict[EntityLabel, int] = {}
-    # The sort key ends in the token id, a total order: the first token of
-    # a label wins its role. Untagged tokens fill a slot no role reads.
-    for _, _, token_id, label in sorted(
-        [(y_min, x_min, token_id, label)
-         for token_id, _, (x_min, y_min, _, _), label, _, _ in map(doc.token, group.token_ids)]
-    ):
+    # The key ends in the token id, a total order: the first token of a
+    # label wins its role. Untagged tokens fill a slot no role reads.
+    for token_id, _, _, label, _, _ in sorted(map(doc.token, group.token_ids), key=reading_order):
         if label is _DESCRIPTION:
             descriptions.append(token_id)
         else:

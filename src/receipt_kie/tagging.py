@@ -14,7 +14,7 @@ so they return a new Document and never touch geometry or text.
 
 from __future__ import annotations
 
-from .corrections import DEFAULT_PARSE_CONFIG, MAX_INTEGER_DIGITS, NumericParseConfig, _split_number
+from .corrections import DECIMAL_SEPARATORS, MAX_INTEGER_DIGITS, _split_number
 from .ingest import import_predictions  # noqa: F401 (re-export)
 from .model import Document, EntityLabel, LabelSource
 
@@ -37,7 +37,7 @@ def _alpha_majority(text: str) -> bool:
     return sum(map(str.isalpha, text)) * 2 > len(text)
 
 
-def heuristic_tag(doc: Document, config: NumericParseConfig = DEFAULT_PARSE_CONFIG) -> Document:
+def heuristic_tag(doc: Document, decimal_separators: str = DECIMAL_SEPARATORS) -> Document:
     """Label tokens with position/lexicon rules; no model involved.
 
     Rule order per token (first match wins):
@@ -50,9 +50,10 @@ def heuristic_tag(doc: Document, config: NumericParseConfig = DEFAULT_PARSE_CONF
     4. alphabetic-majority text -> DESCRIPTION
     5. otherwise untagged
 
-    Numbers are read with ``config``'s decimal separators, like the
-    correction rules read them. An all-letter word skips the lexer: it
-    holds no ASCII digit, so it is a description under any config.
+    Numbers are read with the characters of ``decimal_separators`` as
+    decimal separators, like the correction rules read them. An all-letter
+    word skips the lexer: it holds no ASCII digit, so it is a description
+    whatever the separators.
     Pre-existing labels are discarded; output labels carry
     ``source=HEURISTIC``. Deterministic: same document, same labels, bit
     for bit.
@@ -64,7 +65,7 @@ def heuristic_tag(doc: Document, config: NumericParseConfig = DEFAULT_PARSE_CONF
             # No ASCII digit, so rules 1-3 cannot match; all letters, so rule 4 does.
             labels[tok.token_id] = (EntityLabel.DESCRIPTION, LabelSource.HEURISTIC, None)
             continue
-        number = _split_number(tok.text, _TAG_STRIP_CHARS, config)
+        number = _split_number(tok.text, _TAG_STRIP_CHARS, decimal_separators)
         digits, fraction = number or ("", None)
         is_integer = bool(digits) and fraction is None
         if fraction is not None and tok.bbox.x_min >= _PRICE_BAND_MIN_X:

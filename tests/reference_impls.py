@@ -5,9 +5,9 @@ way possible, with no code shared with the package — the point is that a
 bug would have to be made twice, in two different shapes, to go unseen.
 The numeric lexer reference and the file-format and scorer references at
 the end are the exception: each keeps an earlier, plainer version of one
-step of the package and shares the rest (the parse config, field checks,
-the JSON writer, the count type) with it. The decode reference chains the
-references and shares only what they share.
+step of the package and shares the rest (field checks, the JSON writer,
+the count type) with it. The decode reference chains the references and
+shares only what they share.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import unicodedata
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from receipt_kie.corrections import NumericParseConfig
 from receipt_kie.errors import SchemaError
 from receipt_kie.evaluation import EntityCounts, MatchMode
 from receipt_kie.ingest import (
@@ -355,7 +354,7 @@ _DIGITS = frozenset("0123456789")
 
 
 def reference_split_number(
-    text: str, strip_chars: str, config: NumericParseConfig
+    text: str, strip_chars: str, decimal_separators: str
 ) -> tuple[str, str | None] | None:
     def strippable(ch: str) -> bool:
         return ch in strip_chars or unicodedata.category(ch) == "Sc"
@@ -368,7 +367,7 @@ def reference_split_number(
     s = text[start:end]
     if _DIGITS.issuperset(s):
         return (s, None) if s else None
-    sep_positions = [i for i, ch in enumerate(s) if ch in config.decimal_separators]
+    sep_positions = [i for i, ch in enumerate(s) if ch in decimal_separators]
     if len(sep_positions) != 1:
         return None
     int_part, frac_part = s[: sep_positions[0]], s[sep_positions[0] + 1 :]
@@ -399,7 +398,7 @@ def _ascii_digits(s: str) -> bool:
 def oracle_heuristic_label(
     text: str,
     x_min: float,
-    separators: tuple[str, ...] = (".", ","),
+    separators: str = ".,",
     price_band_min_x: float = 0.65,
     quantity_band: tuple[float, float] = (0.45, 0.70),
     max_quantity: int = 99,
@@ -551,7 +550,7 @@ def reference_import_labels(doc: Document, data: bytes) -> Document:
 def reference_heuristic_tag(doc: Document, separators: str) -> Document:
     tokens = []
     for tok in doc.tokens:
-        label = oracle_heuristic_label(tok.text, tok.bbox.x_min, tuple(separators))
+        label = oracle_heuristic_label(tok.text, tok.bbox.x_min, separators)
         source = None if label is EntityLabel.UNTAGGED else LabelSource.HEURISTIC
         tokens.append(Token(tok.token_id, tok.text, tok.bbox, label, source))
     return Document(doc.doc_id, tuple(tokens), doc.page_width, doc.page_height)

@@ -228,14 +228,21 @@ class TestDecodeCommand:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "flag", [("--y-overlap", "0"), ("--y-overlap", "1.5"),
-                 ("--decimal-separators", ""), ("--decimal-separators", "1"),
-                 ("--tagger", "import")],
+        ("flag", "message"),
+        [
+            (("--y-overlap", "0"), "y_overlap_threshold must be in (0, 1], got 0.0"),
+            (("--y-overlap", "1.5"), "y_overlap_threshold must be in (0, 1], got 1.5"),
+            (("--y-overlap", "nan"), "y_overlap_threshold must be in (0, 1], got nan"),
+            (("--decimal-separators", ""), "decimal_separators must not be empty"),
+            (("--decimal-separators", "1"), "digit '1' cannot be a decimal separator"),
+            (("--decimal-separators", ".5"), "digit '5' cannot be a decimal separator"),
+            (("--tagger", "import"), "--tagger import requires --predictions"),
+        ],
     )
-    def test_invalid_flag_values_are_usage_errors(self, corpus_dir, tmp_path, flag):
+    def test_invalid_flag_values_are_usage_errors(self, corpus_dir, tmp_path, flag, message):
         proc = run_module("decode", corpus_dir, "--out", tmp_path / "out", *flag)
         assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"ERROR receipt_kie.cli: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_import_without_predictions_is_a_usage_error_before_inputs_are_read(self, tmp_path):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from receipt_kie import corrections
 from receipt_kie.corrections import (
     CorrectionRecord,
-    NumericParseConfig,
     apply_corrections,
     parse_float,
     parse_integer,
@@ -109,19 +108,10 @@ class TestParseFloat:
         assert parse_float(text) is None
 
     def test_separator_set_is_configurable(self):
-        comma_only = NumericParseConfig(decimal_separators=(",",))
-        assert parse_float("138,00", comma_only) == pytest.approx(138.0)
-        assert parse_float("138.00", comma_only) is None
-        # under a single-separator config the grouped form stays ambiguous
-        assert parse_float("1,150.00", comma_only) is None
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            NumericParseConfig(decimal_separators=())
-        with pytest.raises(ValueError):
-            NumericParseConfig(decimal_separators=("ab",))
-        with pytest.raises(ValueError):
-            NumericParseConfig(decimal_separators=("5",))
+        assert parse_float("138,00", ",") == pytest.approx(138.0)
+        assert parse_float("138.00", ",") is None
+        # with a single separator the grouped form stays ambiguous
+        assert parse_float("1,150.00", ",") is None
 
 
 class TestParserProperties:
@@ -140,17 +130,15 @@ class TestParserProperties:
 
 
 # Currency signs (ASCII and not), letters, non-ASCII letters and digits,
-# every separator of LEXER_CONFIGS, and the rules' strip characters.
+# every separator of LEXER_SEPARATORS, and the rules' strip characters.
 LEXER_ALPHABET = "0123456789.,x·$€¥₹*#: AbzÉ١１"
-LEXER_CONFIGS = [
-    NumericParseConfig(separators) for separators in [(".", ","), (",",), ("x",), ("·",)]
-]
+LEXER_SEPARATORS = [".,", ",", "x", "·"]
 
 
 class TestSplitNumberMatchesReference:
     """The one lexer against its plain form in reference_impls."""
 
-    @pytest.mark.parametrize("config", LEXER_CONFIGS, ids=lambda c: "".join(c.decimal_separators))
+    @pytest.mark.parametrize("separators", LEXER_SEPARATORS)
     @pytest.mark.parametrize("strip_chars", ["", "*#:"])
     @given(st.text(alphabet=LEXER_ALPHABET, max_size=12))
     @example("")
@@ -162,9 +150,31 @@ class TestSplitNumberMatchesReference:
     @example("€5")
     @example("5€")
     @example("x5")
-    def test_same_split(self, strip_chars, config, text):
-        got = corrections._split_number(text, strip_chars, config)
-        assert got == reference_split_number(text, strip_chars, config)
+    def test_same_split(self, strip_chars, separators, text):
+        got = corrections._split_number(text, strip_chars, separators)
+        assert got == reference_split_number(text, strip_chars, separators)
+
+
+class TestSeparatorsNeedNoCheck:
+    """Why the lexer takes any string of separators: the separator of a
+    decimal is the last character that is not a digit."""
+
+    @pytest.mark.parametrize("strip_chars", ["", "*#:"])
+    @given(
+        st.text(alphabet=LEXER_ALPHABET, max_size=12),
+        st.sampled_from(LEXER_SEPARATORS + [""]),
+        st.text(alphabet="0123456789", min_size=1, max_size=3),
+    )
+    def test_a_digit_never_splits_a_number(self, strip_chars, text, separators, digits):
+        got = corrections._split_number(text, strip_chars, separators + digits)
+        assert got == corrections._split_number(text, strip_chars, separators)
+
+    @pytest.mark.parametrize("strip_chars", ["", "*#:"])
+    @given(st.text(alphabet=LEXER_ALPHABET, max_size=12))
+    @example("1.5")
+    def test_no_separator_reads_no_fraction(self, strip_chars, text):
+        number = corrections._split_number(text, strip_chars, "")
+        assert number is None or number[1] is None
 
 
 # --------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 every private top-level name that a module defines is read somewhere in
 the package, every public one and every enum member is read there outside
 its own definition (bar a short list of names kept for users, each with
-its reason), and importing the CLI loads no heavy standard-library module.
+its reason), no dataclass or ``NamedTuple`` wraps a single field, and
+importing the CLI loads no heavy standard-library module.
 
 No linter ships with the project, so this stands in for the checks that
 matter most after code is removed: an import, a helper or an enum member
@@ -82,11 +83,13 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
     ]
 
 
+def _name_of(expr: ast.expr) -> str | None:
+    """The name ``expr`` ends in: ``Enum`` for ``Enum`` and ``enum.Enum``."""
+    return expr.id if isinstance(expr, ast.Name) else getattr(expr, "attr", None)
+
+
 def _is_enum(node: ast.stmt) -> bool:
-    return isinstance(node, ast.ClassDef) and any(
-        (base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)) == "Enum"
-        for base in node.bases
-    )
+    return isinstance(node, ast.ClassDef) and any(_name_of(base) == "Enum" for base in node.bases)
 
 
 def unread_public_names(sources: dict[str, str]) -> list[str]:
@@ -121,6 +124,28 @@ def unread_public_names(sources: dict[str, str]) -> list[str]:
                 if not member.startswith("_") and not read_elsewhere(member, i, attributes)
             )
     return unread
+
+
+def single_field_records(sources: dict[str, str]) -> list[str]:
+    """The classes of ``sources`` that are a dataclass or a ``NamedTuple``
+    with exactly one field (a ``ClassVar`` is no field), as ``"module:
+    Class"``: each wraps one value that could be passed as it is."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if not {"dataclass", "NamedTuple"} & set(map(_name_of, decorators + node.bases)):
+                continue
+            annotations = [stmt.annotation for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+            fields = [
+                a for a in annotations
+                if _name_of(a.value if isinstance(a, ast.Subscript) else a) != "ClassVar"
+            ]
+            if len(fields) == 1:
+                found.append(f"{module}: {node.name}")
+    return found
 
 
 @pytest.mark.parametrize("module", _MODULES)
@@ -185,6 +210,32 @@ def test_the_check_sees_an_unread_public_name():
     assert unread_public_names(sources) == [
         "a.py: UNUSED", "a.py: Kind.B", "a.py: Kind.C", "a.py: walk", "b.py: run",
     ]
+
+
+def test_no_record_class_wraps_a_single_field():
+    # A one-field dataclass or NamedTuple is a wrapper with no second
+    # implementation: the value it holds is passed instead.
+    assert single_field_records(_SOURCES) == []
+
+
+def test_the_check_sees_a_single_field_record():
+    sources = {
+        "a.py": (
+            "import dataclasses, typing\nfrom dataclasses import dataclass\n"
+            "from typing import ClassVar, NamedTuple\n"
+            "@dataclass(frozen=True)\nclass Threshold:\n    value: float = 0.4\n"
+            "    LIMIT: ClassVar[float] = 1.0\n    def check(self):\n        note: str = ''\n"
+            "@dataclasses.dataclass\nclass Pair:\n    a: int\n    b: int\n"
+            "class Plain:\n    only: int = 0\n"
+        ),
+        "b.py": (
+            "import typing\nfrom typing import NamedTuple\n"
+            "class Sep(NamedTuple):\n    chars: str\n"
+            "class Point(typing.NamedTuple):\n    x: float\n    y: float\n"
+            "class Empty(NamedTuple):\n    pass\n"
+        ),
+    }
+    assert single_field_records(sources) == ["a.py: Threshold", "b.py: Sep"]
 
 
 def test_importing_the_cli_loads_no_heavy_stdlib_module():

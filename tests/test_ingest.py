@@ -144,6 +144,11 @@ class TestParseOcr:
         with pytest.raises(SchemaError, match="doc_id: expected a plain file name"):
             parse_ocr(json.dumps(ocr_payload(doc_id=doc_id)))
 
+    def test_a_lone_surrogate_is_named_before_the_file_name_rule(self):
+        # The id is neither a plain name nor UTF-8: the surrogate check runs first.
+        with pytest.raises(SchemaError, match=r"^doc_id 'a/\\ud800' has a lone surrogate at index 2$"):
+            parse_ocr(json.dumps(ocr_payload(doc_id="a/\ud800")))
+
     def test_integer_past_the_digit_limit_is_malformed_json(self):
         with pytest.raises(MalformedJsonError, match="too many digits"):
             parse_ocr(b'{"doc_id": ' + b"9" * 5000 + b"}")

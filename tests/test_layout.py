@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from receipt_kie import layout
 from receipt_kie.layout import (
-    GroupingConfig,
     assign_entities,
     detect_lines_geometric,
     group_product_lines,
@@ -138,8 +137,20 @@ class TestDetectLines:
             ]
         )
         # overlap is 8px of a 20px box, i.e. a ratio right around 0.4
-        assert len(detect_lines_geometric(doc, GroupingConfig(0.3))) == 1
-        assert len(detect_lines_geometric(doc, GroupingConfig(0.45))) == 2
+        assert len(detect_lines_geometric(doc, 0.3)) == 1
+        assert len(detect_lines_geometric(doc, 0.45)) == 2
+
+    @pytest.mark.parametrize("threshold", [0.0, -0.0, 1.5, math.nan, math.inf, -math.inf])
+    def test_a_threshold_outside_zero_to_one_is_refused(self, threshold):
+        # The range check runs before the document is read, so even no
+        # document at all gets the threshold's error.
+        with pytest.raises(ValueError) as exc:
+            detect_lines_geometric(None, threshold)
+        assert str(exc.value) == f"y_overlap_threshold must be in (0, 1], got {threshold}"
+
+    def test_a_threshold_of_one_is_accepted(self):
+        doc = make_doc([make_token(0, "A", 40, 100), make_token(1, "B", 100, 100)])
+        assert detect_lines_geometric(doc, 1.0) == [(0, 1)]
 
     def test_tokens_sorted_left_to_right_with_id_tiebreak(self):
         doc = make_doc(
@@ -253,7 +264,7 @@ class TestDetectLinesMatchesAllPairs:
     @example(seed=1, n=300, grid=20, threshold=0.1)
     def test_random_grid_pages(self, seed, n, grid, threshold):
         doc = grid_page(seed, n, grid)
-        lines = detect_lines_geometric(doc, GroupingConfig(threshold))
+        lines = detect_lines_geometric(doc, threshold)
         assert list(enumerate(lines)) == oracle_detect_lines(doc, threshold)
 
     @pytest.mark.parametrize("threshold", [0.1, 0.4, 1.0])
@@ -267,7 +278,7 @@ class TestDetectLinesMatchesAllPairs:
                 Token(2, "ABOVE", BBox(0.5, 0.2, 0.6, 0.3)),
             ]
         )
-        lines = detect_lines_geometric(doc, GroupingConfig(threshold))
+        lines = detect_lines_geometric(doc, threshold)
         assert list(enumerate(lines)) == oracle_detect_lines(doc, threshold)
         assert lines == [(0, 1, 2)]
 

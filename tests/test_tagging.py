@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from receipt_kie import tagging
-from receipt_kie.corrections import NumericParseConfig, _split_number, parse_float, parse_integer
+from receipt_kie.corrections import _split_number, parse_float, parse_integer
 from receipt_kie.errors import LabelConflictError, SchemaError, TokenReferenceError
 from receipt_kie.model import BBox, Document, EntityLabel, LabelSource, Token
 from receipt_kie.synth import CorpusSpec, generate_corpus
@@ -70,8 +70,8 @@ class TestHeuristicRules:
 
     def test_decimal_separators_follow_the_parse_config(self):
         # The tagger and the correction rules read numbers with one lexer
-        # and one configuration: a price the rules cannot read is no price.
-        comma_only = NumericParseConfig((",",))
+        # and one set of separators: a price the rules cannot read is no price.
+        comma_only = ","
         doc = make_doc([make_token(0, "12.50", 480, 100), make_token(1, "12,50", 480, 140)])
         labels = [tok.label for tok in heuristic_tag(doc, comma_only).tokens]
         assert labels == [EntityLabel.UNTAGGED, EntityLabel.PRICE]
@@ -139,9 +139,9 @@ LONG_DECIMAL = "1" * 19 + ".50"
 class TestHeuristicTagMatchesReference:
     """heuristic_tag against a literal transcription of its rules."""
 
-    # The second config's separator is a letter, which an all-letter word
-    # may hold: such a word is still no number.
-    @pytest.mark.parametrize("separators", [(".", ","), ("x",)])
+    # The second separator is a letter, which an all-letter word may hold:
+    # such a word is still no number.
+    @pytest.mark.parametrize("separators", [".,", "x"])
     @given(st.lists(st.tuples(TAG_TEXTS, TAG_X), min_size=1, max_size=8))
     @example([("*12345", 0.1), ("12.50*", 0.8), (LONG_INT, 0.1), (LONG_DECIMAL, 0.8)])
     @example([("0" * 17 + "5", 0.5), ("0" * 18 + "5", 0.5), ("$9.99", 0.7), ("#7:", 0.5)])
@@ -156,7 +156,7 @@ class TestHeuristicTagMatchesReference:
             600,
             400,
         )
-        tagged = heuristic_tag(doc, NumericParseConfig(separators))
+        tagged = heuristic_tag(doc, separators)
         for tok, (text, x) in zip(tagged.tokens, words):
             expected = oracle_heuristic_label(text, x, separators)
             assert tok.label is expected, (text, x)
@@ -189,11 +189,11 @@ def test_all_letter_words_skip_the_lexer(monkeypatch):
     # speed would be lost unseen.
     lexed = []
 
-    def lexer(text, strip_chars, config):
+    def lexer(text, strip_chars, decimal_separators):
         if text.isalpha():
             raise AssertionError(f"all-letter word {text!r} reached the lexer")
         lexed.append(text)
-        return _split_number(text, strip_chars, config)
+        return _split_number(text, strip_chars, decimal_separators)
 
     monkeypatch.setattr(tagging, "_split_number", lexer)
     docs = [doc for doc, _ in generate_corpus(CorpusSpec(seed=7, n_docs=20))]
