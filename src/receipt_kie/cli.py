@@ -22,6 +22,7 @@ errors (argparse's convention) and ``eval --min-f1`` threshold misses.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -136,6 +137,24 @@ def _replacing(path: Path) -> Iterator[TextIO]:
         raise
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """The block runs with the cyclic garbage collector off; on exit it is
+    on again only if it was on before, also after an error.
+
+    Decode and eval make no reference cycles (a test holds this), so
+    reference counting frees all that a document drops. A collection
+    inside one would only walk the document being built and free nothing;
+    a receipt of thousands of words would trip dozens of them."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def _parse_file(path: Path, parse: Callable[..., Any], *args: Any) -> Any:
     """``parse(contents of path, *args)``; a package error names the file."""
     try:
@@ -225,9 +244,10 @@ def cmd_decode(args: argparse.Namespace) -> int:
     decoded: dict[str, tuple[Path, list]] = {}  # doc id -> (input, correction records)
     for path in inputs:
         try:
-            doc_id, payload, records = _decode_one(
-                path, tag, args.y_overlap, args.decimal_separators, not args.no_corrections
-            )
+            with _collector_paused():
+                doc_id, payload, records = _decode_one(
+                    path, tag, args.y_overlap, args.decimal_separators, not args.no_corrections
+                )
             if doc_id in decoded:
                 raise CorpusMismatchError(
                     f"duplicate doc_id {doc_id!r} (already decoded from {decoded[doc_id][0]})"
@@ -293,22 +313,27 @@ def _read_pairs(
         raise CorpusMismatchError(f"no *.truth.json files in {truth_dir}")
     seen: dict[str, Path] = {}
     for path in _expand(results, lambda p: p.name.endswith(".result.json")):
-        doc, groups = _parse_file(path, parse_result)
-        if doc.doc_id in seen:
-            raise CorpusMismatchError(
-                f"{path}: duplicate doc_id {doc.doc_id!r} (already read from {seen[doc.doc_id]})"
-            )
-        seen[doc.doc_id] = path
-        if doc.doc_id not in truth_ids:
-            raise CorpusMismatchError(f"{path}: no ground truth for doc_id {doc.doc_id!r}")
-        truth_path = truth_dir / f"{doc.doc_id}.truth.json"
-        ocr_path = truth_dir / f"{doc.doc_id}.json"
-        if not ocr_path.exists():
-            raise CorpusMismatchError(f"no OCR file next to {truth_path.name}")
-        page = _parse_file(ocr_path, parse_ocr)
-        products = _parse_file(truth_path, parse_ground_truth, page)
-        _check_same_page(path, doc, page)
-        yield DocPrediction.from_groups(doc, groups), (page, products)
+        # The yield stays outside the pause: a generator left suspended or
+        # abandoned never leaves the collector off.
+        with _collector_paused():
+            doc, groups = _parse_file(path, parse_result)
+            if doc.doc_id in seen:
+                raise CorpusMismatchError(
+                    f"{path}: duplicate doc_id {doc.doc_id!r} "
+                    f"(already read from {seen[doc.doc_id]})"
+                )
+            seen[doc.doc_id] = path
+            if doc.doc_id not in truth_ids:
+                raise CorpusMismatchError(f"{path}: no ground truth for doc_id {doc.doc_id!r}")
+            truth_path = truth_dir / f"{doc.doc_id}.truth.json"
+            ocr_path = truth_dir / f"{doc.doc_id}.json"
+            if not ocr_path.exists():
+                raise CorpusMismatchError(f"no OCR file next to {truth_path.name}")
+            page = _parse_file(ocr_path, parse_ocr)
+            products = _parse_file(truth_path, parse_ground_truth, page)
+            _check_same_page(path, doc, page)
+            pair = DocPrediction.from_groups(doc, groups), (page, products)
+        yield pair
     missing = sorted(truth_ids - seen.keys())
     if missing:
         raise CorpusMismatchError(f"no predictions for {', '.join(missing[:5])}")

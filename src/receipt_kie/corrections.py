@@ -109,6 +109,11 @@ def parse_integer(text: str, decimal_separators: str = DECIMAL_SEPARATORS) -> in
     digits — no signs, no separators ("2x" and "138.00" are not
     integers). Digit runs longer than ``MAX_INTEGER_DIGITS`` are rejected
     as OCR garbage rather than parsed.
+
+    No result depends on ``decimal_separators``: the lexer returns a plain
+    integer before it reads the separators, and any other text is no
+    integer whatever they are. The parameter is taken only so that the
+    ``_RULES`` table calls both parsers alike.
     """
     number = _split_number(text, _RULE_STRIP_CHARS, decimal_separators)
     if number is None or number[1] is not None or len(number[0]) > MAX_INTEGER_DIGITS:

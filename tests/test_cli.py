@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import gc
 import importlib
 import io
 import json
@@ -952,6 +953,158 @@ class TestEvalCommand:
         assert error == (
             f"ERROR receipt_kie.cli: {victim}: product 0: token id {tid} already belongs to product 0"
         )
+
+
+# --------------------------------------------------------------------------
+# the collector pause
+
+
+@pytest.fixture(scope="module")
+def bad_inputs_dir(corpus_dir, tmp_path_factory) -> Path:
+    """A good OCR file, then a truncated one, then one whose first word
+    has a vertex off the page: the last two fail to parse."""
+    out = tmp_path_factory.mktemp("bad-inputs")
+    doc_id = json.loads((corpus_dir / "manifest.json").read_text())["doc_ids"][0]
+    payload = (corpus_dir / f"{doc_id}.json").read_bytes()
+    (out / "a-good.json").write_bytes(payload)
+    (out / "b-truncated.json").write_bytes(payload[:100])
+    off_page = json.loads(payload)
+    off_page["doc_id"] = "off-page"
+    off_page["words"][0]["polygon"][0] = [2 * off_page["page"]["width"], 0]
+    (out / "c-off-page.json").write_text(json.dumps(off_page))
+    return out
+
+
+@pytest.fixture(scope="module")
+def long_receipt(tmp_path_factory) -> Path:
+    """One receipt of 200 products (about 1.8k words), and its truth."""
+    out = tmp_path_factory.mktemp("long")
+    assert run_cli("synth", "--out", out, "--seed", "7", "--docs", "1", "--products", "200:200") == 0
+    return out
+
+
+def _damaged_results(results_dir: Path, out: Path) -> Path:
+    """``results_dir``'s results with the first one truncated."""
+    out.mkdir()
+    for i, path in enumerate(sorted(results_dir.glob("*.result.json"))):
+        (out / path.name).write_bytes(path.read_bytes()[: 50 if i == 0 else None])
+    return out
+
+
+# Each command's argv and exit code, from the module's corpora and the
+# test's temporary directory.
+_COMMANDS = {
+    "decode heuristic": lambda c, r, bad, tmp: (["decode", c, "--out", tmp / "out"], 0),
+    "decode import": lambda c, r, bad, tmp: ([
+        "decode", c / "pred", "--out", tmp / "out",
+        "--tagger", "import", "--predictions", c / "pred",
+    ], 0),
+    "decode bad inputs": lambda c, r, bad, tmp: (["decode", bad, "--out", tmp / "out"], 1),
+    "decode bad inputs fail-fast": lambda c, r, bad, tmp: (
+        ["decode", bad, "--out", tmp / "out", "--fail-fast"], 1
+    ),
+    "decode a missing file": lambda c, r, bad, tmp: (
+        ["decode", tmp / "missing.json", "--out", tmp / "out"], 1
+    ),
+    "eval": lambda c, r, bad, tmp: (["eval", "--results", r, "--truth", c], 0),
+    "eval a damaged result": lambda c, r, bad, tmp: (
+        ["eval", "--results", _damaged_results(r, tmp / "damaged"), "--truth", c], 1
+    ),
+}
+
+
+@pytest.fixture(params=_COMMANDS)
+def command(request, corpus_dir, results_dir, bad_inputs_dir, tmp_path):
+    """``(argv, exit code)`` of one decode or eval command."""
+    return _COMMANDS[request.param](corpus_dir, results_dir, bad_inputs_dir, tmp_path)
+
+
+def test_decode_and_eval_make_no_reference_cycles(command):
+    # With the collector off, whatever a command leaves in a cycle stays
+    # until the next collection finds it. The first run builds argparse's
+    # parser, whose help formatters do hold cycles, once per process.
+    argv, code = command
+    assert run_cli(*argv) == code
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_cli(*argv) == code
+    finally:
+        unreachable = gc.collect()
+        gc.enable()
+    assert unreachable == 0
+
+
+class TestCollectorPause:
+    @pytest.fixture()
+    def states(self, monkeypatch) -> list[bool]:
+        """``gc.isenabled()`` at each call of the readers and the writer
+        that the CLI runs for one document."""
+        states: list[bool] = []
+
+        def recording(fn):
+            def call(*args, **kwargs):
+                states.append(gc.isenabled())
+                return fn(*args, **kwargs)
+
+            return call
+
+        for name in ("parse_ocr", "parse_result", "serialize_result"):
+            monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+        return states
+
+    @pytest.mark.parametrize("name", [name for name in _COMMANDS if "missing" not in name])
+    def test_the_collector_is_off_in_each_document_and_on_after(
+        self, corpus_dir, results_dir, bad_inputs_dir, tmp_path, states, name
+    ):
+        argv, code = _COMMANDS[name](corpus_dir, results_dir, bad_inputs_dir, tmp_path)
+        assert gc.isenabled()
+        assert run_cli(*argv) == code
+        assert gc.isenabled()
+        assert states
+        assert not any(states)
+
+    def test_a_caller_who_turned_the_collector_off_finds_it_off(self, command):
+        argv, code = command
+        gc.disable()
+        try:
+            assert run_cli(*argv) == code
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_a_suspended_or_closed_eval_reader_leaves_the_collector_on(
+        self, corpus_dir, results_dir
+    ):
+        pairs = cli._read_pairs([str(results_dir)], corpus_dir)
+        next(pairs)
+        assert gc.isenabled()
+        pairs.close()
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("name", ["decode", "eval"])
+    def test_a_long_receipt_runs_at_most_one_collection(self, long_receipt, tmp_path, name):
+        # About 1.8k words: with the collector on inside the document, a
+        # decode or an eval of it runs more than thirty collections.
+        argv = {
+            "decode": ["decode", long_receipt, "--out", tmp_path / "out"],
+            "eval": ["eval", "--results", tmp_path / "out", "--truth", long_receipt],
+        }
+        assert run_cli(*argv["decode"]) == 0
+        assert run_cli(*argv[name]) == 0  # the warm-up run
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            assert run_cli(*argv[name]) == 0
+        finally:
+            gc.callbacks.remove(count)
+        assert len(starts) <= 1
 
 
 # A receipt whose price sits left of the heuristic price band, so the

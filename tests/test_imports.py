@@ -2,8 +2,9 @@
 every private top-level name that a module defines is read somewhere in
 the package, every public one and every enum member is read there outside
 its own definition (bar a short list of names kept for users, each with
-its reason), no dataclass or ``NamedTuple`` wraps a single field, and
-importing the CLI loads no heavy standard-library module.
+its reason), no dataclass or ``NamedTuple`` wraps a single field, only
+``cli._collector_paused`` touches the garbage collector, and importing the
+CLI loads no heavy standard-library module.
 
 No linter ships with the project, so this stands in for the checks that
 matter most after code is removed: an import, a helper or an enum member
@@ -148,6 +149,32 @@ def single_field_records(sources: dict[str, str]) -> list[str]:
     return found
 
 
+def collector_uses(sources: dict[str, str]) -> list[str]:
+    """Each import of the ``gc`` module in ``sources`` and each read of the
+    name ``gc``, as ``"module: line N"``, bar cli's ``import gc`` and the
+    reads inside ``cli._collector_paused``."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        allowed: set[int] = set()
+        if module == "cli.py":
+            for node in tree.body:
+                if isinstance(node, ast.Import) and ast.unparse(node) == "import gc":
+                    allowed.add(id(node))
+                elif isinstance(node, ast.FunctionDef) and node.name == "_collector_paused":
+                    allowed.update(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if (
+                isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "gc"
+                or isinstance(node, ast.Name) and node.id == "gc"
+            ):
+                found.append(f"{module}: line {node.lineno}")
+    return found
+
+
 @pytest.mark.parametrize("module", _MODULES)
 def test_every_import_is_used(module):
     assert unused_imports(_SOURCES[module]) == []
@@ -236,6 +263,28 @@ def test_the_check_sees_a_single_field_record():
         ),
     }
     assert single_field_records(sources) == ["a.py: Threshold", "b.py: Sep"]
+
+
+def test_only_the_cli_pause_touches_the_garbage_collector():
+    # When the collector runs is one decision: the CLI pauses it for each
+    # document, and nothing else turns it on or off.
+    assert collector_uses(_SOURCES) == []
+
+
+def test_the_check_sees_a_collector_use_outside_the_pause():
+    sources = {
+        "cli.py": (
+            "import gc\nfrom contextlib import contextmanager\n@contextmanager\n"
+            "def _collector_paused():\n    gc.disable()\n    yield\n    gc.enable()\n"
+            "def main():\n    gc.collect()\n"
+        ),
+        "ingest.py": "import gc\nfrom gc import freeze\nimport os, gc as collector\n",
+        "layout.py": "def _collector_paused():\n    gc.disable()\n",
+    }
+    assert collector_uses(sources) == [
+        "cli.py: line 9", "ingest.py: line 1", "ingest.py: line 2", "ingest.py: line 3",
+        "layout.py: line 2",
+    ]
 
 
 def test_importing_the_cli_loads_no_heavy_stdlib_module():
