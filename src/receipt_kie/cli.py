@@ -11,12 +11,14 @@ Four subcommands::
 token box differs from those of the page it is read with.
 
 Errors and warnings go to stderr, one line each, as
-``ERROR receipt_kie.cli: <message>`` or ``WARNING receipt_kie.cli: <message>``.
-All outputs are deterministic: running the same command twice produces
-byte-identical files.
+``ERROR receipt_kie.cli: <message>`` or ``WARNING receipt_kie.cli: <message>``;
+an error line names the file at fault once. All outputs are deterministic:
+running the same command twice produces byte-identical files.
 
 Exit codes: 0 success; 1 input/processing failure; 2 flag validation
-errors (argparse's convention) and ``eval --min-f1`` threshold misses.
+errors and ``eval --min-f1`` threshold misses. argparse's own errors print
+the usage and ``receipt-kie <command>: error: ...``; ``main`` raises
+``SystemExit(2)`` for them.
 """
 
 from __future__ import annotations
@@ -126,15 +128,25 @@ def _replacing(path: Path) -> Iterator[TextIO]:
     """A text file to write ``path``'s new contents to. It is a temporary
     file next to ``path``, renamed onto it once the block completes: a
     crash mid-write leaves no truncated file under the final name, and a
-    failed write leaves no temporary file behind."""
-    tmp = path.with_name(path.name + ".tmp")
+    failed write leaves no temporary file behind. An ``OSError`` names
+    ``path``. A symlink's target is replaced, so the link stays a link; an
+    existing target that is not a regular file (a FIFO, a device) is written in place."""
+    target = path.resolve() if path.is_symlink() else path
     try:
-        with tmp.open("w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        if target.exists() and not target.is_file():
+            with target.open("w", encoding="utf-8") as fh:
+                yield fh
+            return
+        tmp = target.with_name(target.name + ".tmp")
+        try:
+            with tmp.open("w", encoding="utf-8") as fh:
+                yield fh
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 @contextmanager
@@ -156,7 +168,8 @@ def _collector_paused() -> Iterator[None]:
 
 
 def _parse_file(path: Path, parse: Callable[..., Any], *args: Any) -> Any:
-    """``parse(contents of path, *args)``; a package error names the file."""
+    """``parse(contents of path, *args)``, the CLI's one file read. A package
+    error names the file, as an ``OSError`` does: no caller adds the name."""
     try:
         return parse(path.read_bytes(), *args)
     except ReceiptKieError as exc:
@@ -175,7 +188,7 @@ def _decode_one(
     decimal_separators: str,
     corrections_enabled: bool,
 ) -> tuple[str, str, list]:
-    doc = parse_ocr(path.read_bytes())
+    doc = _parse_file(path, parse_ocr)
     tagged = tag(doc)
     lines = detect_lines_geometric(tagged, y_overlap_threshold)
     groups = group_product_lines(tagged, lines)
@@ -186,27 +199,21 @@ def _decode_one(
 
 
 def _import_tagger(predictions: Path) -> Callable[[Document], Document]:
-    """The tag function of ``--tagger import``.
-
-    ``predictions`` is either one file, read here, for the doc id it names,
-    or a directory whose ``<doc_id>.pred.json`` is read only when that
-    document is tagged. A document without predictions fails with
-    TokenReferenceError.
-    """
-    single: tuple[str, bytes] | None = None
-    if not predictions.is_dir():
-        data = predictions.read_bytes()
-        single = (str(_require(_load_object(data), "doc_id", "top level")), data)
+    """The tag function of ``--tagger import``: ``predictions`` is a
+    directory whose ``<doc_id>.pred.json`` is read as that document is
+    tagged, or one file, read here for its doc id and again at tag time."""
+    if predictions.is_dir():
+        return lambda doc: _parse_file(
+            predictions / f"{doc.doc_id}{_PRED_SUFFIX}", partial(tagging.import_predictions, doc)
+        )
+    single_id = _require(_parse_file(predictions, _load_object), "doc_id", "top level")
 
     def tag(doc: Document) -> Document:
-        if single is None:
-            path = predictions / f"{doc.doc_id}{_PRED_SUFFIX}"
-            payload = path.read_bytes() if path.is_file() else None
-        else:
-            payload = single[1] if doc.doc_id == single[0] else None
-        if payload is None:
-            raise TokenReferenceError(f"no predictions loaded for doc_id {doc.doc_id!r}")
-        return tagging.import_predictions(doc, payload)
+        if doc.doc_id != single_id:
+            raise TokenReferenceError(
+                f"{predictions}: no predictions loaded for doc_id {doc.doc_id!r}"
+            )
+        return _parse_file(predictions, partial(tagging.import_predictions, doc))
 
     return tag
 
@@ -221,6 +228,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
             raise ValueError(f"digit {digit!r} cannot be a decimal separator")
         if args.tagger == "import" and not args.predictions:
             raise ValueError("--tagger import requires --predictions")
+        if args.predictions and args.tagger != "import":
+            raise ValueError("--predictions requires --tagger import")
     except ValueError as exc:
         _stderr_line("ERROR", exc)
         return 2
@@ -230,11 +239,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
         return 0
 
     if args.tagger == "import":
-        try:
-            tag = _import_tagger(Path(args.predictions))
-        except (ReceiptKieError, OSError) as exc:
-            _stderr_line("ERROR", f"{args.predictions}: {exc}")
-            return 1
+        tag = _import_tagger(Path(args.predictions))
     else:
         tag = partial(tagging.heuristic_tag, decimal_separators=args.decimal_separators)
 
@@ -250,29 +255,26 @@ def cmd_decode(args: argparse.Namespace) -> int:
                 )
             if doc_id in decoded:
                 raise CorpusMismatchError(
-                    f"duplicate doc_id {doc_id!r} (already decoded from {decoded[doc_id][0]})"
+                    f"{path}: duplicate doc_id {doc_id!r} "
+                    f"(already decoded from {decoded[doc_id][0]})"
                 )
             with _replacing(out_dir / f"{doc_id}.result.json") as fh:
                 fh.write(payload)
         except (ReceiptKieError, OSError, ValueError) as exc:
             failures += 1
-            _stderr_line("ERROR", f"{path}: {exc}")
+            _stderr_line("ERROR", exc)
             if args.fail_fast:
                 break  # the results already written still get their audit
             continue
         decoded[doc_id] = (path, records)
 
     audit_path = Path(args.audit) if args.audit else out_dir / "corrections.jsonl"
-    try:
-        with _replacing(audit_path) as fh:
-            for doc_id in sorted(decoded):
-                for rec in decoded[doc_id][1]:
-                    line = {"doc_id": doc_id, "group_id": rec.group_id, "entity": rec.entity.value,
-                            "token_id": rec.token_id, "parsed_value": rec.parsed_value}
-                    fh.write(json.dumps(line, sort_keys=True, ensure_ascii=False) + "\n")
-    except OSError as exc:
-        _stderr_line("ERROR", f"{audit_path}: {exc}")
-        return 1
+    with _replacing(audit_path) as fh:
+        for doc_id in sorted(decoded):
+            for rec in decoded[doc_id][1]:
+                line = {"doc_id": doc_id, "group_id": rec.group_id, "entity": rec.entity.value,
+                        "token_id": rec.token_id, "parsed_value": rec.parsed_value}
+                fh.write(json.dumps(line, sort_keys=True, ensure_ascii=False) + "\n")
     return 1 if failures else 0
 
 
@@ -325,12 +327,8 @@ def _read_pairs(
             seen[doc.doc_id] = path
             if doc.doc_id not in truth_ids:
                 raise CorpusMismatchError(f"{path}: no ground truth for doc_id {doc.doc_id!r}")
-            truth_path = truth_dir / f"{doc.doc_id}.truth.json"
-            ocr_path = truth_dir / f"{doc.doc_id}.json"
-            if not ocr_path.exists():
-                raise CorpusMismatchError(f"no OCR file next to {truth_path.name}")
-            page = _parse_file(ocr_path, parse_ocr)
-            products = _parse_file(truth_path, parse_ground_truth, page)
+            page = _parse_file(truth_dir / f"{doc.doc_id}.json", parse_ocr)
+            products = _parse_file(truth_dir / f"{doc.doc_id}.truth.json", parse_ground_truth, page)
             _check_same_page(path, doc, page)
             pair = DocPrediction.from_groups(doc, groups), (page, products)
         yield pair
@@ -495,8 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("tag", "strict"), default="tag")
     p.add_argument("--compare", help="second results directory for a side-by-side table")
     p.add_argument("--min-f1", action="append", metavar="NAME=F1",
-                   help="fail (exit 2) if an entity's f1 is below the bar; repeatable")
-    p.add_argument("--json-out", help="also write the report as JSON")
+                   help="fail (exit 2) if an entity's --results f1 is below the bar; repeatable")
+    p.add_argument("--json-out", help="also write the --results report as JSON")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")

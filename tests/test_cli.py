@@ -6,8 +6,11 @@ import importlib
 import io
 import json
 import logging
+import os
+import stat
 import subprocess
 import sys
+import threading
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,6 +49,11 @@ def error_line(proc: subprocess.CompletedProcess) -> str:
     [error] = proc.stderr.splitlines()
     assert error.startswith("ERROR receipt_kie.cli: ")
     return error
+
+
+def os_error_line(code: int, path: Path) -> str:
+    """The error line of an ``OSError`` with errno ``code`` that names ``path``."""
+    return f"ERROR receipt_kie.cli: [Errno {code}] {os.strerror(code)}: {str(path)!r}"
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +234,7 @@ class TestDecodeCommand:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.count(str(pred)) == 1
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -238,6 +247,7 @@ class TestDecodeCommand:
             (("--decimal-separators", "1"), "digit '1' cannot be a decimal separator"),
             (("--decimal-separators", ".5"), "digit '5' cannot be a decimal separator"),
             (("--tagger", "import"), "--tagger import requires --predictions"),
+            (("--predictions", "preds"), "--predictions requires --tagger import"),
         ],
     )
     def test_invalid_flag_values_are_usage_errors(self, corpus_dir, tmp_path, flag, message):
@@ -345,7 +355,7 @@ class TestDecodeCommand:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         [error] = proc.stderr.splitlines()
-        assert f"[Errno {errno.EFBIG}]" in error
+        assert error == os_error_line(errno.EFBIG, out / f"{doc_id}.result.json")
         assert [p.name for p in out.iterdir()] == ["corrections.jsonl"]
 
     def test_unwritable_audit_path_is_one_error_line(self, corpus_dir, tmp_path):
@@ -355,10 +365,37 @@ class TestDecodeCommand:
             "decode", corpus_dir / f"{manifest['doc_ids'][0]}.json", "--out", tmp_path / "out",
             "--audit", audit,
         )
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        [error] = proc.stderr.splitlines()
-        assert error.startswith(f"ERROR receipt_kie.cli: {audit}: ")
+        assert error_line(proc) == os_error_line(errno.ENOENT, audit)
+
+    def test_audit_through_a_symlink_replaces_its_target(self, corpus_dir, tmp_path):
+        target = tmp_path / "kept" / "corrections.jsonl"
+        target.parent.mkdir()
+        target.write_text("stale\n")
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(target)
+        decode = (corpus_dir / "pred", "--tagger", "import", "--predictions", corpus_dir / "pred")
+        assert run_cli("decode", *decode, "--out", tmp_path / "out", "--audit", link) == 0
+        assert run_cli("decode", *decode, "--out", tmp_path / "plain") == 0
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == (tmp_path / "plain" / "corrections.jsonl").read_bytes() != b""
+        assert sorted(p.name for p in target.parent.iterdir()) == ["corrections.jsonl"]
+
+    def test_audit_to_a_fifo_writes_into_it(self, corpus_dir, tmp_path):
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no FIFOs on this platform")
+        fifo = tmp_path / "audit.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        decode = (corpus_dir / "pred", "--tagger", "import", "--predictions", corpus_dir / "pred")
+        assert run_cli("decode", *decode, "--out", tmp_path / "out", "--audit", fifo) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert run_cli("decode", *decode, "--out", tmp_path / "plain") == 0
+        assert received == [(tmp_path / "plain" / "corrections.jsonl").read_bytes()]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["audit.fifo", "out", "plain"]
 
     def test_predictions_directory_reads_only_the_decoded_documents(
         self, corpus_dir, results_dir, tmp_path
@@ -398,9 +435,37 @@ class TestDecodeCommand:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         errors = proc.stderr.splitlines()
-        assert len(errors) == 2
-        assert truncated in errors[0] and missing in errors[1]
+        assert errors == [
+            f"ERROR receipt_kie.cli: {preds / f'{truncated}.pred.json'}: "
+            "Expecting property name enclosed in double quotes (byte offset 1)",
+            os_error_line(errno.ENOENT, preds / f"{missing}.pred.json"),
+        ]
         assert [p.name for p in out.glob("*.result.json")] == [f"{good}.result.json"]
+
+    def test_prediction_of_an_unknown_token_names_the_predictions_file(self, corpus_dir, tmp_path):
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        doc_id = manifest["doc_ids"][0]
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        pred = preds / f"{doc_id}.pred.json"
+        payload = json.loads((corpus_dir / "pred" / pred.name).read_text())
+        payload["labels"][1]["token_id"] = 99999
+        pred.write_text(json.dumps(payload))
+        error = error_line(run_module(
+            "decode", corpus_dir / "pred" / f"{doc_id}.json", "--out", tmp_path / "out",
+            "--tagger", "import", "--predictions", preds,
+        ))
+        assert error == (
+            f"ERROR receipt_kie.cli: {pred}: label 1: token_id references unknown token id 99999"
+        )
+
+    def test_missing_input_is_named_once(self, corpus_dir, tmp_path):
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        missing = tmp_path / "nosuch.json"
+        proc = run_module("decode", corpus_dir / f"{manifest['doc_ids'][0]}.json", missing,
+                          "--out", tmp_path / "out")
+        assert error_line(proc) == os_error_line(errno.ENOENT, missing)
+        assert len(list((tmp_path / "out").glob("*.result.json"))) == 1
 
     def test_single_predictions_file_tags_only_its_document(self, corpus_dir, tmp_path):
         manifest = json.loads((corpus_dir / "manifest.json").read_text())
@@ -901,6 +966,18 @@ class TestEvalCommand:
         typo = tmp_path / "typo"
         error = error_line(run_module("eval", "--results", results, "--truth", typo))
         assert error == f"ERROR receipt_kie.cli: no *.truth.json files in {typo}"
+
+    def test_truth_doc_without_an_ocr_file_names_the_missing_file(
+        self, corpus_dir, results_dir, tmp_path
+    ):
+        result = sorted(results_dir.glob("*.result.json"))[0]
+        doc_id = result.name[: -len(".result.json")]
+        truth = tmp_path / "truth"
+        truth.mkdir()
+        name = f"{doc_id}.truth.json"
+        (truth / name).write_bytes((corpus_dir / name).read_bytes())
+        error = error_line(run_module("eval", "--results", result, "--truth", truth))
+        assert error == os_error_line(errno.ENOENT, truth / f"{doc_id}.json")
 
     @pytest.mark.parametrize("damage", [None, "malformed-truth", "missing-ocr"])
     def test_truth_doc_without_a_result_fails(self, corpus_dir, results_dir, tmp_path, damage):

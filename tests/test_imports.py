@@ -3,8 +3,9 @@ every private top-level name that a module defines is read somewhere in
 the package, every public one and every enum member is read there outside
 its own definition (bar a short list of names kept for users, each with
 its reason), no dataclass or ``NamedTuple`` wraps a single field, only
-``cli._collector_paused`` touches the garbage collector, and importing the
-CLI loads no heavy standard-library module.
+``cli._collector_paused`` touches the garbage collector, only
+``cli._parse_file`` reads a file, and importing the CLI loads no heavy
+standard-library module.
 
 No linter ships with the project, so this stands in for the checks that
 matter most after code is removed: an import, a helper or an enum member
@@ -149,6 +150,16 @@ def single_field_records(sources: dict[str, str]) -> list[str]:
     return found
 
 
+def _inside(tree: ast.Module, function: str) -> set[int]:
+    """The ids of the nodes of the top-level function ``function`` of ``tree``."""
+    return {
+        id(sub)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == function
+        for sub in ast.walk(node)
+    }
+
+
 def collector_uses(sources: dict[str, str]) -> list[str]:
     """Each import of the ``gc`` module in ``sources`` and each read of the
     name ``gc``, as ``"module: line N"``, bar cli's ``import gc`` and the
@@ -158,11 +169,10 @@ def collector_uses(sources: dict[str, str]) -> list[str]:
         tree = ast.parse(source)
         allowed: set[int] = set()
         if module == "cli.py":
-            for node in tree.body:
-                if isinstance(node, ast.Import) and ast.unparse(node) == "import gc":
-                    allowed.add(id(node))
-                elif isinstance(node, ast.FunctionDef) and node.name == "_collector_paused":
-                    allowed.update(map(id, ast.walk(node)))
+            allowed = _inside(tree, "_collector_paused") | {
+                id(node) for node in tree.body
+                if isinstance(node, ast.Import) and ast.unparse(node) == "import gc"
+            }
         for node in ast.walk(tree):
             if id(node) in allowed:
                 continue
@@ -172,6 +182,38 @@ def collector_uses(sources: dict[str, str]) -> list[str]:
                 or isinstance(node, ast.Name) and node.id == "gc"
             ):
                 found.append(f"{module}: line {node.lineno}")
+    return found
+
+
+def _reads_a_file(call: ast.Call) -> bool:
+    """Whether ``call`` reads a file's contents: ``read_bytes``, ``read_text``,
+    or ``open`` (the builtin, or a method such as ``Path.open``) in a mode
+    that is not a literal that only writes (``w``, ``a`` or ``x``, no ``+``)."""
+    name = _name_of(call.func)
+    if name in ("read_bytes", "read_text"):
+        return True
+    if name != "open":
+        return False
+    position = 1 if isinstance(call.func, ast.Name) else 0
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[position:position + 1]
+    mode = modes[0].value if modes and isinstance(modes[0], ast.Constant) else "r"
+    return not isinstance(mode, str) or "+" in mode or not set(mode) & set("wax")
+
+
+def file_reads(sources: dict[str, str]) -> list[str]:
+    """Each call in ``sources`` that reads a file (see ``_reads_a_file``), as
+    ``"module: line N"`` in source order, bar the reads inside
+    ``cli._parse_file``."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        allowed = _inside(tree, "_parse_file") if module == "cli.py" else set()
+        reads = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in allowed and _reads_a_file(node)
+        ]
+        reads.sort(key=lambda node: (node.lineno, node.col_offset))
+        found.extend(f"{module}: line {node.lineno}" for node in reads)
     return found
 
 
@@ -284,6 +326,30 @@ def test_the_check_sees_a_collector_use_outside_the_pause():
     assert collector_uses(sources) == [
         "cli.py: line 9", "ingest.py: line 1", "ingest.py: line 2", "ingest.py: line 3",
         "layout.py: line 2",
+    ]
+
+
+def test_only_parse_file_reads_a_file():
+    # A read error names its file in one place: every read goes through
+    # cli._parse_file, and the library takes bytes, not paths.
+    assert file_reads(_SOURCES) == []
+
+
+def test_the_check_sees_a_file_read_outside_parse_file():
+    sources = {
+        "cli.py": (
+            "def _parse_file(path, parse):\n    return parse(path.read_bytes())\n"
+            "def _decode_one(path):\n    return path.read_bytes()\n"
+            "def _write(path, mode):\n"
+            "    open(path, 'w'), path.open('a'), path.open(mode='x', encoding='utf-8')\n"
+            "    open(path), path.open('rb'), path.open(mode='w+'), path.open(mode)\n"
+            "    return path.read_text(encoding='utf-8')\n"
+        ),
+        "ingest.py": "def _parse_file(path):\n    with open(path, 'rb') as fh:\n        return fh\n",
+    }
+    assert file_reads(sources) == [
+        "cli.py: line 4", "cli.py: line 7", "cli.py: line 7", "cli.py: line 7", "cli.py: line 7",
+        "cli.py: line 8", "ingest.py: line 2",
     ]
 
 
