@@ -59,17 +59,34 @@ from .model import (
     Token,
 )
 from .render import render_svg
-from .synth import (
-    CorpusSpec,
-    CorruptionSpec,
-    as_model_predictions,
-    corrupt_predictions,
-    generate_corpus,
-    write_corpus,
-)
 from .tagging import heuristic_tag, import_predictions
 
 __version__ = "0.1.0"
+
+# The names served from :mod:`receipt_kie.synth`, which is imported on the
+# first read of one of them (PEP 562): the CLI and most library users
+# never generate a corpus, and synth loads ``dataclasses`` and ``hashlib``.
+_SYNTH_EXPORTS = (
+    "CorpusSpec",
+    "CorruptionSpec",
+    "as_model_predictions",
+    "corrupt_predictions",
+    "generate_corpus",
+    "write_corpus",
+)
+
+
+def __getattr__(name: str) -> object:
+    if name in _SYNTH_EXPORTS:
+        from . import synth
+
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *_SYNTH_EXPORTS])
+
 
 __all__ = [
     "BBox",

@@ -59,7 +59,6 @@ from .ingest import (
 from .layout import _check_y_overlap_threshold, detect_lines_geometric, group_product_lines
 from .model import Document, EntityLabel
 from .render import render_svg
-from .synth import CorpusSpec, CorruptionSpec, remove_corpus, write_corpus
 
 _PRED_SUFFIX = ".pred.json"
 _RESERVED_SUFFIXES = (".truth.json", _PRED_SUFFIX, ".result.json")
@@ -379,7 +378,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     summary = report.as_dict()
     if args.json_out:
-        Path(args.json_out).write_text(canonical_json(summary), encoding="utf-8")
+        with _replacing(Path(args.json_out)) as fh:
+            fh.write(canonical_json(summary))
 
     f1 = {key: counts["f1"] for key, counts in summary["entities"].items()}
     f1["whole_products"] = summary["whole_products"]["f1"]
@@ -401,6 +401,9 @@ _FN_RATE_NAMES = _entity_names(lambda label: f"{label.value}_fn_rate")
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    # Imported here: the other commands never load synth, nor what it imports.
+    from .synth import CorpusSpec, CorruptionSpec, remove_corpus, write_corpus
+
     out_dir = Path(args.out)
     if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
         _stderr_line("ERROR", f"output directory {out_dir} is not empty (pass --force to overwrite)")
@@ -449,7 +452,8 @@ def cmd_render(args: argparse.Namespace) -> int:
     _check_same_page(result_path, doc, _parse_file(Path(args.ocr), parse_ocr), "OCR")
     svg = render_svg(doc, groups)
     if args.out:
-        Path(args.out).write_text(svg, encoding="utf-8")
+        with _replacing(Path(args.out)) as fh:
+            fh.write(svg)
     else:
         sys.stdout.write(svg)
     return 0

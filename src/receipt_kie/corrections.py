@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import math
 import unicodedata
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .model import Document, EntityLabel, LabelSource, ProductGroup, Token, reading_order
 
@@ -139,8 +138,7 @@ def parse_float(text: str, decimal_separators: str = DECIMAL_SEPARATORS) -> floa
     return value if math.isfinite(value) else None
 
 
-@dataclass(frozen=True, slots=True)
-class CorrectionRecord:
+class CorrectionRecord(NamedTuple):
     """One rule firing: which token was promoted to which entity, and the
     numeric value that justified it."""
 

@@ -22,9 +22,8 @@ result with its truth page is the caller's job.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .ingest import normalize_text
 from .layout import assign_entities
@@ -45,8 +44,7 @@ class MatchMode(Enum):
     STRICT_OCR = "strict"
 
 
-@dataclass(frozen=True, slots=True)
-class EntityCounts:
+class EntityCounts(NamedTuple):
     """Micro-average counters with the usual P/R/F1 readings."""
 
     tp: int = 0
@@ -68,6 +66,7 @@ class EntityCounts:
         p, r = self.precision, self.recall
         return 2 * p * r / (p + r) if (p + r) else 0.0
 
+    # Overrides tuple concatenation: counts add field by field.
     def __add__(self, other: "EntityCounts") -> "EntityCounts":
         return EntityCounts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
 
@@ -85,8 +84,7 @@ class EntityCounts:
 TruthEntry = tuple[Document, Sequence[Product]]
 
 
-@dataclass(frozen=True, slots=True)
-class DocPrediction:
+class DocPrediction(NamedTuple):
     """One decoded document: the labeled tokens plus its product groups
     and the product each group resolves to."""
 
@@ -190,8 +188,7 @@ def score_whole_products(
     return EntityCounts(tp=matched, fp=len(pred.assignments) - matched, fn=len(products) - matched)
 
 
-@dataclass(frozen=True, slots=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Corpus-level scores: per-entity counts plus the whole-product row."""
 
     mode: MatchMode

@@ -12,16 +12,14 @@ the same unit square regardless of scan resolution.
 All types here are immutable value objects. Pipeline stages never mutate
 a document in place; they return a new one, or the same one when they
 change nothing (see e.g. :func:`receipt_kie.corrections.apply_corrections`),
-which keeps shared documents safe to read concurrently. :class:`BBox` and
-:class:`Token`, built once per word by every stage, are named tuples,
-which are cheap to build: each compares equal to the plain tuple of its
-fields and gets a changed copy from ``_replace``. The types built once
-per document or group are frozen dataclasses.
+which keeps shared documents safe to read concurrently. Every value type
+is a named tuple, which is cheap to build: each compares equal to the
+plain tuple of its fields, refuses an assignment to a field with an
+``AttributeError``, and gets a changed copy from ``_replace``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple
 
@@ -113,8 +111,7 @@ def reading_order(tok: Token) -> tuple[float, float, int]:
     return (tok.bbox.y_min, tok.bbox.x_min, tok.token_id)
 
 
-@dataclass(frozen=True, slots=True)
-class Document:
+class Document(NamedTuple):
     """An OCR'd page: an ordered, immutable sequence of tokens.
 
     Token ids are dense ``0..n-1`` in order, and a token carries a label
@@ -159,8 +156,7 @@ class Document:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class ProductGroup:
+class ProductGroup(NamedTuple):
     """A contiguous run of lines belonging to one product.
 
     ``token_ids`` is the union of the member lines' tokens and ``bbox``
@@ -176,8 +172,7 @@ class ProductGroup:
     incomplete: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class Product:
+class Product(NamedTuple):
     """One product record: its description tokens and at most one token per
     scalar entity, as token ids.
 

@@ -847,6 +847,62 @@ class TestEvalCommand:
         )
         assert str(report_path) in error_line(proc)
 
+    @pytest.mark.parametrize("through_link", [False, True])
+    def test_a_failed_json_out_write_leaves_no_report_and_no_temporary_file(
+        self, corpus_dir, results_dir, tmp_path, through_link
+    ):
+        pytest.importorskip("resource")
+        limit = 64
+        # The file size limit makes the report's write fail partway, as a
+        # full disk would.
+        script = (
+            "import resource, signal, sys\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+            "from receipt_kie.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        report_path = out / "report.json"
+        target = tmp_path / "kept" / "report.json"
+        if through_link:
+            target.parent.mkdir()
+            target.write_text("stale\n")
+            report_path.symlink_to(target)
+        proc = subprocess.run(
+            [
+                sys.executable, "-c", script, "eval", "--results", results_dir,
+                "--truth", corpus_dir, "--json-out", report_path,
+            ],
+            capture_output=True,
+            text=True,
+        )
+        if through_link:
+            assert report_path.is_symlink() and target.read_text() == "stale\n"
+            assert [p.name for p in target.parent.iterdir()] == ["report.json"]
+            assert [p.name for p in out.iterdir()] == ["report.json"]
+        else:
+            assert list(out.iterdir()) == []
+        assert error_line(proc) == os_error_line(errno.EFBIG, report_path)
+
+    def test_json_out_through_a_symlink_replaces_its_target(
+        self, corpus_dir, results_dir, tmp_path
+    ):
+        target = tmp_path / "kept" / "report.json"
+        target.parent.mkdir()
+        target.write_text("stale\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        plain = tmp_path / "plain.json"
+        for report_path in (link, plain):
+            assert run_cli(
+                "eval", "--results", results_dir, "--truth", corpus_dir, "--json-out", report_path
+            ) == 0
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == plain.read_bytes() != b""
+        assert sorted(p.name for p in target.parent.iterdir()) == ["report.json"]
+
     def test_compare_prints_both_runs(self, corpus_dir, results_dir, tmp_path, capsys):
         plain = tmp_path / "plain"
         assert run_cli(
@@ -1322,6 +1378,19 @@ class TestRenderCommand:
         svg_path = tmp_path / "missing" / "demo.svg"
         proc = run_module("render", result_path, ocr_path, "--out", svg_path)
         assert str(svg_path) in error_line(proc)
+
+    def test_out_through_a_symlink_replaces_its_target(self, rendered, tmp_path):
+        result_path, svg_path = rendered
+        ocr_path = result_path.parent.parent / "render-demo.json"
+        target = tmp_path / "kept" / "demo.svg"
+        target.parent.mkdir()
+        target.write_text("stale\n")
+        link = tmp_path / "link.svg"
+        link.symlink_to(target)
+        assert run_cli("render", result_path, ocr_path, "--out", link) == 0
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == svg_path.read_bytes()
+        assert sorted(p.name for p in target.parent.iterdir()) == ["demo.svg"]
 
     @pytest.mark.parametrize("to_file", [True, False])
     def test_lone_surrogate_in_a_result_is_one_error_line(self, rendered, tmp_path, to_file):

@@ -4,19 +4,21 @@ the package, every public one and every enum member is read there outside
 its own definition (bar a short list of names kept for users, each with
 its reason), no dataclass or ``NamedTuple`` wraps a single field, only
 ``cli._collector_paused`` touches the garbage collector, only
-``cli._parse_file`` reads a file, and importing the CLI loads no heavy
-standard-library module.
+``cli._parse_file`` reads a file, importing the CLI loads no heavy
+standard-library module, and only a read of a synth name loads ``synth``.
 
 No linter ships with the project, so this stands in for the checks that
 matter most after code is removed: an import, a helper or an enum member
 left behind. ``__init__`` re-exports names: instead of the import check, its
-``__all__`` must list exactly the names it imports, sorted. A line marked
-``# noqa: F401`` is exempt, as under flake8.
+``__all__`` must list exactly the names it imports and the names its
+``__getattr__`` serves from ``synth``, sorted. A line marked ``# noqa: F401``
+is exempt, as under flake8.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -240,15 +242,23 @@ def test_every_public_name_and_enum_member_is_read():
 
 
 def test_the_package_exports_exactly_what_it_imports_in_sorted_order():
+    # Each exported name with the module it comes from: the eager imports,
+    # then the names ``__getattr__`` serves from synth on first read.
     tree = ast.parse(_SOURCES["__init__.py"])
-    imported = [
-        alias.asname or alias.name
+    home = {
+        alias.asname or alias.name: f"receipt_kie.{node.module}"
         for node in tree.body
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
-    ]
+    }
+    home.update(dict.fromkeys(receipt_kie._SYNTH_EXPORTS, "receipt_kie.synth"))
     assert receipt_kie.__all__ == sorted(receipt_kie.__all__)
-    assert sorted(imported) == receipt_kie.__all__
+    assert sorted(home) == receipt_kie.__all__
+    for name in receipt_kie.__all__:
+        assert getattr(receipt_kie, name) is getattr(importlib.import_module(home[name]), name)
+    assert set(receipt_kie.__all__) <= set(dir(receipt_kie))
+    with pytest.raises(AttributeError, match="no attribute 'write_corpora'"):
+        receipt_kie.write_corpora
 
 
 def test_the_check_sees_an_unused_import():
@@ -353,14 +363,26 @@ def test_the_check_sees_a_file_read_outside_parse_file():
     ]
 
 
-def test_importing_the_cli_loads_no_heavy_stdlib_module():
-    # A fresh interpreter, and only the modules the import adds: what
-    # ``site`` loads at startup does not count.
+def modules_added_by(module: str) -> set[str]:
+    """The modules that importing ``module`` adds in a fresh interpreter:
+    what ``site`` loads at startup does not count."""
     code = (
         f"import sys; sys.path.insert(0, {str(_PACKAGE.parent)!r}); before = set(sys.modules); "
-        "import receipt_kie.cli; print(*sorted(set(sys.modules) - before))"
+        f"import {module}; print(*sorted(set(sys.modules) - before))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    added = set(proc.stdout.split())
-    heavy = {"logging", "xml.sax.saxutils", "urllib.request", "http.client", "email.parser", "ssl"}
-    assert sorted(added & heavy) == []
+    return set(proc.stdout.split())
+
+
+def test_importing_the_cli_loads_no_heavy_stdlib_module():
+    # ``dataclasses`` brings ``inspect``, ``ast`` and ``dis``; ``hashlib`` and
+    # synth serve only ``synth``, which imports them when it runs.
+    heavy = {
+        "logging", "xml.sax.saxutils", "urllib.request", "http.client", "email.parser", "ssl",
+        "dataclasses", "inspect", "hashlib", "receipt_kie.synth",
+    }
+    assert sorted(modules_added_by("receipt_kie.cli") & heavy) == []
+
+
+def test_importing_the_package_does_not_load_synth():
+    assert "receipt_kie.synth" not in modules_added_by("receipt_kie")

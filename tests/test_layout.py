@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -535,7 +534,7 @@ class TestAssignEntities:
             ]
         )
         group = self._group_over(doc)
-        a = assign_entities(replace(group, token_ids=(1, 0)), doc)
+        a = assign_entities(group._replace(token_ids=(1, 0)), doc)
         assert a.price_id == 0
 
     def test_descriptions_come_back_in_reading_order(self):

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from receipt_kie.model import BBox, EntityLabel, LabelSource, Token
+from receipt_kie.corrections import CorrectionRecord
+from receipt_kie.evaluation import DocPrediction, EntityCounts, EvalReport, MatchMode
+from receipt_kie.model import BBox, Document, EntityLabel, LabelSource, Product, ProductGroup, Token
 
 from helpers import make_doc, make_token
 from reference_impls import union_bbox
@@ -72,7 +74,37 @@ class TestDocument:
                 doc.token(token_id)
 
 
+_BOX = BBox(0.1, 0.2, 0.5, 0.4)
+_DOC = Document("d", (Token(0, "MILK", _BOX),), 100, 200)
+_GROUP = ProductGroup(0, (0,), (0,), _BOX)
+
+# One value of each record type built once per document or group, a field
+# of it and another value for that field.
+_RECORDS = [
+    (_DOC, "doc_id", "e"),
+    (_GROUP, "incomplete", True),
+    (Product((0,), code_id=1), "price_id", 2),
+    (EntityCounts(1, 2, 3), "fn", 4),
+    (DocPrediction(_DOC, (), ()), "groups", (_GROUP,)),
+    (EvalReport(MatchMode.TAG_ONLY, 1, {}, EntityCounts()), "corpus_size", 2),
+    (CorrectionRecord(0, EntityLabel.CODE, 0, 42), "parsed_value", 7),
+]
+
+
 class TestValueSemantics:
+    @pytest.mark.parametrize(
+        "record, field, value", _RECORDS, ids=[type(r).__name__ for r, _, _ in _RECORDS]
+    )
+    def test_records_refuse_assignment_and_replace_makes_a_copy(self, record, field, value):
+        before = tuple(record)
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+        changed = record._replace(**{field: value})
+        assert type(changed) is type(record)
+        assert getattr(changed, field) == value
+        assert changed._replace(**{field: getattr(record, field)}) == record
+        assert tuple(record) == before and getattr(record, field) != value
+
     @pytest.mark.parametrize("field", ["x_min", "y_min", "x_max", "y_max"])
     def test_box_fields_cannot_be_assigned(self, field):
         b = BBox(0.1, 0.2, 0.5, 0.4)
