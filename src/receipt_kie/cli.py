@@ -30,6 +30,7 @@ import os
 import sys
 from contextlib import contextmanager
 from functools import cache, partial
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence, TextIO
 
@@ -76,13 +77,14 @@ def _is_ocr_input(path: Path) -> bool:
 
 
 def _expand(raw_paths: Sequence[str], wanted: Callable[[Path], bool]) -> list[Path]:
-    """Each path that is not a directory, as given, and the sorted entries
-    of each directory that ``wanted`` accepts."""
+    """Each path that is not a directory, as given, and the entries of each
+    directory that ``wanted`` accepts, sorted by name (the order of the
+    paths themselves, as they differ only in name)."""
     files: list[Path] = []
     for raw in raw_paths:
         path = Path(raw)
         if path.is_dir():
-            files.extend(sorted(filter(wanted, path.iterdir())))
+            files.extend(sorted(filter(wanted, path.iterdir()), key=attrgetter("name")))
         else:
             files.append(path)
     return files
@@ -166,11 +168,14 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _parse_file(path: Path, parse: Callable[..., Any], *args: Any) -> Any:
-    """``parse(contents of path, *args)``, the CLI's one file read. A package
-    error names the file, as an ``OSError`` does: no caller adds the name."""
+def _parse_file(path: Path | str, parse: Callable[..., Any], *args: Any) -> Any:
+    """``parse(contents of path, *args)``, the CLI's one file read, made
+    unbuffered: the whole file is read at once. A package error names the
+    file, as an ``OSError`` does: no caller adds the name."""
     try:
-        return parse(path.read_bytes(), *args)
+        with open(path, "rb", buffering=0) as fh:
+            data = fh.readall()
+        return parse(data, *args)
     except ReceiptKieError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
@@ -313,6 +318,9 @@ def _read_pairs(
     if not truth_ids:
         raise CorpusMismatchError(f"no *.truth.json files in {truth_dir}")
     seen: dict[str, Path] = {}
+    # Truth paths are joined as strings, printed as pathlib prints them: a
+    # doc id is a plain file name, and "." is no prefix.
+    prefix = "" if str(truth_dir) == "." else os.path.join(truth_dir, "")
     for path in _expand(results, lambda p: p.name.endswith(".result.json")):
         # The yield stays outside the pause: a generator left suspended or
         # abandoned never leaves the collector off.
@@ -326,8 +334,8 @@ def _read_pairs(
             seen[doc.doc_id] = path
             if doc.doc_id not in truth_ids:
                 raise CorpusMismatchError(f"{path}: no ground truth for doc_id {doc.doc_id!r}")
-            page = _parse_file(truth_dir / f"{doc.doc_id}.json", parse_ocr)
-            products = _parse_file(truth_dir / f"{doc.doc_id}.truth.json", parse_ground_truth, page)
+            page = _parse_file(f"{prefix}{doc.doc_id}.json", parse_ocr)
+            products = _parse_file(f"{prefix}{doc.doc_id}.truth.json", parse_ground_truth, page)
             _check_same_page(path, doc, page)
             pair = DocPrediction.from_groups(doc, groups), (page, products)
         yield pair

@@ -14,20 +14,24 @@ to exactly one ground-truth product and reproduces *every* entity field
 of it, with nothing spurious added.
 
 ``score_entities`` and ``score_whole_products`` score one page.
-``build_report`` is the corpus fold: it adds up their counts over a
-stream of (prediction, truth) pairs and keeps no pair. Pairing each
-result with its truth page is the caller's job.
+Whole-product alignment is linear in a page's groups plus products: each
+description token maps to the one truth product that holds it.
+``build_report`` is the corpus fold: it adds up their counts, 15 plain
+integers a page, over a stream of (prediction, truth) pairs and keeps no
+pair. Pairing each result with its truth page is the caller's job.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
+from itertools import chain, repeat
+from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
 from .ingest import normalize_text
 from .layout import assign_entities
-from .model import ENTITY_ORDER, Document, EntityLabel, Product, ProductGroup
+from .model import ENTITY_ORDER, SCALAR_ENTITIES, Document, EntityLabel, Product, ProductGroup
 
 # Report keys and table rows name entities in the plural; the CLI accepts
 # these names and the singular label values alike.
@@ -107,6 +111,11 @@ def _texts_match(pred_doc: Document, truth_doc: Document, token_id: int) -> bool
     )
 
 
+_DESCRIPTION = EntityLabel.DESCRIPTION
+_UNTAGGED = EntityLabel.UNTAGGED
+_tuple_new = tuple.__new__
+
+
 def score_entities(
     pred_doc: Document,
     truth_entry: TruthEntry,
@@ -118,21 +127,32 @@ def score_entities(
     document of the same page and its annotated products.
     """
     truth_doc, products = truth_entry
+    # Each token's truth label, product by product: the descriptions, then
+    # each scalar entity that is set. Fields are read by unpacking.
+    truth_labels: dict[int, EntityLabel] = {}
+    for description_ids, *scalar_ids in products:
+        truth_labels.update(zip(description_ids, repeat(_DESCRIPTION)))
+        for label, tid in zip(SCALAR_ENTITIES, scalar_ids):
+            if tid is not None:
+                truth_labels[tid] = label
+    pred_labels = {
+        tid: label for tid, _, _, label, _, _ in pred_doc.tokens if label is not _UNTAGGED
+    }
     strict = mode is MatchMode.STRICT_OCR
-    truth_labels = {tid: label for p in products for tid, label in p.labeled_ids()}
-    pred_labels = {tok.token_id: tok.label for tok in pred_doc.tokens if tok.is_tagged}
+    tp = Counter(
+        label
+        for tid, label in pred_labels.items()
+        if truth_labels.get(tid) is label and (not strict or _texts_match(pred_doc, truth_doc, tid))
+    )
     expected = Counter(truth_labels.values())
     predicted = Counter(pred_labels.values())
-    tp: Counter[EntityLabel] = Counter()
-    for tid, label in pred_labels.items():
-        if truth_labels.get(tid) is label and (
-            not strict or _texts_match(pred_doc, truth_doc, tid)
-        ):
-            tp[label] += 1
-    return {
-        label: EntityCounts(tp[label], predicted[label] - tp[label], expected[label] - tp[label])
-        for label in ENTITY_ORDER
-    }
+    counts = {}
+    for label in ENTITY_ORDER:
+        hits = tp.get(label, 0)
+        counts[label] = _tuple_new(
+            EntityCounts, (hits, predicted.get(label, 0) - hits, expected.get(label, 0) - hits)
+        )
+    return counts
 
 
 def _product_matches(
@@ -143,9 +163,10 @@ def _product_matches(
     mode: MatchMode,
 ) -> bool:
     """All of the truth product's fields reproduced, nothing spurious."""
-    if predicted.scalar_ids() != truth.scalar_ids():
+    # A product is its description ids, then its scalar ids.
+    if predicted[1:] != truth[1:]:
         return False  # a scalar entity missed, wrong or spurious
-    if set(predicted.description_ids) != set(truth.description_ids):
+    if set(predicted[0]) != set(truth[0]):
         return False
     if mode is MatchMode.STRICT_OCR:
         return all(_texts_match(pred_doc, truth_doc, tid) for tid, _ in truth.labeled_ids())
@@ -167,25 +188,47 @@ def score_whole_products(
     if every entity field of the truth product is matched and no extra
     entity was predicted; anything else makes it a false positive and
     leaves the truth product unmatched (a false negative).
+
+    The cost is linear in the page's groups plus products when no two
+    truth products share a token, as :func:`receipt_kie.ingest.parse_ground_truth`
+    guarantees; products that share one are scanned in order for each group.
     """
     truth_doc, products = truth_entry
-    truth_descs = [set(product.description_ids) for product in products]
+    # Description token id -> its product. Products from parse_ground_truth
+    # share no token, and then a product that holds a strict majority of a
+    # group's tokens is the median of their sorted owners: alignment is
+    # linear in the page's groups plus products. Products that share a
+    # token are scanned in order instead.
+    owner = {tid: pi for pi, product in enumerate(products) for tid in product.description_ids}
+    disjoint = len(owner) == sum(len(product.description_ids) for product in products)
     # product index -> its best claim, (-overlap, group id, group position)
     winners: dict[int, tuple[int, int, int]] = {}
     for pos, assignment in enumerate(pred.assignments):
         desc = set(assignment.description_ids)
-        for pi, truth_desc in enumerate(truth_descs):
-            overlap = len(desc & truth_desc)
-            if overlap * 2 > len(desc):
-                claim = (-overlap, pred.groups[pos].group_id, pos)
-                if pi not in winners or claim < winners[pi]:
-                    winners[pi] = claim
-                break  # a strict majority is unique
+        if not desc:
+            continue
+        pi, overlap = -1, 0  # -1: no product
+        if disjoint:
+            owned = sorted(map(owner.get, desc, repeat(-1)))
+            pi = owned[len(owned) // 2]
+            overlap = owned.count(pi)
+        else:
+            for i, product in enumerate(products):
+                n = len(desc.intersection(product.description_ids))
+                if n * 2 > len(desc):
+                    pi, overlap = i, n
+                    break
+        if pi >= 0 and overlap * 2 > len(desc):
+            claim = (-overlap, pred.groups[pos].group_id, pos)
+            if pi not in winners or claim < winners[pi]:
+                winners[pi] = claim
     matched = sum(
         _product_matches(pred.assignments[pos], products[pi], pred.document, truth_doc, mode)
         for pi, (_, _, pos) in winners.items()
     )
-    return EntityCounts(tp=matched, fp=len(pred.assignments) - matched, fn=len(products) - matched)
+    return _tuple_new(
+        EntityCounts, (matched, len(pred.assignments) - matched, len(products) - matched)
+    )
 
 
 class EvalReport(NamedTuple):
@@ -236,17 +279,19 @@ def build_report(
 ) -> EvalReport:
     """Score a corpus, one (prediction, truth) pair of a page at a time:
     the per-entity micro averages plus whole products. No pair is kept."""
-    entities = dict.fromkeys(ENTITY_ORDER, EntityCounts())
-    whole = EntityCounts()
+    # Running sums: tp, fp and fn of each entity in ENTITY_ORDER, then of
+    # whole products. Each page's counts are named tuples of plain ints.
+    totals = [0] * 3 * (len(ENTITY_ORDER) + 1)
     corpus_size = 0
     for pred, truth_entry in pairs:
         page = score_entities(pred.document, truth_entry, mode)
-        entities = {label: entities[label] + page[label] for label in ENTITY_ORDER}
-        whole += score_whole_products(pred, truth_entry, mode)
+        whole = score_whole_products(pred, truth_entry, mode)
+        totals = list(map(add, totals, (*chain.from_iterable(page.values()), *whole)))
         corpus_size += 1
+    counts = [_tuple_new(EntityCounts, totals[k : k + 3]) for k in range(0, len(totals), 3)]
     return EvalReport(
         mode=mode,
         corpus_size=corpus_size,
-        entities=entities,
-        whole_products=whole,
+        entities=dict(zip(ENTITY_ORDER, counts)),
+        whole_products=counts[-1],
     )

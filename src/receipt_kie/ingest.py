@@ -13,7 +13,10 @@ readers share one set of field checks, which alone name errors.
 :func:`parse_ocr` and :func:`parse_result` walk each word or token once,
 field by field in the order the errors name them: the common value of a
 field passes an inline test on its raw JSON value, and any other value
-goes to that field's check. Writers never emit fields outside the
+goes to that field's check. The products of :func:`parse_result` and
+:func:`parse_ground_truth` take that path a record at a time: a record of
+the common shape passes one inline test, and any other record goes to
+the named checks from its start. Writers never emit fields outside the
 documented schema, and every file is written in one canonical form
 (sorted keys, two-space indent, non-ASCII kept) so identical inputs
 produce identical bytes.
@@ -82,13 +85,18 @@ def _require(obj: Mapping[str, Any], key: str, where: str) -> Any:
     return obj[key]
 
 
-def _records(raw: Mapping[str, Any], key: str, noun: str) -> Iterator[tuple[str, dict[str, Any]]]:
-    """Walk the required top-level list ``key``: yield each record, which
-    must be an object, with its location ``"<noun> <index>"``."""
+def _record_list(raw: Mapping[str, Any], key: str) -> list[Any]:
+    """The required top-level list ``key``."""
     items = _require(raw, key, "top level")
     if not isinstance(items, list):
         raise SchemaError(f"{key}: expected a list")
-    for i, obj in enumerate(items):
+    return items
+
+
+def _records(raw: Mapping[str, Any], key: str, noun: str) -> Iterator[tuple[str, dict[str, Any]]]:
+    """Walk the required top-level list ``key``: yield each record, which
+    must be an object, with its location ``"<noun> <index>"``."""
+    for i, obj in enumerate(_record_list(raw, key)):
         where = f"{noun} {i}"
         if not isinstance(obj, dict):
             raise SchemaError(f"{where}: expected an object")
@@ -235,9 +243,7 @@ def parse_ocr(data: bytes | str) -> Document:
     # the test of the coordinate's float does; on a larger page every vertex
     # takes the float test.
     exact = width < 2**53 and height < 2**53
-    words = _require(raw, "words", "top level")
-    if not isinstance(words, list):
-        raise SchemaError("words: expected a list")
+    words = _record_list(raw, "words")
 
     tokens: list[Token] = []
     for i, word in enumerate(words):
@@ -316,11 +322,50 @@ def _claim(claimed: dict[int, int], token_ids: Sequence[int], owner: int, where:
         claimed[tid] = owner
 
 
+def _claim_inline(claimed: dict[int, int], token_ids: list[Any], owner: int, n_tokens: int) -> bool:
+    """Whether ``token_ids`` is a list of distinct ints, each the id of one
+    of ``n_tokens`` tokens and in no earlier record of ``claimed``.
+    If so they are claimed for ``owner``, as :func:`_claim` claims them;
+    if not, ``claimed`` is left as it was, for the named checks to read."""
+    for k, tid in enumerate(token_ids):
+        if type(tid) is not int or not 0 <= tid < n_tokens or tid in claimed:
+            for claimed_here in token_ids[:k]:
+                del claimed[claimed_here]
+            return False
+        claimed[tid] = owner
+    return True
+
+
+def _truth_product(rp: Any, i: int, n_tokens: int, claimed: dict[int, int]) -> Product:
+    """The named checks of one ground-truth record, in the order the errors
+    name them: the object, its description ids, each scalar id, the claims."""
+    where = f"product {i}"
+    if not isinstance(rp, dict):
+        raise SchemaError(f"{where}: expected an object")
+    raw_desc = _require(rp, "description_ids", where)
+    if not isinstance(raw_desc, list) or not raw_desc:
+        raise SchemaError(f"{where}: description_ids must be a non-empty list")
+    product = Product(
+        tuple(_token_id(tid, where, "description_ids", n_tokens) for tid in raw_desc),
+        *[
+            None if rp.get(key) is None else _token_id(rp[key], where, key, n_tokens)
+            for key in _SCALAR_KEYS
+        ],
+    )
+    _claim(claimed, [tid for tid, _ in product.labeled_ids()], i, where)
+    return product
+
+
 def parse_ground_truth(data: bytes | str, doc: Document) -> tuple[Product, ...]:
     """Parse a ground-truth annotation file against its document.
 
     All referenced token ids must exist in ``doc`` (ids are positions) and
     no id may belong to two products.
+
+    A record of the common shape (an object with a non-empty list of
+    description ids, whose ids and set scalar ids are distinct in-range
+    ints that no earlier record claimed) passes an inline test; any other
+    record goes to the named checks, which read it or raise.
     """
     raw = _load_object(data)
     _check_doc_id(raw, doc, "ground truth is")
@@ -328,19 +373,15 @@ def parse_ground_truth(data: bytes | str, doc: Document) -> tuple[Product, ...]:
     n_tokens = len(doc.tokens)
     claimed: dict[int, int] = {}  # token id -> product index that owns it
     products: list[Product] = []
-    for where, rp in _records(raw, "products", "product"):
-        raw_desc = _require(rp, "description_ids", where)
-        if not isinstance(raw_desc, list) or not raw_desc:
-            raise SchemaError(f"{where}: description_ids must be a non-empty list")
-        product = Product(
-            tuple(_token_id(tid, where, "description_ids", n_tokens) for tid in raw_desc),
-            *[
-                None if rp.get(key) is None else _token_id(rp[key], where, key, n_tokens)
-                for key in _SCALAR_KEYS
-            ],
-        )
-        _claim(claimed, [tid for tid, _ in product.labeled_ids()], len(products), where)
-        products.append(product)
+    for i, rp in enumerate(_record_list(raw, "products")):
+        if type(rp) is dict and type(desc := rp.get("description_ids")) is list and desc:
+            code, quantity, price = map(rp.get, _SCALAR_KEYS)
+            # A null scalar id is no id, as in the named checks.
+            ids = desc + [tid for tid in (code, quantity, price) if tid is not None]
+            if _claim_inline(claimed, ids, i, n_tokens):
+                products.append(_tuple_new(Product, (tuple(desc), code, quantity, price)))
+                continue
+        products.append(_truth_product(rp, i, n_tokens, claimed))
     return tuple(products)
 
 
@@ -509,14 +550,15 @@ def parse_result(data: bytes | str) -> tuple[Document, tuple[ProductGroup, ...]]
     of the two, confidence and box. The common value of a field (as
     :func:`serialize_result` writes it: ASCII text, a float confidence and
     float box) passes an inline test; any other value goes to the field's
-    named check, which reads it or raises.
+    named check, which reads it or raises. A product of the common shape
+    (an int group id, strictly increasing non-negative line indices, a
+    bool flag, a float box on the unit page and unclaimed in-range token
+    ids) passes one inline test; any other goes to the named checks.
     """
     raw = _load_object(data)
     doc_id = _doc_id(raw)
     width, height = _page_dims(_require(raw, "page", "top level"))
-    items = _require(raw, "tokens", "top level")
-    if not isinstance(items, list):
-        raise SchemaError("tokens: expected a list")
+    items = _record_list(raw, "tokens")
 
     tokens: list[Token] = []
     for i, rt in enumerate(items):
@@ -568,34 +610,76 @@ def parse_result(data: bytes | str) -> tuple[Document, tuple[ProductGroup, ...]]
         tokens.append(_tuple_new(Token, (i, text, bbox, label, source, confidence)))
     doc = Document(doc_id=doc_id, tokens=tuple(tokens), page_width=width, page_height=height)
 
+    n_tokens = len(tokens)
     groups: list[ProductGroup] = []
     claimed: dict[int, int] = {}  # token id -> index of the group that holds it
-    for where, rp in _records(raw, "products", "product"):
-        group_id = _require(rp, "group_id", where)
-        line_indices = _require(rp, "line_indices", where)
-        token_ids = _require(rp, "token_ids", where)
-        incomplete = rp.get("incomplete", False)
-        if type(group_id) is not int:
-            raise SchemaError(f"{where}: group_id must be an integer")
-        for name, ids in (("line_indices", line_indices), ("token_ids", token_ids)):
-            if not isinstance(ids, list) or not all(type(v) is int for v in ids):
-                raise SchemaError(f"{where}: {name} must be a list of integers")
-        if line_indices != sorted(set(line_indices)) or (line_indices and line_indices[0] < 0):
-            raise SchemaError(
-                f"{where}: line_indices must be non-negative and increasing, got {line_indices}"
-            )
-        if not isinstance(incomplete, bool):
-            raise SchemaError(f"{where}: incomplete must be a boolean")
-        group = ProductGroup(
-            group_id=group_id,
-            line_indices=tuple(line_indices),
-            token_ids=tuple(_token_id(tid, where, "token_ids", len(tokens)) for tid in token_ids),
-            bbox=_bbox_from_json(_require(rp, "bbox", where), where),
-            incomplete=incomplete,
-        )
-        _claim(claimed, group.token_ids, len(groups), where)
-        groups.append(group)
+    for i, rp in enumerate(_record_list(raw, "products")):
+        if (
+            type(rp) is dict
+            and type(group_id := rp.get("group_id")) is int
+            and type(line_indices := rp.get("line_indices")) is list
+            and _is_line_list(line_indices)
+            and type(incomplete := rp.get("incomplete", False)) is bool
+            and type(box := rp.get("bbox")) is dict
+            and type(x_min := box.get("x_min")) is float
+            and type(y_min := box.get("y_min")) is float
+            and type(x_max := box.get("x_max")) is float
+            and type(y_max := box.get("y_max")) is float
+            and 0.0 <= x_min <= x_max <= 1.0
+            and 0.0 <= y_min <= y_max <= 1.0
+            and type(token_ids := rp.get("token_ids")) is list
+            and _claim_inline(claimed, token_ids, i, n_tokens)
+        ):
+            bbox = _tuple_new(BBox, (x_min, y_min, x_max, y_max))
+            groups.append(_tuple_new(
+                ProductGroup, (group_id, tuple(line_indices), tuple(token_ids), bbox, incomplete)
+            ))
+        else:
+            groups.append(_result_group(rp, i, n_tokens, claimed))
     return doc, tuple(groups)
+
+
+def _is_line_list(line_indices: list[Any]) -> bool:
+    """Whether ``line_indices`` holds strictly increasing non-negative ints."""
+    previous = -1
+    for index in line_indices:
+        if type(index) is not int or index <= previous:
+            return False
+        previous = index
+    return True
+
+
+def _result_group(rp: Any, i: int, n_tokens: int, claimed: dict[int, int]) -> ProductGroup:
+    """The named checks of one result product, in the order the errors name
+    them: the object, its required fields, the group id, the two id lists,
+    the line order, the flag, each token id, the box and the claims."""
+    where = f"product {i}"
+    if not isinstance(rp, dict):
+        raise SchemaError(f"{where}: expected an object")
+    group_id = _require(rp, "group_id", where)
+    line_indices = _require(rp, "line_indices", where)
+    token_ids = _require(rp, "token_ids", where)
+    incomplete = rp.get("incomplete", False)
+    if type(group_id) is not int:
+        raise SchemaError(f"{where}: group_id must be an integer")
+    for name, ids in (("line_indices", line_indices), ("token_ids", token_ids)):
+        if not isinstance(ids, list) or not all(type(v) is int for v in ids):
+            raise SchemaError(f"{where}: {name} must be a list of integers")
+    if line_indices != sorted(set(line_indices)) or (line_indices and line_indices[0] < 0):
+        raise SchemaError(
+            f"{where}: line_indices must be non-negative and increasing, got {line_indices}"
+        )
+    if not isinstance(incomplete, bool):
+        raise SchemaError(f"{where}: incomplete must be a boolean")
+    group = ProductGroup(
+        group_id=group_id,
+        line_indices=tuple(line_indices),
+        token_ids=tuple(_token_id(tid, where, "token_ids", n_tokens) for tid in token_ids),
+        bbox=_bbox_from_json(_require(rp, "bbox", where), where),
+        incomplete=incomplete,
+    )
+    _claim(claimed, group.token_ids, i, where)
+    return group
 
 
 def canonical_json(payload: Any) -> str:

@@ -33,7 +33,6 @@ from .model import (
     EntityLabel,
     Product,
     ProductGroup,
-    reading_order,
 )
 
 # Enum members read in the per-token loops, bound once.
@@ -202,9 +201,15 @@ def assign_entities(group: ProductGroup, doc: Document) -> Product:
     """
     descriptions: list[int] = []
     scalars: dict[EntityLabel, int] = {}
-    # The key ends in the token id, a total order: the first token of a
-    # label wins its role. Untagged tokens fill a slot no role reads.
-    for token_id, _, _, label, _, _ in sorted(map(doc.token, group.token_ids), key=reading_order):
+    # Sorted by the key of model.reading_order, (y_min, x_min, token id),
+    # built here without a call per token. The id makes it a total order:
+    # the first token of a label wins its role. Untagged tokens fill a slot
+    # no role reads.
+    ordered = sorted([
+        (y_min, x_min, token_id, label)
+        for token_id, _, (x_min, y_min, _, _), label, _, _ in map(doc.token, group.token_ids)
+    ])
+    for _, _, token_id, label in ordered:
         if label is _DESCRIPTION:
             descriptions.append(token_id)
         else:

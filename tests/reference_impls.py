@@ -21,8 +21,11 @@ from receipt_kie.errors import SchemaError
 from receipt_kie.evaluation import EntityCounts, MatchMode
 from receipt_kie.ingest import (
     _LABELS_BY_VALUE,
+    _SCALAR_KEYS,
     _SOURCES_BY_VALUE,
     _bbox_from_json,
+    _check_doc_id,
+    _claim,
     _confidence,
     _doc_id,
     _is_number,
@@ -601,9 +604,8 @@ def reference_decode(
 
 
 # --------------------------------------------------------------------------
-# Result reader reference: every token through the field-by-field checks,
-# in the order they run. Groups may share tokens here; the package refuses
-# that, so the differential test draws disjoint groups, as writers emit.
+# Result reader reference: every token and every product through the
+# field-by-field checks, in the order they run, with no inline test.
 
 
 def reference_parse_result(data: bytes | str) -> tuple[Document, tuple[ProductGroup, ...]]:
@@ -638,6 +640,7 @@ def reference_parse_result(data: bytes | str) -> tuple[Document, tuple[ProductGr
     doc = Document(doc_id=doc_id, tokens=tuple(tokens), page_width=width, page_height=height)
 
     groups: list[ProductGroup] = []
+    claimed: dict[int, int] = {}  # token id -> index of the group that holds it
     for where, rp in _records(raw, "products", "product"):
         group_id = _require(rp, "group_id", where)
         line_indices = _require(rp, "line_indices", where)
@@ -654,16 +657,44 @@ def reference_parse_result(data: bytes | str) -> tuple[Document, tuple[ProductGr
             )
         if not isinstance(incomplete, bool):
             raise SchemaError(f"{where}: incomplete must be a boolean")
-        groups.append(
-            ProductGroup(
-                group_id=group_id,
-                line_indices=tuple(line_indices),
-                token_ids=tuple(_token_id(tid, where, "token_ids", len(tokens)) for tid in token_ids),
-                bbox=_bbox_from_json(_require(rp, "bbox", where), where),
-                incomplete=incomplete,
-            )
+        group = ProductGroup(
+            group_id=group_id,
+            line_indices=tuple(line_indices),
+            token_ids=tuple(_token_id(tid, where, "token_ids", len(tokens)) for tid in token_ids),
+            bbox=_bbox_from_json(_require(rp, "bbox", where), where),
+            incomplete=incomplete,
         )
+        _claim(claimed, group.token_ids, len(groups), where)
+        groups.append(group)
     return doc, tuple(groups)
+
+
+# --------------------------------------------------------------------------
+# Ground-truth reader reference: every product through the named checks,
+# in the order they run, with no inline test.
+
+
+def reference_parse_ground_truth(data: bytes | str, doc: Document) -> tuple[Product, ...]:
+    raw = _load_object(data)
+    _check_doc_id(raw, doc, "ground truth is")
+
+    n_tokens = len(doc.tokens)
+    claimed: dict[int, int] = {}  # token id -> product index that owns it
+    products: list[Product] = []
+    for where, rp in _records(raw, "products", "product"):
+        raw_desc = _require(rp, "description_ids", where)
+        if not isinstance(raw_desc, list) or not raw_desc:
+            raise SchemaError(f"{where}: description_ids must be a non-empty list")
+        product = Product(
+            tuple(_token_id(tid, where, "description_ids", n_tokens) for tid in raw_desc),
+            *[
+                None if rp.get(key) is None else _token_id(rp[key], where, key, n_tokens)
+                for key in _SCALAR_KEYS
+            ],
+        )
+        _claim(claimed, [tid for tid, _ in product.labeled_ids()], len(products), where)
+        products.append(product)
+    return tuple(products)
 
 
 # --------------------------------------------------------------------------

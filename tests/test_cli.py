@@ -1035,6 +1035,36 @@ class TestEvalCommand:
         error = error_line(run_module("eval", "--results", result, "--truth", truth))
         assert error == os_error_line(errno.ENOENT, truth / f"{doc_id}.json")
 
+    @pytest.mark.parametrize("truth_arg", ["./truth/", "truth", "truth//", ".", "absolute"])
+    @pytest.mark.parametrize("damage", ["missing-ocr", "truncated-truth"])
+    def test_a_truth_file_is_named_as_pathlib_prints_it(
+        self, corpus_dir, results_dir, tmp_path, monkeypatch, capsys, truth_arg, damage
+    ):
+        # Truth paths are joined as strings; the error line names the file
+        # as Path(--truth) / name prints it.
+        truth = tmp_path / "truth"
+        truth.mkdir()
+        for path in corpus_dir.glob("*.json"):
+            (truth / path.name).write_bytes(path.read_bytes())
+        result = sorted(results_dir.glob("*.result.json"))[0]
+        doc_id = result.name[: -len(".result.json")]
+        if damage == "missing-ocr":
+            name = f"{doc_id}.json"
+            (truth / name).unlink()
+        else:
+            name = f"{doc_id}.truth.json"
+            (truth / name).write_bytes((truth / name).read_bytes()[:40])
+        monkeypatch.chdir(truth if truth_arg == "." else tmp_path)
+        truth_arg = str(truth) if truth_arg == "absolute" else truth_arg
+        assert run_cli("eval", "--results", result, "--truth", truth_arg) == 1
+        named = Path(truth_arg) / name
+        error = capsys.readouterr().err
+        if damage == "missing-ocr":
+            assert error == os_error_line(errno.ENOENT, named) + "\n"
+        else:
+            assert error.startswith(f"ERROR receipt_kie.cli: {named}: ")
+            assert error.count("\n") == 1
+
     @pytest.mark.parametrize("damage", [None, "malformed-truth", "missing-ocr"])
     def test_truth_doc_without_a_result_fails(self, corpus_dir, results_dir, tmp_path, damage):
         # The files of a truth doc that no result names are never read, so
@@ -1122,6 +1152,46 @@ def _damaged_results(results_dir: Path, out: Path) -> Path:
     for i, path in enumerate(sorted(results_dir.glob("*.result.json"))):
         (out / path.name).write_bytes(path.read_bytes()[: 50 if i == 0 else None])
     return out
+
+
+# File names whose order differs between a sort by bytes, by case and by
+# Unicode form: a name that extends another, mixed case, composed and
+# decomposed accents, digits, punctuation.
+_AWKWARD_STEMS = ["a", "a.json", "A", "b", "B", "_", "a-b", "a.b", "\u00e9", "e\u0301", "z", "Z",
+                  "\u00e4", "10", "9"]
+
+
+class TestInputOrder:
+    """A directory's files are read in the order of their sorted paths."""
+
+    def test_decode_reads_a_directory_in_path_order(self, tmp_path, capsys):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        for stem in _AWKWARD_STEMS:
+            (inputs / f"{stem}.json").write_text("{")
+        expected = sorted(inputs.iterdir())
+        assert cli._expand([str(inputs)], cli._is_ocr_input) == expected
+        assert run_cli("decode", inputs, "--out", tmp_path / "out") == 1
+        prefix = "ERROR receipt_kie.cli: "
+        lines = capsys.readouterr().err.splitlines()
+        assert [Path(line.removeprefix(prefix).split(": ")[0]) for line in lines] == expected
+
+    def test_eval_reads_a_directory_in_path_order(self, corpus_dir, results_dir, tmp_path, capsys):
+        result = sorted(results_dir.glob("*.result.json"))[0]
+        doc_id = result.name[: -len(".result.json")]
+        results = tmp_path / "results"
+        results.mkdir()
+        for stem in _AWKWARD_STEMS:
+            (results / f"{stem}.result.json").write_bytes(result.read_bytes())
+        expected = sorted(results.iterdir())
+        assert cli._expand([str(results)], lambda p: p.name.endswith(".result.json")) == expected
+        # Every copy has one doc id: the second file read is refused, naming the first.
+        assert run_cli("eval", "--results", results, "--truth", corpus_dir) == 1
+        first, second = expected[:2]
+        assert capsys.readouterr().err == (
+            f"ERROR receipt_kie.cli: {second}: duplicate doc_id {doc_id!r} "
+            f"(already read from {first})\n"
+        )
 
 
 # Each command's argv and exit code, from the module's corpora and the

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -304,6 +307,27 @@ class TestScoreWholeProducts:
         counts = score_whole_products(predict(doc, [group_a, group_b]), (doc, tuple(truth)))
         assert counts == EntityCounts(tp=1, fp=1, fn=0)
 
+    @pytest.mark.parametrize("stray", [0, 5], ids=["an earlier product's", "no product's"])
+    def test_a_majority_among_stray_tokens_still_claims(self, stray):
+        # Group A holds all three description tokens of the second product
+        # and one stray token: three of four is a strict majority, so A
+        # claims it and, with the smaller id, takes it from B, the exact
+        # copy. Neither scores.
+        tokens = [
+            make_token(tid, "A", 40 * tid, 40, label=EntityLabel.DESCRIPTION) for tid in range(6)
+        ]
+        doc = make_doc(tokens, doc_id="stray")
+        truth = (Product(description_ids=(0, 1)), Product(description_ids=(2, 3, 4)))
+        box = union_bbox(t.bbox for t in tokens)
+        group_a = ProductGroup(0, (0,), (stray, 2, 3, 4), box)
+        group_b = ProductGroup(1, (1,), (2, 3, 4), box)
+        pred = predict(doc, [group_a, group_b])
+        counts = score_whole_products(pred, (doc, truth))
+        assert counts == EntityCounts(tp=0, fp=2, fn=2)
+        assert counts == reference_score_whole_products(
+            {"stray": pred}, {"stray": (doc, truth)}, MatchMode.TAG_ONLY
+        )
+
     def test_strict_mode_fails_products_with_garbled_text(
         self, receipt_doc, receipt_truth, labeled_receipt
     ):
@@ -323,6 +347,48 @@ class TestScoreWholeProducts:
         )
         assert tag == EntityCounts(tp=2, fp=0, fn=0)
         assert strict == EntityCounts(tp=1, fp=1, fn=1)
+
+
+def _page_of(n: int) -> tuple[DocPrediction, tuple]:
+    """A page of ``n`` products of three description tokens and a price,
+    each decoded into a group of its own, and its truth."""
+    tokens, products, groups = [], [], []
+    for g in range(n):
+        ids = tuple(range(4 * g, 4 * g + 4))
+        for tid in ids:
+            label = EntityLabel.PRICE if tid == ids[-1] else EntityLabel.DESCRIPTION
+            tokens.append(Token(tid, "A", BBox(0.0, 0.0, 0.1, 0.1), label, LabelSource.MODEL))
+        products.append(Product(ids[:3], price_id=ids[3]))
+        groups.append(ProductGroup(g, (g,), ids, BBox(0.0, 0.0, 1.0, 1.0)))
+    doc = make_doc(tokens)
+    return DocPrediction(doc, tuple(groups), tuple(products)), truth_for(doc, products)
+
+
+def _cpu_seconds_per_call(call, calls: int) -> float:
+    """The least process CPU time of ``calls`` calls, of five tries, per call.
+    The cyclic collector is off while they run: a collection walks every
+    object of the test process, not only the page's."""
+    best = float("inf")
+    gc.disable()
+    try:
+        for _ in range(5):
+            start = time.process_time()
+            for _ in range(calls):
+                call()
+            best = min(best, time.process_time() - start)
+    finally:
+        gc.enable()
+    return best / calls
+
+
+def test_whole_product_alignment_is_linear_in_the_products_of_a_page():
+    # Four times the products cost about four times as much; an alignment
+    # that tries every product for every group costs about sixteen times.
+    small, large = _page_of(100), _page_of(400)
+    assert score_whole_products(*large) == EntityCounts(tp=400, fp=0, fn=0)
+    per_small = _cpu_seconds_per_call(lambda: score_whole_products(*small), 40)
+    per_large = _cpu_seconds_per_call(lambda: score_whole_products(*large), 10)
+    assert per_large <= 6 * per_small
 
 
 class TestReport:

@@ -26,7 +26,12 @@ from receipt_kie.layout import detect_lines_geometric, group_product_lines
 from receipt_kie.model import BBox, Document, EntityLabel, LabelSource, Product, ProductGroup, Token
 
 from helpers import make_doc, make_token
-from reference_impls import reference_parse_ocr, reference_parse_result, reference_result_payload
+from reference_impls import (
+    reference_parse_ground_truth,
+    reference_parse_ocr,
+    reference_parse_result,
+    reference_result_payload,
+)
 
 
 def ocr_payload(**overrides):
@@ -819,6 +824,54 @@ _TOKEN_DAMAGES = {
     "bbox": [None, [0.0, 0.0, 1.0, 1.0], {"x_min": 0.0}],
 }
 _COORDINATES = [0, 1, 0.0, 0.5, 1.0, -0.0, 1.5, -0.25, _NAN, _INF, -_INF, 10**400, *_NOT_A_NUMBER]
+# Each product damage sets one field of a product to one of these values,
+# valid ones among them, or drops it.
+_PRODUCT_DAMAGES = {
+    "group_id": [True, False, 0.0, 1.0, -1, 7, 10**400, "0", None],
+    "line_indices": [[1, 0], [0, 0], [-1], [-1, 0], [0, 2], [], [True], [0.0], "0", None],
+    "incomplete": [True, False, 0, 1, 0.0, None, "false"],
+    "token_ids": [[], [0, 0], "0", 0, None, [[0]], {"0": 0}],
+    "bbox": [None, [0.0, 0.0, 1.0, 1.0], {"x_min": 0.0}, "box"],
+}
+
+
+@st.composite
+def damaged_products(draw, products: list) -> None:
+    """Damage one product of ``products``: a field of another type or
+    value, a field or a box coordinate missing, a box coordinate that is
+    an int, off the page or not a number, a record that is not an object,
+    or a token id that another product, or the same one, already holds."""
+    k = draw(st.integers(0, len(products) - 1))
+    damage = draw(st.sampled_from(["field", "missing", "coordinate", "coordinate", "record",
+                                   "shared", "shared"]))
+    if damage == "record":
+        products[k] = draw(st.sampled_from([None, [], "product", 0]))
+        return
+    product = products[k]
+    if not isinstance(product, dict):
+        return
+    if damage == "field":
+        key = draw(st.sampled_from(sorted(_PRODUCT_DAMAGES)))
+        product[key] = draw(st.sampled_from(_PRODUCT_DAMAGES[key]))
+    elif damage == "missing":
+        product.pop(draw(st.sampled_from(sorted(_PRODUCT_DAMAGES))), None)
+    elif damage == "coordinate":
+        if not isinstance(box := product.get("bbox"), dict) or not box:
+            return
+        key = draw(st.sampled_from(sorted(box)))
+        if draw(st.booleans()):
+            box[key] = draw(st.sampled_from(_COORDINATES))
+        else:
+            del box[key]
+    else:
+        held = [
+            tid for other in products if isinstance(other, dict)
+            for tid in other.get("token_ids") or () if isinstance(tid, int)
+        ]
+        if held and isinstance(product.get("token_ids"), list):
+            product["token_ids"].insert(
+                draw(st.integers(0, len(product["token_ids"]))), draw(st.sampled_from(held))
+            )
 
 
 @st.composite
@@ -828,7 +881,7 @@ def result_payloads(draw):
     another type or value (int, bool, NaN, infinite or huge numbers,
     non-ASCII or lone-surrogate text, a label without its source or the
     reverse), a field missing, a record that is not an object, or a bad
-    group token id."""
+    group token id; and up to three damaged products."""
     n = draw(st.integers(0, 5))
     doc = make_doc([draw(result_tokens(i)) for i in range(n)])
     ids = draw(st.permutations(range(n)))
@@ -858,23 +911,40 @@ def result_payloads(draw):
             tokens[j].pop(draw(st.sampled_from(sorted(_TOKEN_DAMAGES))), None)
         elif isinstance(box := tokens[j].get("bbox"), dict):
             box[draw(st.sampled_from(sorted(box)))] = draw(st.sampled_from(_COORDINATES))
+    for _ in range(draw(st.integers(0, 3))):
+        draw(damaged_products(payload["products"]))
     return payload
 
 
+def _set_at_paths(records: list, edits) -> None:
+    """Set each value of the ``path, value, ...`` pairs in ``edits`` at its
+    path in ``records`` (``"1.bbox.x_min"``: the x_min of record 1's box)."""
+    for path, value in zip(edits[::2], edits[1::2]):
+        *keys, last = path.split(".")
+        target = records
+        for key in keys:
+            target = target[int(key) if key.isdigit() else key]
+        target[last] = value
+
+
 def _result_with(*edits) -> dict:
-    """A two-token result with each value of the ``path, value, ...`` pairs
-    in ``edits`` at its path (``"1.bbox.x_min"``: the x_min of token 1's
-    box)."""
+    """A two-token result with the ``edits`` of :func:`_set_at_paths` made
+    to its tokens."""
     doc = make_doc(
         [make_token(0, "MILK", 0, 10), make_token(1, "2.50", 50, 10, label=EntityLabel.PRICE)]
     )
     payload = json.loads(serialize_result(doc, []))
-    for path, value in zip(edits[::2], edits[1::2]):
-        *keys, last = path.split(".")
-        target = payload["tokens"]
-        for key in keys:
-            target = target[int(key) if key.isdigit() else key]
-        target[last] = value
+    _set_at_paths(payload["tokens"], edits)
+    return payload
+
+
+def _two_groups_with(*edits) -> dict:
+    """A two-token result of two one-token groups with the ``edits`` of
+    :func:`_set_at_paths` made to its products."""
+    doc = make_doc([make_token(0, "MILK", 0, 10), make_token(1, "2.50", 50, 10)])
+    groups = [ProductGroup(g, (g,), (g,), doc.tokens[g].bbox) for g in range(2)]
+    payload = json.loads(serialize_result(doc, groups))
+    _set_at_paths(payload["products"], edits)
     return payload
 
 
@@ -897,6 +967,122 @@ def _result_with(*edits) -> dict:
 # Two faults: the first field in the order of the checks is named.
 @example(payload=_result_with("1.label", "total", "1.token_id", 5))
 @example(payload=_result_with("1.confidence", 1.5, "1.bbox.x_min", _NAN))
+# Products that the inline test sends to the named checks, which read
+# them (an empty group, integer box coordinates, no flag) or name the fault.
+@example(payload=_two_groups_with("0.token_ids", []))
+@example(payload=_two_groups_with("0.bbox.x_min", 0))
+@example(payload=_two_groups_with("1.bbox.y_max", 1))
+@example(payload=_two_groups_with("0.incomplete", None))
+@example(payload=_two_groups_with("1.incomplete", 0))
+@example(payload=_two_groups_with("1.group_id", True))
+@example(payload=_two_groups_with("0.line_indices", [1, 0]))
+@example(payload=_two_groups_with("0.line_indices", [-1]))
+@example(payload=_two_groups_with("1.token_ids", [1, 0]))
+@example(payload=_two_groups_with("1.token_ids", [1, 1]))
+@example(payload=_two_groups_with("1.token_ids", 0))
+@example(payload=_two_groups_with("0.bbox", [0.0, 0.0, 1.0, 1.0]))
+# Two faults in one product: the group id is named before the token id.
+@example(payload=_two_groups_with("1.group_id", 1.0, "1.token_ids", [0]))
 def test_parse_result_matches_the_reference(payload):
     data = json.dumps(payload).encode("utf-8")
     assert _outcome(parse_result, data) == _outcome(reference_parse_result, data)
+
+
+# --------------------------------------------------------------------------
+# parse_ground_truth tests a product of the common shape inline and sends
+# any other to the named checks; the reference runs the named checks on
+# every product. On any input both return equal products or raise the
+# same error.
+
+_BAD_IDS = [True, False, 1.0, 0.0, -1, 10**400, "0", None, [0]]
+
+
+@st.composite
+def truth_payloads(draw):
+    """write_ground_truth_json output for disjoint products of a page's
+    tokens, as every writer emits them, sometimes with an explicit null
+    scalar id, then up to three damages: a product that is not an object,
+    description ids missing, empty or not a list, an id that is a bool, a
+    float, out of range or not a number, or an id used twice within one
+    product or by two products."""
+    n = draw(st.integers(1, 8))
+    doc = make_doc([make_token(i, "A", 10 * i, 10) for i in range(n)])
+    ids = draw(st.permutations(range(n)))
+    products, start = [], 0
+    while start < n and len(products) < 3:
+        end = draw(st.integers(start + 1, n))
+        chunk, start = ids[start:end], end
+        cut = draw(st.integers(1, len(chunk)))
+        rest = iter(chunk[cut:])
+        scalars = [next(rest, None) if draw(st.booleans()) else None for _ in range(3)]
+        products.append(Product(tuple(chunk[:cut]), *scalars))
+    payload = json.loads(write_ground_truth_json(doc.doc_id, products))
+    records = payload["products"]
+    for record in records:
+        if draw(st.booleans()):
+            record.setdefault(draw(st.sampled_from(["code_id", "quantity_id", "price_id"])), None)
+    for _ in range(draw(st.integers(0, 3)) if records else 0):
+        k = draw(st.integers(0, len(records) - 1))
+        damage = draw(st.sampled_from(["record", "description", "id", "id", "twice", "shared",
+                                       "shared"]))
+        if damage == "record":
+            records[k] = draw(st.sampled_from([None, [], "product", 0]))
+            continue
+        record = records[k]
+        if not isinstance(record, dict):
+            continue
+        desc = record.get("description_ids")
+        if damage == "description":
+            value = draw(st.sampled_from(["missing", [], "0", 0, None, {"0": 0}]))
+            if value == "missing":
+                record.pop("description_ids", None)
+            else:
+                record["description_ids"] = value
+            continue
+        key = draw(st.sampled_from(["description_ids", "code_id", "quantity_id", "price_id"]))
+        if damage == "id":
+            new_id = draw(st.sampled_from([*_BAD_IDS, n, n - 1, 0]))
+        else:
+            # An id already in this product, or in any product.
+            owners = [record] if damage == "twice" else records
+            held = [
+                tid for other in owners if isinstance(other, dict)
+                for tid in [*(other.get("description_ids") or ()),
+                            *(other.get(s) for s in ("code_id", "quantity_id", "price_id"))]
+                if type(tid) is int
+            ]
+            if not held:
+                continue
+            new_id = draw(st.sampled_from(held))
+        if key != "description_ids":
+            record[key] = new_id
+        elif isinstance(desc, list):
+            desc.insert(draw(st.integers(0, len(desc))), new_id)
+    return doc, payload
+
+
+_TRUTH_DOC = make_doc([make_token(i, "A", 10 * i, 10) for i in range(4)])
+
+
+def _truth_with(*products) -> tuple[Document, dict]:
+    return _TRUTH_DOC, {"doc_id": _TRUTH_DOC.doc_id, "products": list(products)}
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=truth_payloads())
+# A null scalar id is no id; an id claimed twice is named with its owner.
+@example(case=_truth_with({"description_ids": [0], "code_id": None, "price_id": 1}))
+@example(case=_truth_with({"description_ids": [0, 1]}, {"description_ids": [2], "price_id": 1}))
+@example(case=_truth_with({"description_ids": [0], "price_id": 0}))
+@example(case=_truth_with({"description_ids": [0, 0]}))
+# Two faults: the description is named before the scalar id, and a bad id
+# before a claim.
+@example(case=_truth_with({"description_ids": [True], "code_id": 9}))
+@example(case=_truth_with({"description_ids": [0]}, {"description_ids": [0, 9]}))
+@example(case=_truth_with({"description_ids": [0]}, {"description_ids": [1], "code_id": 1.0}))
+def test_parse_ground_truth_matches_the_reference(case):
+    doc, payload = case
+    data = json.dumps(payload).encode("utf-8")
+    assert _outcome(lambda d: parse_ground_truth(d, doc), data) == _outcome(
+        lambda d: reference_parse_ground_truth(d, doc), data
+    )
