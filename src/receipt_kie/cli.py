@@ -207,8 +207,10 @@ def _import_tagger(predictions: Path) -> Callable[[Document], Document]:
     directory whose ``<doc_id>.pred.json`` is read as that document is
     tagged, or one file, read here for its doc id and again at tag time."""
     if predictions.is_dir():
+        # Joined as strings, printed as pathlib prints them, like truth paths.
+        prefix = "" if str(predictions) == "." else os.path.join(predictions, "")
         return lambda doc: _parse_file(
-            predictions / f"{doc.doc_id}{_PRED_SUFFIX}", partial(tagging.import_predictions, doc)
+            f"{prefix}{doc.doc_id}{_PRED_SUFFIX}", partial(tagging.import_predictions, doc)
         )
     single_id = _require(_parse_file(predictions, _load_object), "doc_id", "top level")
 

@@ -32,6 +32,12 @@ _MIN_CODE_LENGTH = 5
 # in the quantity rule.
 _TAG_STRIP_CHARS = ""
 
+# The (label, source, confidence) of each rule's label, built once.
+_PRICE = (EntityLabel.PRICE, LabelSource.HEURISTIC, None)
+_QUANTITY = (EntityLabel.QUANTITY, LabelSource.HEURISTIC, None)
+_CODE = (EntityLabel.CODE, LabelSource.HEURISTIC, None)
+_DESCRIPTION = (EntityLabel.DESCRIPTION, LabelSource.HEURISTIC, None)
+
 
 def _alpha_majority(text: str) -> bool:
     return sum(map(str.isalpha, text)) * 2 > len(text)
@@ -60,28 +66,25 @@ def heuristic_tag(doc: Document, decimal_separators: str = DECIMAL_SEPARATORS) -
     """
     qty_lo, qty_hi = _QUANTITY_BAND
     labels: dict[int, tuple[EntityLabel, LabelSource, None]] = {}
-    for tok in doc.tokens:
-        if tok.text.isalpha():
+    for token_id, text, (x_min, _, _, _), _, _, _ in doc.tokens:
+        if text.isalpha():
             # No ASCII digit, so rules 1-3 cannot match; all letters, so rule 4 does.
-            labels[tok.token_id] = (EntityLabel.DESCRIPTION, LabelSource.HEURISTIC, None)
+            labels[token_id] = _DESCRIPTION
             continue
-        number = _split_number(tok.text, _TAG_STRIP_CHARS, decimal_separators)
+        number = _split_number(text, _TAG_STRIP_CHARS, decimal_separators)
         digits, fraction = number or ("", None)
         is_integer = bool(digits) and fraction is None
-        if fraction is not None and tok.bbox.x_min >= _PRICE_BAND_MIN_X:
-            label = EntityLabel.PRICE
+        if fraction is not None and x_min >= _PRICE_BAND_MIN_X:
+            labels[token_id] = _PRICE
         elif (
             is_integer
             and len(digits) <= MAX_INTEGER_DIGITS
             and int(digits) <= _MAX_QUANTITY
-            and qty_lo <= tok.bbox.x_min < qty_hi
+            and qty_lo <= x_min < qty_hi
         ):
-            label = EntityLabel.QUANTITY
+            labels[token_id] = _QUANTITY
         elif is_integer and len(digits) >= _MIN_CODE_LENGTH:
-            label = EntityLabel.CODE
-        elif _alpha_majority(tok.text):
-            label = EntityLabel.DESCRIPTION
-        else:
-            continue
-        labels[tok.token_id] = (label, LabelSource.HEURISTIC, None)
+            labels[token_id] = _CODE
+        elif _alpha_majority(text):
+            labels[token_id] = _DESCRIPTION
     return doc.relabel(labels)

@@ -442,6 +442,35 @@ class TestDecodeCommand:
         ]
         assert [p.name for p in out.glob("*.result.json")] == [f"{good}.result.json"]
 
+    @pytest.mark.parametrize("preds_arg", ["pred", "pred/", "./pred", ".", "absolute"])
+    @pytest.mark.parametrize("damage", ["missing", "truncated"])
+    def test_a_predictions_file_is_named_as_pathlib_prints_it(
+        self, corpus_dir, tmp_path, monkeypatch, capsys, preds_arg, damage
+    ):
+        # Predictions paths are joined as strings; the error line names the
+        # file as Path(--predictions) / name prints it.
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        doc_id = manifest["doc_ids"][0]
+        preds = tmp_path / "pred"
+        preds.mkdir()
+        name = f"{doc_id}.pred.json"
+        if damage == "truncated":
+            (preds / name).write_bytes((corpus_dir / "pred" / name).read_bytes()[:40])
+        monkeypatch.chdir(preds if preds_arg == "." else tmp_path)
+        preds_arg = str(preds) if preds_arg == "absolute" else preds_arg
+        code = run_cli(
+            "decode", corpus_dir / "pred" / f"{doc_id}.json", "--out", tmp_path / "out",
+            "--tagger", "import", "--predictions", preds_arg,
+        )
+        assert code == 1
+        named = Path(preds_arg) / name
+        error = capsys.readouterr().err
+        if damage == "missing":
+            assert error == os_error_line(errno.ENOENT, named) + "\n"
+        else:
+            assert error.startswith(f"ERROR receipt_kie.cli: {named}: ")
+            assert error.count("\n") == 1
+
     def test_prediction_of_an_unknown_token_names_the_predictions_file(self, corpus_dir, tmp_path):
         manifest = json.loads((corpus_dir / "manifest.json").read_text())
         doc_id = manifest["doc_ids"][0]

@@ -1,8 +1,5 @@
 from __future__ import annotations
 
-import gc
-import time
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +25,7 @@ from receipt_kie.model import (
 )
 from receipt_kie.synth import as_model_predictions
 
-from helpers import make_doc, make_token
+from helpers import cpu_seconds_per_call, make_doc, make_token
 from reference_impls import reference_score_entities, reference_score_whole_products, union_bbox
 
 
@@ -364,30 +361,13 @@ def _page_of(n: int) -> tuple[DocPrediction, tuple]:
     return DocPrediction(doc, tuple(groups), tuple(products)), truth_for(doc, products)
 
 
-def _cpu_seconds_per_call(call, calls: int) -> float:
-    """The least process CPU time of ``calls`` calls, of five tries, per call.
-    The cyclic collector is off while they run: a collection walks every
-    object of the test process, not only the page's."""
-    best = float("inf")
-    gc.disable()
-    try:
-        for _ in range(5):
-            start = time.process_time()
-            for _ in range(calls):
-                call()
-            best = min(best, time.process_time() - start)
-    finally:
-        gc.enable()
-    return best / calls
-
-
 def test_whole_product_alignment_is_linear_in_the_products_of_a_page():
     # Four times the products cost about four times as much; an alignment
     # that tries every product for every group costs about sixteen times.
     small, large = _page_of(100), _page_of(400)
     assert score_whole_products(*large) == EntityCounts(tp=400, fp=0, fn=0)
-    per_small = _cpu_seconds_per_call(lambda: score_whole_products(*small), 40)
-    per_large = _cpu_seconds_per_call(lambda: score_whole_products(*large), 10)
+    per_small = cpu_seconds_per_call(lambda: score_whole_products(*small), 40)
+    per_large = cpu_seconds_per_call(lambda: score_whole_products(*large), 10)
     assert per_large <= 6 * per_small
 
 

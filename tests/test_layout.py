@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import accumulate, pairwise
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +26,7 @@ from receipt_kie.model import (
 )
 from receipt_kie.synth import CorpusSpec, generate_corpus
 
-from helpers import TOKEN_H, make_doc, make_token, norm_box
+from helpers import TOKEN_H, cpu_seconds_per_call, make_doc, make_token, norm_box
 from reference_impls import (
     CODE,
     DESC,
@@ -222,13 +223,16 @@ def grid_page(seed: int, n: int, grid: int) -> Document:
     """``n`` tokens with corners snapped to a ``grid`` x ``grid`` lattice.
 
     A coarse grid gives many tied ``y_min`` values and intervals that only
-    touch; at least one box in six has zero height.
+    touch; at least one box in six has zero height, and about one in five
+    a negative one (``y_min > y_max``), so equal inverted boxes occur too.
     """
     rng = random.Random(seed)
     tokens = []
     for i in range(n):
         y0 = rng.randrange(grid + 1)
         height = rng.choice((0, 1, 1, 2, 3, rng.randrange(grid + 1)))
+        if rng.random() < 0.2:
+            height = -1 - height
         x0 = rng.randrange(grid)
         tokens.append(
             Token(
@@ -281,6 +285,67 @@ class TestDetectLinesMatchesAllPairs:
         assert list(enumerate(lines)) == oracle_detect_lines(doc, threshold)
         assert lines == [(0, 1, 2)]
 
+    @settings(deadline=None)
+    @given(
+        intervals=st.lists(
+            st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)).map(sorted),
+            min_size=2,
+            max_size=12,
+        ),
+        pair=st.tuples(st.integers(min_value=0), st.integers(min_value=0)),
+        nudge=st.sampled_from([-1, 0, 1]),
+    )
+    def test_random_float_pages_at_a_pair_s_own_ratio(self, intervals, pair, nudge):
+        # The threshold is the ratio of one pair of boxes, or the float just
+        # above or below it, so some pairs sit exactly on the threshold.
+        boxes = [BBox(0.0, y_min, 1.0, y_max) for y_min, y_max in intervals]
+        a, b = (k % len(boxes) for k in pair)
+        threshold = vertical_overlap_ratio(boxes[a], boxes[b])
+        if nudge:
+            threshold = math.nextafter(threshold, nudge * math.inf)
+        if not 0.0 < threshold <= 1.0:
+            threshold = 0.4
+        doc = make_doc([Token(i, "T", box) for i, box in enumerate(boxes)])
+        lines = detect_lines_geometric(doc, threshold)
+        assert list(enumerate(lines)) == oracle_detect_lines(doc, threshold)
+
+    @pytest.mark.parametrize(
+        "intervals, threshold",
+        [
+            ([(-2.962262432775401, 4.531617301310552), (-1.5121929091743467, 6.152953910958965),
+              (4.8132125280232, 6.8478269077021245)], 0.8064994935793532),
+            ([(-1.7336489376547055, -1.7336489376547055), (-5.668797032094025, 0.28349231096773764),
+              (-0.7043519666842182, 4.382035732975394)], 0.19421332701753422),
+            ([(850.12583949469, 2731.3323768705363), (619.8903427220022, 2291.946092678816),
+              (302.99075100137827, 1846.9722002555677)], 0.8623039352733098),
+            ([(-0.00026717850335115245, 0.0008059448994658684),
+              (-0.00019674925693070343, -6.715641155444438e-05),
+              (-0.00018240566290994044, 0.0008916878983559357)], 0.9210036420614092),
+        ],
+    )
+    def test_pages_where_only_the_exact_test_tells_the_threshold(self, intervals, threshold):
+        # A search that widened its candidate pairs by no slack got each of
+        # these pages wrong: a pair's ratio sits on the threshold.
+        doc = make_doc([Token(i, "T", BBox(0.0, lo, 1.0, hi)) for i, (lo, hi) in enumerate(intervals)])
+        lines = detect_lines_geometric(doc, threshold)
+        assert list(enumerate(lines)) == oracle_detect_lines(doc, threshold)
+
+    @pytest.mark.parametrize("threshold", [0.1, 0.4, 1.0])
+    def test_an_inverted_box_is_a_line_of_its_own(self, threshold):
+        # A box with y_min > y_max overlaps nothing, not even a box with the
+        # same interval, so two equal inverted boxes are two lines.
+        doc = make_doc(
+            [
+                Token(0, "UP", BBox(0.1, 0.4, 0.2, 0.3)),
+                Token(1, "UP", BBox(0.3, 0.4, 0.4, 0.3)),
+                Token(2, "FLAT", BBox(0.5, 0.35, 0.6, 0.35)),
+                Token(3, "TALL", BBox(0.7, 0.2, 0.8, 0.5)),
+            ]
+        )
+        lines = detect_lines_geometric(doc, threshold)
+        assert list(enumerate(lines)) == oracle_detect_lines(doc, threshold)
+        assert lines == [(0,), (1,), (2, 3)]
+
 
 def count_overlap_tests(monkeypatch) -> list[int]:
     """Wrap the overlap test; the returned one-item list counts its calls."""
@@ -320,6 +385,47 @@ def test_a_row_of_identical_boxes_makes_a_linear_number_of_overlap_tests(monkeyp
     assert calls[0] <= n
     assert list(enumerate(lines)) == oracle_detect_lines(doc)
     assert len(lines) == 1
+
+
+def jittered_rows(*lengths: int) -> Document:
+    """Rows of boxes, each left to right, with heights of 0.009-0.011 and
+    tops jittered by +-0.001: every pair in a row overlaps by more than 0.6
+    of the shorter box, and no two boxes share an interval. Each row's tops
+    sit 0.0098 below the row above, so a box of the lower row starts about
+    0.0002 above the upper row's bottom: the rows touch, and no pair across
+    them overlaps by 0.4."""
+    rng = random.Random(sum(lengths))
+    tokens = []
+    for row, n in enumerate(lengths):
+        for i in range(n):
+            y_min = 0.5 + 0.0098 * row + rng.uniform(-0.001, 0.001)
+            bbox = BBox(i / n, y_min, (i + 0.5) / n, y_min + rng.uniform(0.009, 0.011))
+            tokens.append(Token(len(tokens), "W", bbox))
+    return make_doc(tokens)
+
+
+@pytest.mark.parametrize("lengths", [(4000,), (2000, 2000)])
+def test_jittered_rows_make_a_linear_number_of_overlap_tests(monkeypatch, lengths):
+    # A sweep over distinct intervals compares every pair of boxes that
+    # meet: all n * (n - 1) / 2 of one row, and of two rows that touch.
+    doc = jittered_rows(*lengths)
+    n = len(doc.tokens)
+    calls = count_overlap_tests(monkeypatch)
+    lines = detect_lines_geometric(doc)
+    assert 0 < calls[0] < 2 * n
+    starts = list(accumulate(lengths, initial=0))
+    assert lines == [tuple(range(a, b)) for a, b in pairwise(starts)]
+
+
+@pytest.mark.parametrize("lengths", [(2000,), (1000, 1000)])
+def test_jittered_rows_cost_near_linear_time(lengths):
+    # Four times the boxes cost about five times as much: one sort, and
+    # cache misses that grow with the page, which read 3.3x to 8.7x on a
+    # shared 2-core VM. Comparing every pair costs sixteen times or more.
+    small, large = jittered_rows(*lengths), jittered_rows(*(4 * n for n in lengths))
+    per_small = cpu_seconds_per_call(lambda: detect_lines_geometric(small), 10)
+    per_large = cpu_seconds_per_call(lambda: detect_lines_geometric(large), 2)
+    assert per_large <= 12 * per_small
 
 
 # --------------------------------------------------------------------------
