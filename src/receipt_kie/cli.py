@@ -8,7 +8,9 @@ Four subcommands::
     receipt-kie render  RESULT_FILE OCR_FILE --out FILE.svg
 
 ``eval`` and ``render`` refuse a result whose doc id, token count or any
-token box differs from those of the page it is read with.
+token box differs from those of the page it is read with. With two CPUs,
+``eval`` scores the second half of its result files in a forked helper
+process; its output, exit code and error line are those of one process.
 
 Errors and warnings go to stderr, one line each, as
 ``ERROR receipt_kie.cli: <message>`` or ``WARNING receipt_kie.cli: <message>``;
@@ -307,33 +309,34 @@ def _check_same_page(path: Path, doc: Document, page: Document, page_name: str =
     )
 
 
-def _read_pairs(
-    results: Sequence[str], truth_dir: Path
-) -> Iterator[tuple[DocPrediction, TruthEntry]]:
-    """Each result file under ``results``, in ``_expand`` order, with the
-    truth page of its doc id in ``truth_dir``, read one document at a time.
+def _claim(seen: dict[str, Path], doc_id: str, path: Path) -> None:
+    """Record that ``path`` holds ``doc_id``; an id already read is refused."""
+    if doc_id in seen:
+        raise CorpusMismatchError(
+            f"{path}: duplicate doc_id {doc_id!r} (already read from {seen[doc_id]})"
+        )
+    seen[doc_id] = path
 
-    A result whose doc id has no ``*.truth.json``, or was already read, or
-    that was not decoded from its truth page is refused, and so, after the
-    last result, is a truth doc that no result names."""
-    truth_ids = {path.name[: -len(".truth.json")] for path in truth_dir.glob("*.truth.json")}
-    if not truth_ids:
-        raise CorpusMismatchError(f"no *.truth.json files in {truth_dir}")
-    seen: dict[str, Path] = {}
+
+def _read_pairs(
+    files: Sequence[Path], truth_dir: Path, truth_ids: set[str], seen: dict[str, Path]
+) -> Iterator[tuple[DocPrediction, TruthEntry]]:
+    """Each result file of ``files``, in order, with the truth page of its
+    doc id in ``truth_dir``, read one document at a time. Each doc id read
+    goes into ``seen``, checked against the ids already there, before the
+    result is checked against its truth.
+
+    A result whose doc id is not in ``truth_ids``, or was already read, or
+    that was not decoded from its truth page is refused."""
     # Truth paths are joined as strings, printed as pathlib prints them: a
     # doc id is a plain file name, and "." is no prefix.
     prefix = "" if str(truth_dir) == "." else os.path.join(truth_dir, "")
-    for path in _expand(results, lambda p: p.name.endswith(".result.json")):
+    for path in files:
         # The yield stays outside the pause: a generator left suspended or
         # abandoned never leaves the collector off.
         with _collector_paused():
             doc, groups = _parse_file(path, parse_result)
-            if doc.doc_id in seen:
-                raise CorpusMismatchError(
-                    f"{path}: duplicate doc_id {doc.doc_id!r} "
-                    f"(already read from {seen[doc.doc_id]})"
-                )
-            seen[doc.doc_id] = path
+            _claim(seen, doc.doc_id, path)
             if doc.doc_id not in truth_ids:
                 raise CorpusMismatchError(f"{path}: no ground truth for doc_id {doc.doc_id!r}")
             page = _parse_file(f"{prefix}{doc.doc_id}.json", parse_ocr)
@@ -341,9 +344,69 @@ def _read_pairs(
             _check_same_page(path, doc, page)
             pair = DocPrediction.from_groups(doc, groups), (page, products)
         yield pair
+
+
+def _score(results: Sequence[str], truth_dir: Path, mode: MatchMode) -> EvalReport:
+    """The report on the result files under ``results``, in ``_expand``
+    order, each scored against its truth page in ``truth_dir``. After the
+    last result, a truth doc that no result names is refused.
+
+    With two files or more and two CPUs, a forked helper scores the second
+    half of the files while this process scores the first (the CLI runs no
+    thread, so the fork is safe). The helper sends back its report, the doc
+    ids it read and its first error. They are merged in file order, so the
+    report and the error raised are those of one process reading every file."""
+    truth_ids = {path.name[: -len(".truth.json")] for path in truth_dir.glob("*.truth.json")}
+    if not truth_ids:
+        raise CorpusMismatchError(f"no *.truth.json files in {truth_dir}")
+    files = _expand(results, lambda p: p.name.endswith(".result.json"))
+    seen: dict[str, Path] = {}
+    half = len(files) // 2 if len(os.sched_getaffinity(0)) >= 2 else 0
+    if not half:
+        report = build_report(_read_pairs(files, truth_dir, truth_ids, seen), mode)
+    else:
+        # Imported here, before the fork: importing the CLI stays cheap.
+        import pickle
+        import signal
+
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the helper, which never returns
+            try:
+                read: dict[str, Path] = {}
+                report = error = None
+                try:
+                    report = build_report(_read_pairs(files[half:], truth_dir, truth_ids, read), mode)
+                except Exception as exc:  # the parent raises it
+                    error = exc
+                data = pickle.dumps((report, list(read), error))
+                with open(write_fd, "wb") as pipe:
+                    pipe.write(data)
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        try:
+            report = build_report(_read_pairs(files[:half], truth_dir, truth_ids, seen), mode)
+            # _parse_file closes the descriptor it reads: it gets a copy.
+            other, ids, error = _parse_file(os.dup(read_fd), pickle.loads)
+        finally:
+            os.close(read_fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        # The helper's ids include that of a document it failed on after
+        # reading it: one process would find that id a duplicate first.
+        for path, doc_id in zip(files[half:], ids):
+            _claim(seen, doc_id, path)
+        if error is not None:
+            try:
+                raise error
+            finally:
+                del error  # its traceback holds this frame: no cycle through a local
+        report += other
     missing = sorted(truth_ids - seen.keys())
     if missing:
         raise CorpusMismatchError(f"no predictions for {', '.join(missing[:5])}")
+    return report
 
 
 # --min-f1 names map to the report's keys.
@@ -375,10 +438,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     mode = MatchMode.STRICT_OCR if args.mode == "strict" else MatchMode.TAG_ONLY
     truth_dir = Path(args.truth)
-    report = build_report(_read_pairs(args.results, truth_dir), mode)
+    report = _score(args.results, truth_dir, mode)
 
     if args.compare:
-        other = build_report(_read_pairs([args.compare], truth_dir), mode)
+        other = _score([args.compare], truth_dir, mode)
         primary_name = Path(args.results[0]).name or "results"
         other_name = Path(args.compare).name or "compare"
         print(_comparison_table([(primary_name, report), (other_name, other)]))

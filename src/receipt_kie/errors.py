@@ -20,6 +20,12 @@ class MalformedJsonError(ReceiptKieError):
         super().__init__(f"{message} (byte offset {byte_offset})")
         self.byte_offset = byte_offset
 
+    def __reduce__(self):
+        # ``args`` hold the finished message, which a caller may have
+        # prefixed with a path: unpickling rebuilds it without ``__init__``,
+        # which would append the offset again.
+        return type(self).__new__, (type(self), *self.args), self.__dict__
+
 
 class SchemaError(ReceiptKieError):
     """Input is valid JSON but does not match the expected shape.

@@ -239,6 +239,16 @@ class EvalReport(NamedTuple):
     entities: dict[EntityLabel, EntityCounts]
     whole_products: EntityCounts
 
+    # Overrides tuple concatenation: reports of one mode on two shares of a
+    # corpus add up to the report on the whole corpus.
+    def __add__(self, other: "EvalReport") -> "EvalReport":
+        return EvalReport(
+            self.mode,
+            self.corpus_size + other.corpus_size,
+            {label: self.entities[label] + other.entities[label] for label in ENTITY_ORDER},
+            self.whole_products + other.whole_products,
+        )
+
     def as_dict(self) -> dict[str, object]:
         return {
             "mode": self.mode.value,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import time
+from typing import Callable
 
 from receipt_kie.model import BBox, Document, EntityLabel, LabelSource, Token
 
@@ -46,18 +47,21 @@ def make_doc(tokens, doc_id: str = "doc-1", page=(PAGE_W, PAGE_H)) -> Document:
     )
 
 
-def cpu_seconds_per_call(call, calls: int) -> float:
-    """The least process CPU time of ``calls`` calls, of five tries, per call.
+def cpu_seconds_per_call(*runs: tuple[Callable[[], object], int]) -> list[float]:
+    """For each ``(call, calls)`` of ``runs``, the least process CPU time of
+    ``calls`` calls, of five rounds, per call. Each round times every run
+    in turn, so a slow phase of a shared machine hits each input alike.
     The cyclic collector is off while they run: a collection walks every
     object of the test process, not only the page's."""
-    best = float("inf")
+    best = [float("inf")] * len(runs)
     gc.disable()
     try:
         for _ in range(5):
-            start = time.process_time()
-            for _ in range(calls):
-                call()
-            best = min(best, time.process_time() - start)
+            for k, (call, calls) in enumerate(runs):
+                start = time.process_time()
+                for _ in range(calls):
+                    call()
+                best[k] = min(best[k], time.process_time() - start)
     finally:
         gc.enable()
-    return best / calls
+    return [least / calls for least, (_, calls) in zip(best, runs)]

@@ -7,6 +7,8 @@ import io
 import json
 import logging
 import os
+import pickle
+import shutil
 import stat
 import subprocess
 import sys
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from receipt_kie import cli, evaluation, ingest
+from receipt_kie import cli, errors, evaluation, ingest
 from receipt_kie.cli import main
 from receipt_kie.ingest import canonical_json
 from receipt_kie.model import LabelSource
@@ -1111,25 +1113,36 @@ class TestEvalCommand:
         error = error_line(run_module("eval", "--results", *results, "--truth", truth))
         assert error.endswith(f"no predictions for {doc_id}")
 
+    @pytest.mark.parametrize("cpus, shares", [(1, [20]), (2, [10, 10])])
     def test_each_result_is_scored_before_the_next_is_read(
-        self, corpus_dir, results_dir, monkeypatch
+        self, corpus_dir, results_dir, tmp_path, monkeypatch, cpus, shares
     ):
-        calls = []
+        # Each call is logged with its process to a file: the helper's
+        # memory dies with it.
+        log = tmp_path / "calls.log"
 
         def logged(name, fn):
             def call(*args, **kwargs):
-                calls.append(name)
+                with log.open("a") as fh:
+                    fh.write(f"{os.getpid()} {name}\n")
                 return fn(*args, **kwargs)
 
             return call
 
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(cli, "parse_result", logged("parse", cli.parse_result))
         monkeypatch.setattr(
             evaluation, "score_whole_products",
             logged("score", evaluation.score_whole_products),
         )
         assert run_cli("eval", "--results", results_dir, "--truth", corpus_dir) == 0
-        assert calls == ["parse", "score"] * 20
+        calls: dict[str, list[str]] = {}
+        for line in log.read_text().splitlines():
+            pid, step = line.split()
+            calls.setdefault(pid, []).append(step)
+        # This process scores the first share, the helper the second.
+        assert calls.pop(str(os.getpid())) == ["parse", "score"] * shares[0]
+        assert list(calls.values()) == [["parse", "score"] * n for n in shares[1:]]
 
     def test_a_token_in_two_groups_is_refused(self, corpus_dir, results_dir, tmp_path):
         # Group 0 lists each of its tokens twice, and a copy of it follows
@@ -1145,6 +1158,166 @@ class TestEvalCommand:
         assert error == (
             f"ERROR receipt_kie.cli: {victim}: product 0: token id {tid} already belongs to product 0"
         )
+
+
+# --------------------------------------------------------------------------
+# eval in two processes
+
+
+_ERROR_CLASSES = [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.ReceiptKieError)
+]
+
+
+@pytest.mark.parametrize("cls", _ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_package_error_survives_a_pickle_round_trip(cls, tmp_path):
+    # The eval helper sends its error to the parent as a pickle, after
+    # _parse_file has put the file's path in front of the message.
+    args = ("bad input", 12) if cls is errors.MalformedJsonError else ("bad input",)
+    path = tmp_path / "input.json"
+    path.write_bytes(b"{}")
+
+    def fail(data):
+        raise cls(*args)
+
+    with pytest.raises(cls) as caught:
+        cli._parse_file(path, fail)
+    assert str(caught.value).startswith(f"{path}: bad input")
+    for exc in (cls(*args), caught.value):
+        copy = pickle.loads(pickle.dumps(exc))
+        assert (type(copy), str(copy)) == (type(exc), str(exc))
+        assert vars(copy) == vars(exc)
+
+
+def _truncate(results: Path, truth: Path, doc_id: str) -> None:
+    path = results / f"{doc_id}.result.json"
+    path.write_bytes(path.read_bytes()[:50])
+
+
+def _copy_off_its_page(results: Path, truth: Path, doc_id: str) -> None:
+    # Read alone, the copy fails the page check after its doc id was read.
+    payload = json.loads((results / f"{doc_id}.result.json").read_bytes())
+    box = payload["tokens"][-1]["bbox"]
+    box["y_max"] = (box["y_min"] + box["y_max"]) / 2
+    (results / "zz-copy.result.json").write_text(json.dumps(payload))
+
+
+# Each damage to the result of one doc id, done to the 4th (read by this
+# process) or to the 16th (read by the helper) of the module's 20 results.
+# A copy named "0-copy" sorts first, one named "zz-copy" last.
+_DAMAGES = {
+    "truncated result": _truncate,
+    "missing OCR file": lambda results, truth, doc_id: (truth / f"{doc_id}.json").unlink(),
+    "duplicate doc id": lambda results, truth, doc_id: shutil.copy(
+        results / f"{doc_id}.result.json", results / "zz-copy.result.json"
+    ),
+    "duplicate doc id read first": lambda results, truth, doc_id: shutil.copy(
+        results / f"{doc_id}.result.json", results / "0-copy.result.json"
+    ),
+    "duplicate doc id off its page": _copy_off_its_page,
+    "result with no truth": (
+        lambda results, truth, doc_id: (truth / f"{doc_id}.truth.json").unlink()
+    ),
+    "truth doc with no result": (
+        lambda results, truth, doc_id: (results / f"{doc_id}.result.json").unlink()
+    ),
+}
+
+
+class TestTwoProcessEval:
+    """With two CPUs, eval forks a helper that scores the second half of
+    the results; stdout, ``--json-out``, the exit code and the error are
+    those of one process."""
+
+    @pytest.fixture(scope="class")
+    def raw_results_dir(self, corpus_dir, tmp_path_factory) -> Path:
+        out = tmp_path_factory.mktemp("results-raw")
+        assert run_cli(
+            "decode", corpus_dir / "pred", "--out", out, "--no-corrections",
+            "--tagger", "import", "--predictions", corpus_dir / "pred",
+        ) == 0
+        return out
+
+    @staticmethod
+    def outcome(argv, cpus, tmp_path, monkeypatch, capsys):
+        """Exit code (or the ``ValueError`` raised), stdout, stderr and the
+        ``--json-out`` bytes of ``eval`` with ``cpus`` CPUs, and the
+        number of helpers it forked. No child is left behind."""
+        forks = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(os, "fork", lambda fork=os.fork: forks.append(1) or fork())
+        json_out = tmp_path / f"report-{cpus}.json"
+        try:
+            code = run_cli("eval", *argv, "--json-out", json_out)
+        except ValueError as exc:
+            code = (type(exc), str(exc))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        out, err = capsys.readouterr()
+        return (code, out, err, json_out.read_bytes() if json_out.exists() else None), len(forks)
+
+    def assert_same_in_both(self, argv, tmp_path, monkeypatch, capsys, forks=1):
+        one, none_forked = self.outcome(argv, 1, tmp_path, monkeypatch, capsys)
+        two, forked = self.outcome(argv, 2, tmp_path, monkeypatch, capsys)
+        assert (none_forked, forked) == (0, forks)
+        assert two == one
+        return one
+
+    @pytest.mark.parametrize("flags, first_line", [
+        (["--mode", "tag"], "mode: tag   documents: 20"),
+        (["--mode", "strict"], "mode: strict   documents: 20"),
+        (["--compare"], "run "),
+    ])
+    def test_a_clean_corpus(
+        self, corpus_dir, results_dir, raw_results_dir, tmp_path, monkeypatch, capsys,
+        flags, first_line,
+    ):
+        if flags == ["--compare"]:
+            flags = ["--compare", raw_results_dir]
+        argv = ["--results", results_dir, "--truth", corpus_dir, *flags]
+        code, out, err, report = self.assert_same_in_both(
+            argv, tmp_path, monkeypatch, capsys, forks=2 if "--compare" in flags else 1
+        )
+        assert (code, err) == (0, "")
+        assert out.startswith(first_line)
+
+    @pytest.mark.parametrize("index", [3, 15])
+    @pytest.mark.parametrize("damage", _DAMAGES)
+    def test_a_damaged_corpus(
+        self, corpus_dir, results_dir, tmp_path, monkeypatch, capsys, damage, index
+    ):
+        results, truth = tmp_path / "results", tmp_path / "truth"
+        results.mkdir()
+        truth.mkdir()
+        for path in results_dir.glob("*.result.json"):
+            (results / path.name).write_bytes(path.read_bytes())
+        for path in corpus_dir.glob("*.json"):
+            (truth / path.name).write_bytes(path.read_bytes())
+        doc_id = sorted(results.iterdir())[index].name[: -len(".result.json")]
+        _DAMAGES[damage](results, truth, doc_id)
+        argv = ["--results", results, "--truth", truth]
+        code, out, err, report = self.assert_same_in_both(argv, tmp_path, monkeypatch, capsys)
+        assert code == 1
+        assert err.startswith("ERROR receipt_kie.cli: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("index", [3, 15])
+    def test_a_value_error_propagates(
+        self, corpus_dir, results_dir, tmp_path, monkeypatch, capsys, index
+    ):
+        victim = sorted(results_dir.glob("*.result.json"))[index].name[: -len(".result.json")]
+        parse = cli.parse_ground_truth
+
+        def failing(data, page):
+            if page.doc_id == victim:
+                raise ValueError(f"no truth for {page.doc_id} today")
+            return parse(data, page)
+
+        monkeypatch.setattr(cli, "parse_ground_truth", failing)
+        argv = ["--results", results_dir, "--truth", corpus_dir]
+        code, out, err, report = self.assert_same_in_both(argv, tmp_path, monkeypatch, capsys)
+        assert code == (ValueError, f"no truth for {victim} today")
+        assert (out, err, report) == ("", "", None)
 
 
 # --------------------------------------------------------------------------
@@ -1175,11 +1348,11 @@ def long_receipt(tmp_path_factory) -> Path:
     return out
 
 
-def _damaged_results(results_dir: Path, out: Path) -> Path:
-    """``results_dir``'s results with the first one truncated."""
+def _damaged_results(results_dir: Path, out: Path, victim: int = 0) -> Path:
+    """``results_dir``'s results with the one at index ``victim`` truncated."""
     out.mkdir()
     for i, path in enumerate(sorted(results_dir.glob("*.result.json"))):
-        (out / path.name).write_bytes(path.read_bytes()[: 50 if i == 0 else None])
+        (out / path.name).write_bytes(path.read_bytes()[: 50 if i == victim else None])
     return out
 
 
@@ -1241,6 +1414,11 @@ _COMMANDS = {
     "eval": lambda c, r, bad, tmp: (["eval", "--results", r, "--truth", c], 0),
     "eval a damaged result": lambda c, r, bad, tmp: (
         ["eval", "--results", _damaged_results(r, tmp / "damaged"), "--truth", c], 1
+    ),
+    # The last of the 20 results is read by the helper process, which sends
+    # its error back.
+    "eval a damaged last result": lambda c, r, bad, tmp: (
+        ["eval", "--results", _damaged_results(r, tmp / "damaged", 19), "--truth", c], 1
     ),
 }
 
@@ -1308,7 +1486,9 @@ class TestCollectorPause:
     def test_a_suspended_or_closed_eval_reader_leaves_the_collector_on(
         self, corpus_dir, results_dir
     ):
-        pairs = cli._read_pairs([str(results_dir)], corpus_dir)
+        files = sorted(results_dir.glob("*.result.json"))
+        truth_ids = {path.name[: -len(".truth.json")] for path in corpus_dir.glob("*.truth.json")}
+        pairs = cli._read_pairs(files, corpus_dir, truth_ids, {})
         next(pairs)
         assert gc.isenabled()
         pairs.close()

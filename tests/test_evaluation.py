@@ -366,8 +366,9 @@ def test_whole_product_alignment_is_linear_in_the_products_of_a_page():
     # that tries every product for every group costs about sixteen times.
     small, large = _page_of(100), _page_of(400)
     assert score_whole_products(*large) == EntityCounts(tp=400, fp=0, fn=0)
-    per_small = cpu_seconds_per_call(lambda: score_whole_products(*small), 40)
-    per_large = cpu_seconds_per_call(lambda: score_whole_products(*large), 10)
+    per_small, per_large = cpu_seconds_per_call(
+        (lambda: score_whole_products(*small), 40), (lambda: score_whole_products(*large), 10)
+    )
     assert per_large <= 6 * per_small
 
 

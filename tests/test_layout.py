@@ -423,8 +423,9 @@ def test_jittered_rows_cost_near_linear_time(lengths):
     # cache misses that grow with the page, which read 3.3x to 8.7x on a
     # shared 2-core VM. Comparing every pair costs sixteen times or more.
     small, large = jittered_rows(*lengths), jittered_rows(*(4 * n for n in lengths))
-    per_small = cpu_seconds_per_call(lambda: detect_lines_geometric(small), 10)
-    per_large = cpu_seconds_per_call(lambda: detect_lines_geometric(large), 2)
+    per_small, per_large = cpu_seconds_per_call(
+        (lambda: detect_lines_geometric(small), 10), (lambda: detect_lines_geometric(large), 2)
+    )
     assert per_large <= 12 * per_small
 
 
