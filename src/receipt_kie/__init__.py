@@ -11,7 +11,8 @@ The pipeline: OCR words in, labeled tokens and product groups out.
    from each group's untagged words.
 5. :mod:`receipt_kie.evaluation` scores the result against ground truth.
 
-:mod:`receipt_kie.synth` generates deterministic test corpora and
+:mod:`receipt_kie.synth`, imported on its own (``from receipt_kie.synth
+import ...``), generates deterministic test corpora, and
 :mod:`receipt_kie.cli` wires everything into the ``receipt-kie`` command.
 """
 
@@ -63,37 +64,10 @@ from .tagging import heuristic_tag, import_predictions
 
 __version__ = "0.1.0"
 
-# The names served from :mod:`receipt_kie.synth`, which is imported on the
-# first read of one of them (PEP 562): the CLI and most library users
-# never generate a corpus, and synth loads ``dataclasses`` and ``hashlib``.
-_SYNTH_EXPORTS = (
-    "CorpusSpec",
-    "CorruptionSpec",
-    "as_model_predictions",
-    "corrupt_predictions",
-    "generate_corpus",
-    "write_corpus",
-)
-
-
-def __getattr__(name: str) -> object:
-    if name in _SYNTH_EXPORTS:
-        from . import synth
-
-        return getattr(synth, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted([*globals(), *_SYNTH_EXPORTS])
-
-
 __all__ = [
     "BBox",
     "CorpusMismatchError",
-    "CorpusSpec",
     "CorrectionRecord",
-    "CorruptionSpec",
     "DocPrediction",
     "Document",
     "EntityCounts",
@@ -110,12 +84,9 @@ __all__ = [
     "Token",
     "TokenReferenceError",
     "apply_corrections",
-    "as_model_predictions",
     "assign_entities",
     "build_report",
-    "corrupt_predictions",
     "detect_lines_geometric",
-    "generate_corpus",
     "group_product_lines",
     "heuristic_tag",
     "import_predictions",
@@ -128,5 +99,4 @@ __all__ = [
     "score_entities",
     "score_whole_products",
     "serialize_result",
-    "write_corpus",
 ]

@@ -8,9 +8,9 @@ Four subcommands::
     receipt-kie render  RESULT_FILE OCR_FILE --out FILE.svg
 
 ``eval`` and ``render`` refuse a result whose doc id, token count or any
-token box differs from those of the page it is read with. With two CPUs,
-``eval`` scores the second half of its result files in a forked helper
-process; its output, exit code and error line are those of one process.
+token box differs from those of the page it is read with. With two CPUs
+and ``os.fork``, ``eval`` scores the second half of its result files in a
+forked helper; its output, exit code and error line are those of one process.
 
 Errors and warnings go to stderr, one line each, as
 ``ERROR receipt_kie.cli: <message>`` or ``WARNING receipt_kie.cli: <message>``;
@@ -170,6 +170,12 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
+def _dir_prefix(directory: Path) -> str:
+    """The prefix of a file name's path in ``directory``, printed as pathlib
+    prints it: ``"."`` is none."""
+    return "" if str(directory) == "." else os.path.join(directory, "")
+
+
 def _parse_file(path: Path | str, parse: Callable[..., Any], *args: Any) -> Any:
     """``parse(contents of path, *args)``, the CLI's one file read, made
     unbuffered: the whole file is read at once. A package error names the
@@ -209,8 +215,7 @@ def _import_tagger(predictions: Path) -> Callable[[Document], Document]:
     directory whose ``<doc_id>.pred.json`` is read as that document is
     tagged, or one file, read here for its doc id and again at tag time."""
     if predictions.is_dir():
-        # Joined as strings, printed as pathlib prints them, like truth paths.
-        prefix = "" if str(predictions) == "." else os.path.join(predictions, "")
+        prefix = _dir_prefix(predictions)
         return lambda doc: _parse_file(
             f"{prefix}{doc.doc_id}{_PRED_SUFFIX}", partial(tagging.import_predictions, doc)
         )
@@ -328,9 +333,7 @@ def _read_pairs(
 
     A result whose doc id is not in ``truth_ids``, or was already read, or
     that was not decoded from its truth page is refused."""
-    # Truth paths are joined as strings, printed as pathlib prints them: a
-    # doc id is a plain file name, and "." is no prefix.
-    prefix = "" if str(truth_dir) == "." else os.path.join(truth_dir, "")
+    prefix = _dir_prefix(truth_dir)
     for path in files:
         # The yield stays outside the pause: a generator left suspended or
         # abandoned never leaves the collector off.
@@ -351,17 +354,23 @@ def _score(results: Sequence[str], truth_dir: Path, mode: MatchMode) -> EvalRepo
     order, each scored against its truth page in ``truth_dir``. After the
     last result, a truth doc that no result names is refused.
 
-    With two files or more and two CPUs, a forked helper scores the second
-    half of the files while this process scores the first (the CLI runs no
-    thread, so the fork is safe). The helper sends back its report, the doc
-    ids it read and its first error. They are merged in file order, so the
-    report and the error raised are those of one process reading every file."""
+    With two files or more, two CPUs and ``os.fork``, a forked helper scores
+    the second half of the files while this process scores the first (the
+    CLI runs no thread, so the fork is safe). The helper sends back its
+    report, the doc ids it read and its first error. They are merged in file
+    order, so the report and the error raised are those of one process
+    reading every file. A helper that ends without sending them is a
+    ``ChildProcessError``."""
     truth_ids = {path.name[: -len(".truth.json")] for path in truth_dir.glob("*.truth.json")}
     if not truth_ids:
         raise CorpusMismatchError(f"no *.truth.json files in {truth_dir}")
     files = _expand(results, lambda p: p.name.endswith(".result.json"))
     seen: dict[str, Path] = {}
-    half = len(files) // 2 if len(os.sched_getaffinity(0)) >= 2 else 0
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # macOS
+        cpus = os.cpu_count() or 1
+    half = len(files) // 2 if cpus >= 2 and hasattr(os, "fork") else 0
     if not half:
         report = build_report(_read_pairs(files, truth_dir, truth_ids, seen), mode)
     else:
@@ -388,11 +397,17 @@ def _score(results: Sequence[str], truth_dir: Path, mode: MatchMode) -> EvalRepo
         try:
             report = build_report(_read_pairs(files[:half], truth_dir, truth_ids, seen), mode)
             # _parse_file closes the descriptor it reads: it gets a copy.
-            other, ids, error = _parse_file(os.dup(read_fd), pickle.loads)
+            data = _parse_file(os.dup(read_fd), bytes)
         finally:
             os.close(read_fd)
             os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            status = os.waitpid(pid, 0)[1]
+        try:
+            other, ids, error = pickle.loads(data)
+        except (EOFError, pickle.UnpicklingError):  # it ended before it wrote all
+            code = os.waitstatus_to_exitcode(status)
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise ChildProcessError(f"the eval helper process {how} before it sent its report")
         # The helper's ids include that of a document it failed on after
         # reading it: one process would find that id a duplicate first.
         for path, doc_id in zip(files[half:], ids):

@@ -14,17 +14,7 @@ class ReceiptKieError(Exception):
 
 
 class MalformedJsonError(ReceiptKieError):
-    """Input is not valid JSON. Carries the byte offset of the failure."""
-
-    def __init__(self, message: str, byte_offset: int) -> None:
-        super().__init__(f"{message} (byte offset {byte_offset})")
-        self.byte_offset = byte_offset
-
-    def __reduce__(self):
-        # ``args`` hold the finished message, which a caller may have
-        # prefixed with a path: unpickling rebuilds it without ``__init__``,
-        # which would append the offset again.
-        return type(self).__new__, (type(self), *self.args), self.__dict__
+    """Input is not valid JSON. The message ends with ``(byte offset N)``."""
 
 
 class SchemaError(ReceiptKieError):

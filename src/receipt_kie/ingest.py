@@ -30,7 +30,6 @@ stands for.
 from __future__ import annotations
 
 import json
-import sys
 import unicodedata
 from json.encoder import encode_basestring as _quote
 from typing import Any, Iterator, Mapping, Sequence
@@ -62,18 +61,18 @@ def _load_object(data: bytes | str) -> dict[str, Any]:
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as e:
-            raise MalformedJsonError("input is not valid UTF-8", e.start) from e
+            raise MalformedJsonError(f"input is not valid UTF-8 (byte offset {e.start})") from e
     else:
         text = data
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         offset = len(text[: e.pos].encode("utf-8"))
-        raise MalformedJsonError(e.msg, offset) from e
+        raise MalformedJsonError(f"{e.msg} (byte offset {offset})") from e
     except ValueError as e:  # an integer literal past the interpreter's digit limit
-        raise MalformedJsonError("integer literal has too many digits", 0) from e
+        raise MalformedJsonError("integer literal has too many digits (byte offset 0)") from e
     except RecursionError as e:
-        raise MalformedJsonError("arrays or objects nested too deeply", 0) from e
+        raise MalformedJsonError("arrays or objects nested too deeply (byte offset 0)") from e
     if not isinstance(raw, dict):
         raise SchemaError("top level: expected a JSON object")
     return raw
@@ -181,7 +180,7 @@ def _page_dims(raw: Any) -> tuple[int, int]:
     for name, value in (("width", width), ("height", height)):
         if type(value) is not int or value <= 0:
             raise SchemaError(f"page.{name}: expected a positive integer, got {value!r}")
-        if value > sys.float_info.max:  # coordinates are divided by it as floats
+        if value >= 2**53:  # a smaller size is exact as a float, as vertex tests need
             raise SchemaError(f"page.{name}: too large for a page size")
     return width, height
 
@@ -229,8 +228,8 @@ def parse_ocr(data: bytes | str) -> Document:
 
     Each field of a word is checked once, in the order the errors name
     them: the object, its text, its polygon, each vertex, its confidence.
-    The common value of a field (ASCII text, a vertex of two numbers on a
-    page below 2**53, a float confidence or none) passes an inline test;
+    The common value of a field (ASCII text, a vertex of two numbers on the
+    page, a float confidence or none) passes an inline test;
     any other value goes to the field's named check, which reads it or
     raises. A word's confidence must be a number in [0, 1] but is not
     kept: every token comes back with no confidence.
@@ -238,11 +237,6 @@ def parse_ocr(data: bytes | str) -> Document:
     raw = _load_object(data)
     doc_id = _doc_id(raw)
     width, height = _page_dims(_require(raw, "page", "top level"))
-    # Coordinates are compared with the page size before any conversion, so
-    # a huge integer cannot overflow. Below 2**53 that exact test decides as
-    # the test of the coordinate's float does; on a larger page every vertex
-    # takes the float test.
-    exact = width < 2**53 and height < 2**53
     words = _record_list(raw, "words")
 
     tokens: list[Token] = []
@@ -256,7 +250,8 @@ def parse_ocr(data: bytes | str) -> Document:
         if type(polygon) is not list or len(polygon) < 3:
             _require(word, "polygon", f"word {i}")
             raise SchemaError(f"word {i}: polygon needs at least 3 vertices")
-        # The envelope is taken as the vertices are checked. Strict tests keep
+        # The envelope is taken as the vertices are checked, before any float
+        # conversion, so a huge integer cannot overflow. Strict tests keep
         # the first of equal extremes, as min and max do (0 against -0.0).
         x_min = y_min = _INF
         x_max = y_max = -_INF
@@ -266,7 +261,6 @@ def parse_ocr(data: bytes | str) -> Document:
                 and len(vertex) == 2
                 and type(x := vertex[0]) in _NUMBER_TYPES
                 and type(y := vertex[1]) in _NUMBER_TYPES
-                and exact
                 and 0 <= x <= width
                 and 0 <= y <= height
             ):

@@ -5,14 +5,13 @@ its own definition (bar a short list of names kept for users, each with
 its reason), no dataclass or ``NamedTuple`` wraps a single field, only
 ``cli._collector_paused`` touches the garbage collector, only
 ``cli._parse_file`` reads a file, importing the CLI loads no heavy
-standard-library module, and only a read of a synth name loads ``synth``.
+standard-library module, and importing the package loads no ``synth``.
 
 No linter ships with the project, so this stands in for the checks that
 matter most after code is removed: an import, a helper or an enum member
 left behind. ``__init__`` re-exports names: instead of the import check, its
-``__all__`` must list exactly the names it imports and the names its
-``__getattr__`` serves from ``synth``, sorted. A line marked ``# noqa: F401``
-is exempt, as under flake8.
+``__all__`` must list exactly the names it imports, sorted. A line marked
+``# noqa: F401`` is exempt, as under flake8.
 """
 
 from __future__ import annotations
@@ -242,8 +241,8 @@ def test_every_public_name_and_enum_member_is_read():
 
 
 def test_the_package_exports_exactly_what_it_imports_in_sorted_order():
-    # Each exported name with the module it comes from: the eager imports,
-    # then the names ``__getattr__`` serves from synth on first read.
+    # Each exported name with the module it comes from. Synth is not among
+    # them: corpora are made with ``from receipt_kie.synth import ...``.
     tree = ast.parse(_SOURCES["__init__.py"])
     home = {
         alias.asname or alias.name: f"receipt_kie.{node.module}"
@@ -251,14 +250,14 @@ def test_the_package_exports_exactly_what_it_imports_in_sorted_order():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    home.update(dict.fromkeys(receipt_kie._SYNTH_EXPORTS, "receipt_kie.synth"))
     assert receipt_kie.__all__ == sorted(receipt_kie.__all__)
     assert sorted(home) == receipt_kie.__all__
     for name in receipt_kie.__all__:
         assert getattr(receipt_kie, name) is getattr(importlib.import_module(home[name]), name)
     assert set(receipt_kie.__all__) <= set(dir(receipt_kie))
-    with pytest.raises(AttributeError, match="no attribute 'write_corpora'"):
-        receipt_kie.write_corpora
+    assert not {"__getattr__", "__dir__"} & vars(receipt_kie).keys()
+    with pytest.raises(AttributeError, match="no attribute 'CorpusSpec'"):
+        receipt_kie.CorpusSpec
 
 
 def test_the_check_sees_an_unused_import():

@@ -74,17 +74,16 @@ class TestParseOcr:
         assert [t.token_id for t in doc.tokens] == [0, 1]
 
     def test_invalid_json_reports_byte_offset(self):
-        with pytest.raises(MalformedJsonError) as exc:
+        with pytest.raises(MalformedJsonError, match=r"^Expecting value \(byte offset 11\)$"):
             parse_ocr(b'{"doc_id": }')
-        assert exc.value.byte_offset == 11
 
     def test_byte_offset_counts_utf8_bytes(self):
         # "é" is two bytes in UTF-8, so the character offset and the byte
         # offset of the error disagree.
         bad = '{"doc_id": "é", "x": }'.encode("utf-8")
-        with pytest.raises(MalformedJsonError) as exc:
+        assert bad.index(b"}") == len('{"doc_id": "é", "x": ') + 1
+        with pytest.raises(MalformedJsonError, match=rf"\(byte offset {bad.index(b'}')}\)$"):
             parse_ocr(bad)
-        assert exc.value.byte_offset == bad.index(b"}")
 
     def test_invalid_utf8(self):
         with pytest.raises(MalformedJsonError):
@@ -162,6 +161,19 @@ class TestParseOcr:
     def test_page_size_must_be_a_positive_integer(self, size):
         with pytest.raises(SchemaError, match="page.height: expected a positive integer"):
             parse_ocr(json.dumps(ocr_payload(page={"width": 100, "height": size})))
+
+    @pytest.mark.parametrize("name", ["width", "height"])
+    def test_page_size_must_be_below_2_pow_53(self, name):
+        # Every smaller page size is exact as a float: a vertex on its edge reads.
+        page = {"width": 100, "height": 100, name: 2**53 - 1}
+        payload = ocr_payload(page=page)
+        payload["words"][0]["polygon"][2] = [page["width"], page["height"]]
+        doc = parse_ocr(json.dumps(payload))
+        assert (doc.page_width, doc.page_height) == (page["width"], page["height"])
+        assert doc.tokens[0].bbox[2:] == (1.0, 1.0)
+        payload["page"][name] = 2**53
+        with pytest.raises(SchemaError, match=rf"^page\.{name}: too large for a page size$"):
+            parse_ocr(json.dumps(payload))
 
     @pytest.mark.parametrize("where", ["vertex", "confidence", "page"])
     def test_integer_too_large_for_a_float_is_a_schema_error(self, where):
@@ -273,6 +285,17 @@ class TestResultRoundTrip:
         payload = json.loads(text)
         payload["products"][0]["token_ids"] = [9999]
         with pytest.raises(TokenReferenceError, match="9999"):
+            parse_result(json.dumps(payload))
+
+    @pytest.mark.parametrize("name", ["width", "height"])
+    def test_page_size_must_be_below_2_pow_53(self, labeled_receipt, name):
+        payload = json.loads(serialize_result(labeled_receipt, []))
+        payload["page"][name] = 2**53 - 1
+        doc, _ = parse_result(json.dumps(payload))
+        page = payload["page"]
+        assert (doc.page_width, doc.page_height) == (page["width"], page["height"])
+        payload["page"][name] = 2**53
+        with pytest.raises(SchemaError, match=rf"^page\.{name}: too large for a page size$"):
             parse_result(json.dumps(payload))
 
     @pytest.mark.parametrize("ids", [[0, 2], [0, 0]])
@@ -768,14 +791,15 @@ _MIXED = [[10, 20.5], [90.25, 20], [90, 30], [10.0, 30]]
 @example(payload=ocr_payload(words=[{"text": "A", "polygon": _MIXED, "confidence": 0}]))
 @example(payload=ocr_payload(words=[{"text": "A", "polygon": _MIXED, "confidence": 1}]))
 @example(payload=ocr_payload(words=[{"text": "A", "polygon": _MIXED, "confidence": 0.5}]))
-# float(2**53 + 1) is 2**53, inside a 2**53 page; float(2**53 + 3) is
-# 2**53 + 4, outside a 2**53 + 3 page.
+# The largest page: float(2**53 - 1) is exact, and float(2**53 + 1), which
+# is 2**53, lies off it. A page of 2**53 is refused.
 @example(
     payload=ocr_payload(
-        page={"width": 2**53, "height": 2**53 + 3},
-        words=[{"text": "A", "polygon": [[2**53 + 1, 0], [0, 2**53 + 3], [1, 1]]}],
+        page={"width": 2**53 - 1, "height": 2**53 - 1},
+        words=[{"text": "A", "polygon": [[2**53 - 1, 0], [0, 2**53 + 1], [1, 1]]}],
     )
 )
+@example(payload=ocr_payload(page={"width": 2**53, "height": 1}))
 # Two faults: the vertex is named, as it comes before the confidence.
 @example(
     payload=ocr_payload(
