@@ -7,8 +7,8 @@ Four subcommands::
     receipt-kie synth   --out DIR --seed N [corruption flags]
     receipt-kie render  RESULT_FILE OCR_FILE --out FILE.svg
 
-``eval`` and ``render`` refuse a result whose doc id, token count or any
-token box differs from those of the page it is read with. With two CPUs
+``eval`` and ``render`` refuse a result whose doc id, page size, token count
+or any token box differs from those of the page it is read with. With two CPUs
 and ``os.fork``, ``eval`` scores the second half of its result files in a
 forked helper; its output, exit code and error line are those of one process.
 
@@ -297,12 +297,15 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 def _check_same_page(path: Path, doc: Document, page: Document, page_name: str = "truth") -> None:
     """Refuse the result ``doc``, read from ``path``, unless it was decoded
-    from ``page``: the doc id, the token count and every token box must
-    match. Texts are not compared: OCR noise changes them, not the geometry."""
+    from ``page``: the doc id, page size, token count and every token box
+    must match. Texts are not compared: OCR noise changes them, not the geometry."""
     boxes = [tok.bbox for tok in doc.tokens]
     page_boxes = [tok.bbox for tok in page.tokens]
     if doc.doc_id != page.doc_id:
         problem = f"the result is for doc_id {doc.doc_id!r}"
+    elif (doc.page_width, doc.page_height) != (page.page_width, page.page_height):
+        size, page_size = (f"{d.page_width}x{d.page_height}" for d in (doc, page))
+        problem = f"page {size} differs ({page_name} has {page_size})"
     elif boxes != page_boxes:
         pairs = enumerate(zip(boxes, page_boxes))
         first = next((i for i, (a, b) in pairs if a != b), min(len(boxes), len(page_boxes)))
@@ -356,11 +359,10 @@ def _score(results: Sequence[str], truth_dir: Path, mode: MatchMode) -> EvalRepo
 
     With two files or more, two CPUs and ``os.fork``, a forked helper scores
     the second half of the files while this process scores the first (the
-    CLI runs no thread, so the fork is safe). The helper sends back its
-    report, the doc ids it read and its first error. They are merged in file
-    order, so the report and the error raised are those of one process
-    reading every file. A helper that ends without sending them is a
-    ``ChildProcessError``."""
+    CLI runs no thread, so the fork is safe). The helper sends its report
+    and doc ids only if its whole half scored cleanly; else this process
+    scores that half itself. Either way the report and the error raised are
+    those of one process reading every file."""
     truth_ids = {path.name[: -len(".truth.json")] for path in truth_dir.glob("*.truth.json")}
     if not truth_ids:
         raise CorpusMismatchError(f"no *.truth.json files in {truth_dir}")
@@ -381,16 +383,11 @@ def _score(results: Sequence[str], truth_dir: Path, mode: MatchMode) -> EvalRepo
         read_fd, write_fd = os.pipe()
         pid = os.fork()
         if pid == 0:  # the helper, which never returns
-            try:
+            try:  # on any error it sends nothing
                 read: dict[str, Path] = {}
-                report = error = None
-                try:
-                    report = build_report(_read_pairs(files[half:], truth_dir, truth_ids, read), mode)
-                except Exception as exc:  # the parent raises it
-                    error = exc
-                data = pickle.dumps((report, list(read), error))
+                report = build_report(_read_pairs(files[half:], truth_dir, truth_ids, read), mode)
                 with open(write_fd, "wb") as pipe:
-                    pipe.write(data)
+                    pipe.write(pickle.dumps((report, list(read))))
             finally:
                 os._exit(0)
         os.close(write_fd)
@@ -401,22 +398,13 @@ def _score(results: Sequence[str], truth_dir: Path, mode: MatchMode) -> EvalRepo
         finally:
             os.close(read_fd)
             os.kill(pid, signal.SIGKILL)
-            status = os.waitpid(pid, 0)[1]
+            os.waitpid(pid, 0)
         try:
-            other, ids, error = pickle.loads(data)
-        except (EOFError, pickle.UnpicklingError):  # it ended before it wrote all
-            code = os.waitstatus_to_exitcode(status)
-            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-            raise ChildProcessError(f"the eval helper process {how} before it sent its report")
-        # The helper's ids include that of a document it failed on after
-        # reading it: one process would find that id a duplicate first.
-        for path, doc_id in zip(files[half:], ids):
-            _claim(seen, doc_id, path)
-        if error is not None:
-            try:
-                raise error
-            finally:
-                del error  # its traceback holds this frame: no cycle through a local
+            other, ids = pickle.loads(data)
+            for path, doc_id in zip(files[half:], ids):
+                _claim(seen, doc_id, path)
+        except (EOFError, pickle.UnpicklingError):  # it failed, or ended before it wrote all
+            other = build_report(_read_pairs(files[half:], truth_dir, truth_ids, seen), mode)
         report += other
     missing = sorted(truth_ids - seen.keys())
     if missing:

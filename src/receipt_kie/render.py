@@ -26,11 +26,21 @@ _GROUP_RAMP_START = (30, 80, 255)  # blue
 _GROUP_RAMP_END = (142, 36, 170)  # purple
 
 
+# XML 1.0 forbids the C0 controls other than tab, newline and carriage
+# return, and U+FFFE and U+FFFF, even as character references; the readers
+# accept them in a doc id or a token text.
+_XML_TEXT = {
+    **dict.fromkeys([*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF], "\ufffd"),
+    ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;",
+}
+
+
 def _escape(text: str) -> str:
-    """``text`` as XML character data: ``&``, ``<`` and ``>`` escaped, ``&``
-    first, as ``xml.sax.saxutils.escape`` does. That module is not imported:
-    it pulls in ``urllib`` and ``email`` on every command's startup."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """``text`` as XML character data: each character XML forbids becomes
+    U+FFFD, then ``&``, ``<`` and ``>`` are escaped as
+    ``xml.sax.saxutils.escape`` does. That module is not imported: it pulls
+    in ``urllib`` and ``email`` on every command's startup."""
+    return text.translate(_XML_TEXT)
 
 
 def _group_stroke(index: int, count: int) -> str:

@@ -992,18 +992,39 @@ class TestEvalCommand:
         victim, donor = sorted(bad.glob("*.result.json"))[:2]
         payload = json.loads(victim.read_text())
         if damage == "another-page":
-            payload = {**json.loads(donor.read_text()), "doc_id": payload["doc_id"]}
-            token_id = 0
+            # The donor page is of another height: the sizes differ first.
+            other = json.loads(donor.read_text())
+            size, donor_size = (f"{p['page']['width']}x{p['page']['height']}" for p in (payload, other))
+            assert size != donor_size
+            payload = {**other, "doc_id": payload["doc_id"]}
+            problem = f": page {donor_size} differs (truth has {size})"
         else:
-            token_id = 5
-            payload["tokens"][token_id]["bbox"]["y_min"] -= 0.001
+            payload["tokens"][5]["bbox"]["y_min"] -= 0.001
+            problem = ": token 5 differs"
         victim.write_text(json.dumps(payload))
         for flags in (["--results", bad], ["--results", results_dir, "--compare", bad]):
             proc = run_module("eval", *flags, "--truth", corpus_dir)
             assert proc.returncode == 1
             [error] = proc.stderr.splitlines()
             assert error.startswith(f"ERROR receipt_kie.cli: {victim}: not decoded from the truth page")
-            assert f"token {token_id} differs" in error
+            assert problem in error
+
+    def test_result_of_another_page_size_fails(self, corpus_dir, results_dir, tmp_path):
+        # Its doc id and boxes are those of its truth page; only the width differs.
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        for path in results_dir.glob("*.result.json"):
+            (bad / path.name).write_bytes(path.read_bytes())
+        victim = sorted(bad.glob("*.result.json"))[0]
+        payload = json.loads(victim.read_text())
+        doc_id, width, height = payload["doc_id"], payload["page"]["width"], payload["page"]["height"]
+        payload["page"]["width"] = 5
+        victim.write_text(json.dumps(payload))
+        error = error_line(run_module("eval", "--results", bad, "--truth", corpus_dir))
+        assert error == (
+            f"ERROR receipt_kie.cli: {victim}: not decoded from the truth page of doc_id "
+            f"{doc_id!r}: page 5x{height} differs (truth has {width}x{height})"
+        )
 
     def test_result_with_another_doc_id_fails(self, corpus_dir, results_dir, tmp_path):
         # Its boxes are those of its truth page; only the doc id differs,
@@ -1118,29 +1139,11 @@ class TestEvalCommand:
     def test_each_result_is_scored_before_the_next_is_read(
         self, corpus_dir, results_dir, tmp_path, monkeypatch, cpus, shares
     ):
-        # Each call is logged with its process to a file: the helper's
-        # memory dies with it.
         log = tmp_path / "calls.log"
-
-        def logged(name, fn):
-            def call(*args, **kwargs):
-                with log.open("a") as fh:
-                    fh.write(f"{os.getpid()} {name}\n")
-                return fn(*args, **kwargs)
-
-            return call
-
+        _log_steps(monkeypatch, log)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(cli, "parse_result", logged("parse", cli.parse_result))
-        monkeypatch.setattr(
-            evaluation, "score_whole_products",
-            logged("score", evaluation.score_whole_products),
-        )
         assert run_cli("eval", "--results", results_dir, "--truth", corpus_dir) == 0
-        calls: dict[str, list[str]] = {}
-        for line in log.read_text().splitlines():
-            pid, step = line.split()
-            calls.setdefault(pid, []).append(step)
+        calls = _logged_steps(log)
         # This process scores the first share, the helper the second.
         assert calls.pop(str(os.getpid())) == ["parse", "score"] * shares[0]
         assert list(calls.values()) == [["parse", "score"] * n for n in shares[1:]]
@@ -1161,6 +1164,33 @@ class TestEvalCommand:
         )
 
 
+def _log_steps(monkeypatch, log: Path) -> None:
+    """Log each result parse and each document scored to ``log``, with its
+    process: the helper's memory dies with it."""
+
+    def logged(name, fn):
+        def call(*args, **kwargs):
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()} {name}\n")
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(cli, "parse_result", logged("parse", cli.parse_result))
+    monkeypatch.setattr(
+        evaluation, "score_whole_products", logged("score", evaluation.score_whole_products)
+    )
+
+
+def _logged_steps(log: Path) -> dict[str, list[str]]:
+    """The steps of each process that ``_log_steps`` logged, in order."""
+    calls: dict[str, list[str]] = {}
+    for line in log.read_text().splitlines():
+        pid, step = line.split()
+        calls.setdefault(pid, []).append(step)
+    return calls
+
+
 # --------------------------------------------------------------------------
 # eval in two processes
 
@@ -1173,8 +1203,9 @@ _ERROR_CLASSES = [
 
 @pytest.mark.parametrize("cls", _ERROR_CLASSES, ids=lambda cls: cls.__name__)
 def test_every_package_error_survives_a_pickle_round_trip(cls, tmp_path):
-    # The eval helper sends its error to the parent as a pickle, after
-    # _parse_file has put the file's path in front of the message.
+    # An error crosses a process boundary as a pickle (multiprocessing
+    # sends one so), also after _parse_file has put the file's path in
+    # front of its message.
     path = tmp_path / "input.json"
     path.write_bytes(b"{}")
 
@@ -1335,17 +1366,14 @@ class TestTwoProcessEval:
         assert (two, forked) == (one, forks)
         assert (one[0], one[2]) == (0, "")
 
-    @pytest.mark.parametrize("end, how", [
-        pytest.param(
-            lambda: os.kill(os.getpid(), signal.SIGKILL),
-            f"was killed by signal {int(signal.SIGKILL)}",
-            id="killed",
-        ),
-        pytest.param(lambda: os._exit(3), "exited with status 3", id="exited"),
+    @pytest.mark.parametrize("end", [
+        pytest.param(lambda: os.kill(os.getpid(), signal.SIGKILL), id="killed"),
+        pytest.param(lambda: os._exit(3), id="exited"),
     ])
     def test_a_helper_that_ends_without_its_report(
-        self, corpus_dir, results_dir, tmp_path, monkeypatch, capsys, end, how
+        self, corpus_dir, results_dir, tmp_path, monkeypatch, capsys, end
     ):
+        # This process scores the half that the helper did not send.
         parent, build = os.getpid(), cli.build_report
 
         def ending_in_the_helper(pairs, mode):
@@ -1355,12 +1383,26 @@ class TestTwoProcessEval:
 
         monkeypatch.setattr(cli, "build_report", ending_in_the_helper)
         argv = ["--results", results_dir, "--truth", corpus_dir]
-        outcome, forked = self.outcome(argv, 2, tmp_path, monkeypatch, capsys)
-        assert (outcome, forked) == ((
-            1, "",
-            f"ERROR receipt_kie.cli: the eval helper process {how} before it sent its report\n",
-            None,
-        ), 1)
+        code, out, err, report = self.assert_same_in_both(argv, tmp_path, monkeypatch, capsys)
+        assert (code, err) == (0, "")
+
+    def test_a_failing_helper_is_read_again_up_to_its_fault(
+        self, corpus_dir, results_dir, tmp_path, monkeypatch, capsys
+    ):
+        # The 16th of 20 results is truncated: the helper stops there and
+        # sends nothing. This process scores its 10 results, then reads the
+        # helper's again up to the fault, and no further.
+        results = _damaged_results(results_dir, tmp_path / "results", victim=15)
+        log = tmp_path / "calls.log"
+        _log_steps(monkeypatch, log)
+        argv = ["--results", results, "--truth", corpus_dir]
+        (code, out, err, report), forked = self.outcome(argv, 2, tmp_path, monkeypatch, capsys)
+        assert (code, forked) == (1, 1)
+        assert err.startswith(f"ERROR receipt_kie.cli: {sorted(results.iterdir())[15]}: ")
+        calls = _logged_steps(log)
+        up_to_the_fault = ["parse", "score"] * 5 + ["parse"]
+        assert calls.pop(str(os.getpid())) == ["parse", "score"] * 10 + up_to_the_fault
+        assert list(calls.values()) == [up_to_the_fault]
 
 
 # --------------------------------------------------------------------------
@@ -1693,8 +1735,8 @@ class TestRenderCommand:
         assert run_cli("render", result_path, other_path) == 1
 
     def test_result_from_another_page_is_one_error_line(self, tmp_path):
-        # Two words on a 600x400 page, and one word on a 10x10 page that
-        # says it is the same document.
+        # Two words on a 600x400 page, and one word on another 600x400 page
+        # that says it is the same document.
         def page(width, height, words):
             return {
                 "doc_id": "r",
@@ -1707,7 +1749,7 @@ class TestRenderCommand:
 
         two_words = page(600, 400, [("SOAP", 40, 80), ("9.99", 450, 80)])
         (tmp_path / "r.json").write_text(json.dumps(two_words))
-        (tmp_path / "other.json").write_text(json.dumps(page(10, 10, [("SOAP", 0, 0)])))
+        (tmp_path / "other.json").write_text(json.dumps(page(600, 400, [("SOAP", 0, 0)])))
         assert run_cli("decode", tmp_path / "r.json", "--out", tmp_path / "out") == 0
         result_path = tmp_path / "out" / "r.result.json"
         svg_path = tmp_path / "r.svg"
@@ -1715,6 +1757,22 @@ class TestRenderCommand:
         assert error_line(proc).endswith(
             f"{result_path}: not decoded from the OCR page of doc_id 'r': "
             "token 0 differs (2 tokens, OCR has 1)"
+        )
+        assert not svg_path.exists()
+
+    def test_result_of_another_page_size_is_one_error_line(self, rendered, tmp_path):
+        # The result's doc id and boxes are those of its OCR page; only the
+        # width differs.
+        result_path, _ = rendered
+        ocr_path = result_path.parent.parent / "render-demo.json"
+        payload = json.loads(result_path.read_text())
+        payload["page"]["width"] = 5
+        result_path.write_text(json.dumps(payload))
+        svg_path = tmp_path / "narrow.svg"
+        proc = run_module("render", result_path, ocr_path, "--out", svg_path)
+        assert error_line(proc) == (
+            f"ERROR receipt_kie.cli: {result_path}: not decoded from the OCR page of doc_id "
+            "'render-demo': page 5x400 differs (OCR has 600x400)"
         )
         assert not svg_path.exists()
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
@@ -859,6 +860,13 @@ _PRODUCT_DAMAGES = {
 }
 
 
+def _damage_value(values: list) -> st.SearchStrategy:
+    """One of ``values``, copied: a later damage may change a list or a
+    dict it put into the payload in place, and the tables must stay as
+    they are for the next example."""
+    return st.sampled_from(values).map(copy.deepcopy)
+
+
 @st.composite
 def damaged_products(draw, products: list) -> None:
     """Damage one product of ``products``: a field of another type or
@@ -876,7 +884,7 @@ def damaged_products(draw, products: list) -> None:
         return
     if damage == "field":
         key = draw(st.sampled_from(sorted(_PRODUCT_DAMAGES)))
-        product[key] = draw(st.sampled_from(_PRODUCT_DAMAGES[key]))
+        product[key] = draw(_damage_value(_PRODUCT_DAMAGES[key]))
     elif damage == "missing":
         product.pop(draw(st.sampled_from(sorted(_PRODUCT_DAMAGES))), None)
     elif damage == "coordinate":
@@ -884,7 +892,7 @@ def damaged_products(draw, products: list) -> None:
             return
         key = draw(st.sampled_from(sorted(box)))
         if draw(st.booleans()):
-            box[key] = draw(st.sampled_from(_COORDINATES))
+            box[key] = draw(_damage_value(_COORDINATES))
         else:
             del box[key]
     else:
@@ -930,11 +938,11 @@ def result_payloads(draw):
             continue
         elif target == "field":
             key = draw(st.sampled_from(sorted(_TOKEN_DAMAGES)))
-            tokens[j][key] = draw(st.sampled_from(_TOKEN_DAMAGES[key]))
+            tokens[j][key] = draw(_damage_value(_TOKEN_DAMAGES[key]))
         elif target == "missing":
             tokens[j].pop(draw(st.sampled_from(sorted(_TOKEN_DAMAGES))), None)
         elif isinstance(box := tokens[j].get("bbox"), dict):
-            box[draw(st.sampled_from(sorted(box)))] = draw(st.sampled_from(_COORDINATES))
+            box[draw(st.sampled_from(sorted(box)))] = draw(_damage_value(_COORDINATES))
     for _ in range(draw(st.integers(0, 3))):
         draw(damaged_products(payload["products"]))
     return payload
