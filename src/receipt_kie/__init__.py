@@ -36,8 +36,6 @@ from .evaluation import (
     EvalReport,
     MatchMode,
     build_report,
-    score_entities,
-    score_whole_products,
 )
 from .ingest import (
     parse_ground_truth,
@@ -96,7 +94,5 @@ __all__ = [
     "parse_ocr",
     "parse_result",
     "render_svg",
-    "score_entities",
-    "score_whole_products",
     "serialize_result",
 ]

@@ -26,6 +26,7 @@ the usage and ``receipt-kie <command>: error: ...``; ``main`` raises
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import json
 import os
@@ -134,7 +135,10 @@ def _replacing(path: Path) -> Iterator[TextIO]:
     failed write leaves no temporary file behind. An ``OSError`` names
     ``path``. A symlink's target is replaced, so the link stays a link; an
     existing target that is not a regular file (a FIFO, a device) is written in place."""
-    target = path.resolve() if path.is_symlink() else path
+    try:
+        target = path.resolve() if path.is_symlink() else path
+    except RuntimeError:  # a symlink loop, as CPython 3.11's resolve reports it
+        raise OSError(errno.ELOOP, os.strerror(errno.ELOOP), str(path)) from None
     try:
         if target.exists() and not target.is_file():
             with target.open("w", encoding="utf-8") as fh:
@@ -335,7 +339,8 @@ def _read_pairs(
     result is checked against its truth.
 
     A result whose doc id is not in ``truth_ids``, or was already read, or
-    that was not decoded from its truth page is refused."""
+    that was not decoded from its truth page is refused, as is a page whose
+    doc id is not its file name's."""
     prefix = _dir_prefix(truth_dir)
     for path in files:
         # The yield stays outside the pause: a generator left suspended or
@@ -345,7 +350,13 @@ def _read_pairs(
             _claim(seen, doc.doc_id, path)
             if doc.doc_id not in truth_ids:
                 raise CorpusMismatchError(f"{path}: no ground truth for doc_id {doc.doc_id!r}")
-            page = _parse_file(f"{prefix}{doc.doc_id}.json", parse_ocr)
+            page_path = f"{prefix}{doc.doc_id}.json"
+            page = _parse_file(page_path, parse_ocr)
+            if page.doc_id != doc.doc_id:
+                raise CorpusMismatchError(
+                    f"{page_path}: the page is for doc_id {page.doc_id!r}, "
+                    f"not {doc.doc_id!r} as its file name says"
+                )
             products = _parse_file(f"{prefix}{doc.doc_id}.truth.json", parse_ground_truth, page)
             _check_same_page(path, doc, page)
             pair = DocPrediction.from_groups(doc, groups), (page, products)

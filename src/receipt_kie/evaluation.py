@@ -13,19 +13,21 @@ coarser and much less forgiving: a predicted group counts only if it maps
 to exactly one ground-truth product and reproduces *every* entity field
 of it, with nothing spurious added.
 
-``score_entities`` and ``score_whole_products`` score one page.
-Whole-product alignment is linear in a page's groups plus products: each
-description token maps to the one truth product that holds it.
-``build_report`` is the corpus fold: it adds up their counts, 15 plain
-integers a page, over a stream of (prediction, truth) pairs and keeps no
-pair. Pairing each result with its truth page is the caller's job.
+``build_report`` is the one scorer, for a page (``build_report([pair])``)
+as for a corpus. It folds a stream of (prediction, truth) pairs into 15
+plain integer sums, tp, fp and fn of each entity and of whole products,
+and keeps no pair. Whole-product alignment is linear in a page's groups
+plus products: each description token maps to the one truth product that
+holds it, so truth products must share no description token (else
+``ValueError``). Pairing each result with its truth page is the caller's
+job.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from itertools import chain, repeat
+from itertools import repeat
 from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
@@ -116,17 +118,11 @@ _UNTAGGED = EntityLabel.UNTAGGED
 _tuple_new = tuple.__new__
 
 
-def score_entities(
-    pred_doc: Document,
-    truth_entry: TruthEntry,
-    mode: MatchMode = MatchMode.TAG_ONLY,
-) -> dict[EntityLabel, EntityCounts]:
-    """Token-level counts per entity type on one page.
-
-    ``pred_doc`` is the labeled document; ``truth_entry`` is the clean
-    document of the same page and its annotated products.
-    """
-    truth_doc, products = truth_entry
+def _entity_counts(
+    pred_doc: Document, truth_doc: Document, products: Sequence[Product], strict: bool
+) -> list[int]:
+    """Token-level tp, fp and fn of each entity in ``ENTITY_ORDER`` on one
+    page, 12 plain ints."""
     # Each token's truth label, product by product: the descriptions, then
     # each scalar entity that is set. Fields are read by unpacking.
     truth_labels: dict[int, EntityLabel] = {}
@@ -138,7 +134,6 @@ def score_entities(
     pred_labels = {
         tid: label for tid, _, _, label, _, _ in pred_doc.tokens if label is not _UNTAGGED
     }
-    strict = mode is MatchMode.STRICT_OCR
     tp = Counter(
         label
         for tid, label in pred_labels.items()
@@ -146,21 +141,15 @@ def score_entities(
     )
     expected = Counter(truth_labels.values())
     predicted = Counter(pred_labels.values())
-    counts = {}
+    counts = []
     for label in ENTITY_ORDER:
-        hits = tp.get(label, 0)
-        counts[label] = _tuple_new(
-            EntityCounts, (hits, predicted.get(label, 0) - hits, expected.get(label, 0) - hits)
-        )
+        hits = tp[label]
+        counts += (hits, predicted[label] - hits, expected[label] - hits)
     return counts
 
 
 def _product_matches(
-    predicted: Product,
-    truth: Product,
-    pred_doc: Document,
-    truth_doc: Document,
-    mode: MatchMode,
+    predicted: Product, truth: Product, pred_doc: Document, truth_doc: Document, strict: bool
 ) -> bool:
     """All of the truth product's fields reproduced, nothing spurious."""
     # A product is its description ids, then its scalar ids.
@@ -168,67 +157,44 @@ def _product_matches(
         return False  # a scalar entity missed, wrong or spurious
     if set(predicted[0]) != set(truth[0]):
         return False
-    if mode is MatchMode.STRICT_OCR:
+    if strict:
         return all(_texts_match(pred_doc, truth_doc, tid) for tid, _ in truth.labeled_ids())
     return True
 
 
-def score_whole_products(
-    pred: DocPrediction,
-    truth_entry: TruthEntry,
-    mode: MatchMode = MatchMode.TAG_ONLY,
-) -> EntityCounts:
-    """Product-level counts on one page: a group scores only when perfect.
-
-    A predicted group is first aligned to the first truth product that owns
-    a strict majority of the group's description tokens; a group with no
-    description tokens claims nothing. Competing groups are resolved by
-    larger overlap, then smaller group id, then earlier position; the
-    losers are false positives. The aligned group is a true positive only
-    if every entity field of the truth product is matched and no extra
-    entity was predicted; anything else makes it a false positive and
-    leaves the truth product unmatched (a false negative).
-
-    The cost is linear in the page's groups plus products when no two
-    truth products share a token, as :func:`receipt_kie.ingest.parse_ground_truth`
-    guarantees; products that share one are scanned in order for each group.
-    """
-    truth_doc, products = truth_entry
-    # Description token id -> its product. Products from parse_ground_truth
-    # share no token, and then a product that holds a strict majority of a
-    # group's tokens is the median of their sorted owners: alignment is
-    # linear in the page's groups plus products. Products that share a
-    # token are scanned in order instead.
+def _product_counts(
+    pred: DocPrediction, truth_doc: Document, products: Sequence[Product], strict: bool
+) -> tuple[int, int, int]:
+    """Product-level tp, fp and fn on one page: a group scores only when
+    perfect. Truth products that share a description token raise
+    ``ValueError``."""
+    # Description token id -> its product. With no token shared, a product
+    # that holds a strict majority of a group's tokens is the median of
+    # their sorted owners: alignment is linear in groups plus products.
     owner = {tid: pi for pi, product in enumerate(products) for tid in product.description_ids}
-    disjoint = len(owner) == sum(len(product.description_ids) for product in products)
+    if len(owner) != sum(len(product.description_ids) for product in products):
+        raise ValueError(
+            f"ground truth of doc_id {truth_doc.doc_id!r}: "
+            "a description token is listed twice in its products"
+        )
     # product index -> its best claim, (-overlap, group id, group position)
     winners: dict[int, tuple[int, int, int]] = {}
     for pos, assignment in enumerate(pred.assignments):
         desc = set(assignment.description_ids)
         if not desc:
             continue
-        pi, overlap = -1, 0  # -1: no product
-        if disjoint:
-            owned = sorted(map(owner.get, desc, repeat(-1)))
-            pi = owned[len(owned) // 2]
-            overlap = owned.count(pi)
-        else:
-            for i, product in enumerate(products):
-                n = len(desc.intersection(product.description_ids))
-                if n * 2 > len(desc):
-                    pi, overlap = i, n
-                    break
+        owned = sorted(map(owner.get, desc, repeat(-1)))  # -1: no product
+        pi = owned[len(owned) // 2]
+        overlap = owned.count(pi)
         if pi >= 0 and overlap * 2 > len(desc):
             claim = (-overlap, pred.groups[pos].group_id, pos)
             if pi not in winners or claim < winners[pi]:
                 winners[pi] = claim
     matched = sum(
-        _product_matches(pred.assignments[pos], products[pi], pred.document, truth_doc, mode)
+        _product_matches(pred.assignments[pos], products[pi], pred.document, truth_doc, strict)
         for pi, (_, _, pos) in winners.items()
     )
-    return _tuple_new(
-        EntityCounts, (matched, len(pred.assignments) - matched, len(products) - matched)
-    )
+    return matched, len(pred.assignments) - matched, len(products) - matched
 
 
 class EvalReport(NamedTuple):
@@ -288,15 +254,31 @@ def build_report(
     mode: MatchMode = MatchMode.TAG_ONLY,
 ) -> EvalReport:
     """Score a corpus, one (prediction, truth) pair of a page at a time:
-    the per-entity micro averages plus whole products. No pair is kept."""
+    the per-entity micro averages plus whole products. No pair is kept.
+
+    Token-level counts are one-to-one by token id. A predicted group is
+    aligned to the truth product that owns a strict majority of the
+    group's description tokens; a group with no description tokens claims
+    nothing. Competing groups are resolved by larger overlap, then smaller
+    group id, then earlier position; the losers are false positives. The
+    aligned group is a true positive only if every entity field of the
+    truth product is matched and no extra entity was predicted; anything
+    else makes it a false positive and leaves the truth product unmatched
+    (a false negative).
+
+    Alignment is linear in a page's groups plus products. It needs truth
+    products that share no description token, as
+    :func:`receipt_kie.ingest.parse_ground_truth` guarantees; a page whose
+    products share one raises ``ValueError`` naming its doc id."""
+    strict = mode is MatchMode.STRICT_OCR
     # Running sums: tp, fp and fn of each entity in ENTITY_ORDER, then of
-    # whole products. Each page's counts are named tuples of plain ints.
+    # whole products.
     totals = [0] * 3 * (len(ENTITY_ORDER) + 1)
     corpus_size = 0
-    for pred, truth_entry in pairs:
-        page = score_entities(pred.document, truth_entry, mode)
-        whole = score_whole_products(pred, truth_entry, mode)
-        totals = list(map(add, totals, (*chain.from_iterable(page.values()), *whole)))
+    for pred, (truth_doc, products) in pairs:
+        page = _entity_counts(pred.document, truth_doc, products, strict)
+        page += _product_counts(pred, truth_doc, products, strict)
+        totals = list(map(add, totals, page))
         corpus_size += 1
     counts = [_tuple_new(EntityCounts, totals[k : k + 3]) for k in range(0, len(totals), 3)]
     return EvalReport(

@@ -659,7 +659,7 @@ def _result_group(rp: Any, i: int, n_tokens: int, claimed: dict[int, int]) -> Pr
     for name, ids in (("line_indices", line_indices), ("token_ids", token_ids)):
         if not isinstance(ids, list) or not all(type(v) is int for v in ids):
             raise SchemaError(f"{where}: {name} must be a list of integers")
-    if line_indices != sorted(set(line_indices)) or (line_indices and line_indices[0] < 0):
+    if not _is_line_list(line_indices):
         raise SchemaError(
             f"{where}: line_indices must be non-negative and increasing, got {line_indices}"
         )

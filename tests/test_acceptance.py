@@ -21,12 +21,7 @@ import pytest
 
 from receipt_kie.cli import main
 from receipt_kie.corrections import apply_corrections
-from receipt_kie.evaluation import (
-    ENTITY_ORDER,
-    EntityCounts,
-    MatchMode,
-    score_entities,
-)
+from receipt_kie.evaluation import ENTITY_ORDER, DocPrediction, MatchMode, build_report
 from receipt_kie.ingest import parse_result, serialize_result
 from receipt_kie.layout import detect_lines_geometric, group_product_lines
 from receipt_kie.model import (
@@ -109,12 +104,10 @@ def noisy_pipeline() -> dict:
 
 
 def score_corpus(predictions, truth, mode=MatchMode.TAG_ONLY):
-    """``score_entities`` of each page of ``truth``, added up."""
-    totals = dict.fromkeys(ENTITY_ORDER, EntityCounts())
-    for doc_id, entry in truth.items():
-        page = score_entities(predictions[doc_id], entry, mode)
-        totals = {label: totals[label] + page[label] for label in ENTITY_ORDER}
-    return totals
+    """The per-entity counts of ``predictions``, labeled documents by doc id,
+    on each page of ``truth``. Entity counts read no group."""
+    pairs = ((DocPrediction(predictions[doc_id], (), ()), entry) for doc_id, entry in truth.items())
+    return build_report(pairs, mode).entities
 
 
 def f1_by_entity(predictions, truth, mode=MatchMode.TAG_ONLY):
@@ -205,12 +198,14 @@ def test_3_corrections_never_reduce_recall(capsys):
     violations = []
     for trial in range(1000):
         doc, products, corrupted, corrected = random_small_pipeline(trial, rng)
-        truth = (doc, products)
+        truth = {doc.doc_id: (doc, products)}
         recall_before = {
-            label: counts.recall for label, counts in score_entities(corrupted, truth).items()
+            label: counts.recall
+            for label, counts in score_corpus({doc.doc_id: corrupted}, truth).items()
         }
         recall_after = {
-            label: counts.recall for label, counts in score_entities(corrected, truth).items()
+            label: counts.recall
+            for label, counts in score_corpus({doc.doc_id: corrected}, truth).items()
         }
         for label in ENTITY_ORDER:
             if recall_after[label] < recall_before[label]:

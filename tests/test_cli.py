@@ -8,6 +8,8 @@ import json
 import logging
 import os
 import pickle
+import random
+import re
 import shutil
 import signal
 import stat
@@ -22,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from receipt_kie import cli, errors, evaluation, ingest
+from receipt_kie import cli, errors, ingest, tagging
 from receipt_kie.cli import main
 from receipt_kie.ingest import canonical_json
 from receipt_kie.model import LabelSource
@@ -1040,6 +1042,26 @@ class TestEvalCommand:
         error = error_line(run_module("eval", "--results", bad, "--truth", corpus_dir))
         assert error.endswith(f"{victim}: no ground truth for doc_id 'stranger'")
 
+    def test_a_page_whose_doc_id_is_not_its_file_name_is_named(
+        self, corpus_dir, results_dir, tmp_path
+    ):
+        # The truth file agrees with its name and with the result: the
+        # page is at fault.
+        truth = tmp_path / "truth"
+        truth.mkdir()
+        for path in corpus_dir.glob("*.json"):
+            (truth / path.name).write_bytes(path.read_bytes())
+        first, second = sorted(p.name[: -len(".truth.json")] for p in truth.glob("*.truth.json"))[:2]
+        page = truth / f"{first}.json"
+        payload = json.loads(page.read_text())
+        payload["doc_id"] = second
+        page.write_text(json.dumps(payload))
+        error = error_line(run_module("eval", "--results", results_dir, "--truth", truth))
+        assert error == (
+            f"ERROR receipt_kie.cli: {page}: the page is for doc_id {second!r}, "
+            f"not {first!r} as its file name says"
+        )
+
     def test_integer_past_the_digit_limit_is_one_error_line(self, corpus_dir, results_dir, tmp_path):
         bad = tmp_path / "bad"
         bad.mkdir()
@@ -1166,20 +1188,26 @@ class TestEvalCommand:
 
 def _log_steps(monkeypatch, log: Path) -> None:
     """Log each result parse and each document scored to ``log``, with its
-    process: the helper's memory dies with it."""
+    process: the helper's memory dies with it. A document counts as scored
+    once ``build_report`` asks for the next pair."""
 
-    def logged(name, fn):
-        def call(*args, **kwargs):
-            with log.open("a") as fh:
-                fh.write(f"{os.getpid()} {name}\n")
-            return fn(*args, **kwargs)
+    parse, build = cli.parse_result, cli.build_report
 
-        return call
+    def write(name):
+        with log.open("a") as fh:
+            fh.write(f"{os.getpid()} {name}\n")
 
-    monkeypatch.setattr(cli, "parse_result", logged("parse", cli.parse_result))
-    monkeypatch.setattr(
-        evaluation, "score_whole_products", logged("score", evaluation.score_whole_products)
-    )
+    def logged_parse(*args):
+        write("parse")
+        return parse(*args)
+
+    def scored(pairs):
+        for pair in pairs:
+            yield pair
+            write("score")
+
+    monkeypatch.setattr(cli, "parse_result", logged_parse)
+    monkeypatch.setattr(cli, "build_report", lambda pairs, mode: build(scored(pairs), mode))
 
 
 def _logged_steps(log: Path) -> dict[str, list[str]]:
@@ -1817,6 +1845,157 @@ class TestRenderCommand:
         assert run_cli("render", result_path, ocr_path) == 0
         out = capsys.readouterr().out
         assert out.startswith("<svg") and out.rstrip().endswith("</svg>")
+
+
+@pytest.mark.parametrize("command", ["decode", "eval", "render"])
+def test_a_symlink_loop_at_an_output_path_is_one_error_line(
+    command, corpus_dir, results_dir, tmp_path, capsys
+):
+    # a -> b -> a names no file: nothing is written there, and no
+    # temporary file is left beside it.
+    loop = tmp_path / "loop"
+    loop.mkdir()
+    (loop / "a").symlink_to("b")
+    (loop / "b").symlink_to("a")
+    doc_id = json.loads((corpus_dir / "manifest.json").read_text())["doc_ids"][0]
+    page, result = corpus_dir / f"{doc_id}.json", results_dir / f"{doc_id}.result.json"
+    argv = {
+        "decode": ["decode", page, "--out", tmp_path / "out", "--audit", loop / "a"],
+        "eval": ["eval", "--results", results_dir, "--truth", corpus_dir, "--json-out", loop / "a"],
+        "render": ["render", result, page, "--out", loop / "a"],
+    }[command]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err.splitlines() == [os_error_line(errno.ELOOP, loop / "a")]
+    assert sorted(p.name for p in loop.iterdir()) == ["a", "b"]
+    assert (loop / "a").is_symlink() and (loop / "b").is_symlink()
+
+
+# --------------------------------------------------------------------------
+# byte-damaged inputs
+
+
+# Spliced into a file as JSON text: values a reader must refuse by type or
+# range, and bytes that are no JSON or no UTF-8.
+_SPLICES = (
+    b"1e400", b"NaN", b"-Infinity", b'"\\ud800"', b"\xff", b"18446744073709551616", b"-1",
+    b"0.5", b"null", b"true", b'""', b"[]", b"{}", b"[[[[", b",",
+)
+_SCALAR = re.compile(rb'-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?|"(?:[^"\\]|\\.)*"|true|false|null')
+
+
+def _damage(data: bytes, rng: random.Random) -> bytes:
+    """``data`` after 1-4 random edits, each a flipped bit, a cut, a splice
+    inserted, or a JSON scalar swapped for a splice."""
+    out = bytearray(data)
+    for _ in range(rng.randint(1, 4)):
+        at = rng.randrange(len(out) + 1)
+        edit = rng.randrange(4)
+        if edit == 0 and at < len(out):
+            out[at] ^= 1 << rng.randrange(8)
+        elif edit == 1:
+            del out[at : at + rng.choice((1, 16, len(out)))]
+        elif edit == 2:
+            out[at:at] = rng.choice(_SPLICES)
+        elif scalars := list(_SCALAR.finditer(out)):
+            found = rng.choice(scalars)
+            out[found.start() : found.end()] = rng.choice(_SPLICES)
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def damage_dir(tmp_path_factory) -> Path:
+    """Two synth receipts with their predictions, and their results."""
+    root = tmp_path_factory.mktemp("damage")
+    corpus = root / "corpus"
+    assert run_cli(
+        "synth", "--out", corpus, "--seed", "3", "--docs", "2", "--fn-rate", "price=0.5"
+    ) == 0
+    assert run_cli(
+        "decode", corpus / "pred", "--out", root / "results",
+        "--tagger", "import", "--predictions", corpus / "pred",
+    ) == 0
+    return root
+
+
+@pytest.mark.parametrize("seed, command", enumerate(
+    ["decode heuristic", "decode import", "eval", "render"]
+))
+def test_byte_damaged_files_end_in_success_or_one_error_line(
+    seed, command, damage_dir, tmp_path, monkeypatch, capsys
+):
+    # Each case damages one input file of the command. The command returns
+    # 0 or 1 and raises nothing; on 1, stderr is one error line, which names
+    # the damaged file if that file fails its own reader. No temporary file
+    # is left. With two CPUs, eval's helper reads the second document.
+    work = tmp_path / "work"
+    shutil.copytree(damage_dir, work)
+    corpus, pred, results = work / "corpus", work / "corpus" / "pred", work / "results"
+    first, second = json.loads((corpus / "manifest.json").read_text())["doc_ids"]
+
+    def page(path):
+        return ingest.parse_ocr(path.read_bytes())
+
+    def truth_reader(doc_id):
+        return lambda data: ingest.parse_ground_truth(data, page(corpus / f"{doc_id}.json"))
+
+    out = ["--out", tmp_path / "out"]
+    argv, readers = {
+        "decode heuristic": (
+            ["decode", corpus / f"{first}.json", *out], {corpus / f"{first}.json": ingest.parse_ocr}
+        ),
+        "decode import": (
+            ["decode", pred / f"{first}.json", *out, "--tagger", "import", "--predictions", pred],
+            {
+                pred / f"{first}.json": ingest.parse_ocr,
+                pred / f"{first}.pred.json": lambda data: tagging.import_predictions(
+                    page(pred / f"{first}.json"), data
+                ),
+            },
+        ),
+        "eval": (
+            ["eval", "--results", results, "--truth", corpus, "--json-out", tmp_path / "r.json"],
+            {
+                **{results / f"{d}.result.json": ingest.parse_result for d in (first, second)},
+                **{corpus / f"{d}.json": ingest.parse_ocr for d in (first, second)},
+                **{corpus / f"{d}.truth.json": truth_reader(d) for d in (first, second)},
+            },
+        ),
+        "render": (
+            ["render", results / f"{first}.result.json", corpus / f"{first}.json",
+             "--out", tmp_path / "r.svg"],
+            {
+                results / f"{first}.result.json": ingest.parse_result,
+                corpus / f"{first}.json": ingest.parse_ocr,
+            },
+        ),
+    }[command]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    rng = random.Random(seed)
+    for case in range(80):
+        victim = rng.choice(sorted(readers))
+        clean = victim.read_bytes()
+        data = _damage(clean, rng)
+        victim.write_bytes(data)
+        try:
+            code = run_cli(*argv)
+        finally:
+            victim.write_bytes(clean)
+        err = capsys.readouterr().err
+        where = f"case {case}: {victim.name} damaged to {data!r}"
+        assert code in (0, 1), where
+        if code == 0:
+            assert err == "", where
+        else:
+            [line] = err.splitlines() or [""]
+            assert line.startswith("ERROR receipt_kie.cli: "), where
+            try:
+                readers[victim](data)
+            except errors.ReceiptKieError:
+                assert str(victim) in line, where
+        assert not list(tmp_path.rglob("*.tmp")), where
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_benchmark_trace_points_see_every_layer(corpus_dir, tmp_path, monkeypatch):

@@ -11,11 +11,10 @@ from receipt_kie.evaluation import (
     EvalReport,
     MatchMode,
     build_report,
-    score_entities,
-    score_whole_products,
 )
 from receipt_kie.layout import detect_lines_geometric, group_product_lines
 from receipt_kie.model import (
+    SCALAR_ENTITIES,
     BBox,
     EntityLabel,
     LabelSource,
@@ -53,9 +52,19 @@ def truth_for(doc, products):
     return doc, tuple(products)
 
 
+def entity_counts(pred_doc, truth_entry, mode=MatchMode.TAG_ONLY):
+    """The per-entity counts of the one-page report on ``pred_doc``."""
+    return build_report([(DocPrediction(pred_doc, (), ()), truth_entry)], mode).entities
+
+
+def product_counts(pred, truth_entry, mode=MatchMode.TAG_ONLY):
+    """The whole-product counts of the one-page report on ``pred``."""
+    return build_report([(pred, truth_entry)], mode).whole_products
+
+
 class TestScoreEntities:
     def test_perfect_predictions(self, receipt_doc, receipt_truth, labeled_receipt):
-        counts = score_entities(labeled_receipt, truth_for(receipt_doc, receipt_truth))
+        counts = entity_counts(labeled_receipt, truth_for(receipt_doc, receipt_truth))
         assert counts[EntityLabel.DESCRIPTION] == EntityCounts(tp=3, fp=0, fn=0)
         assert counts[EntityLabel.CODE] == EntityCounts(tp=2, fp=0, fn=0)
         assert counts[EntityLabel.QUANTITY] == EntityCounts(tp=2, fp=0, fn=0)
@@ -70,7 +79,7 @@ class TestScoreEntities:
                 for tok in labeled_receipt.tokens
             ]
         )
-        counts = score_entities(dropped, truth_for(receipt_doc, receipt_truth))
+        counts = entity_counts(dropped, truth_for(receipt_doc, receipt_truth))
         assert counts[EntityLabel.CODE] == EntityCounts(tp=1, fp=0, fn=1)
 
     def test_mislabeled_token_is_fp_for_one_and_fn_for_the_other(
@@ -86,7 +95,7 @@ class TestScoreEntities:
                 for tok in labeled_receipt.tokens
             ]
         )
-        counts = score_entities(swapped, truth_for(receipt_doc, receipt_truth))
+        counts = entity_counts(swapped, truth_for(receipt_doc, receipt_truth))
         assert counts[EntityLabel.CODE] == EntityCounts(tp=2, fp=1, fn=0)
         assert counts[EntityLabel.QUANTITY] == EntityCounts(tp=1, fp=0, fn=1)
 
@@ -101,8 +110,8 @@ class TestScoreEntities:
                 for tok in labeled_receipt.tokens
             ]
         )
-        tag_counts = score_entities(garbled, truth_for(receipt_doc, receipt_truth))
-        strict_counts = score_entities(
+        tag_counts = entity_counts(garbled, truth_for(receipt_doc, receipt_truth))
+        strict_counts = entity_counts(
             garbled,
             truth_for(receipt_doc, receipt_truth),
             MatchMode.STRICT_OCR,
@@ -125,7 +134,7 @@ class TestScoreEntities:
             ]
         )
         for mode in MatchMode:
-            counts = score_entities(moved, truth_for(receipt_doc, receipt_truth), mode)
+            counts = entity_counts(moved, truth_for(receipt_doc, receipt_truth), mode)
             assert counts[EntityLabel.CODE] == EntityCounts(tp=1, fp=1, fn=1)
 
     def test_strict_mode_compares_nfc_forms(self):
@@ -133,7 +142,7 @@ class TestScoreEntities:
         pred_doc = make_doc(
             [make_token(0, "Cafe\u0301", 40, 100, label=EntityLabel.DESCRIPTION)]
         )
-        counts = score_entities(
+        counts = entity_counts(
             pred_doc,
             truth_for(truth_doc, [Product(description_ids=(0,))]),
             MatchMode.STRICT_OCR,
@@ -151,7 +160,7 @@ class TestScoreWholeProducts:
     def test_perfect_decode_scores_all_products(
         self, receipt_doc, receipt_truth, labeled_receipt
     ):
-        counts = score_whole_products(
+        counts = product_counts(
             predict(labeled_receipt),
             truth_for(receipt_doc, receipt_truth),
         )
@@ -170,7 +179,7 @@ class TestScoreWholeProducts:
                 for tok in labeled_receipt.tokens
             ]
         )
-        counts = score_whole_products(predict(dropped), truth_for(receipt_doc, receipt_truth))
+        counts = product_counts(predict(dropped), truth_for(receipt_doc, receipt_truth))
         assert counts == EntityCounts(tp=1, fp=1, fn=1)
 
     def test_spurious_extra_entity_fails_the_product(self, receipt_doc, receipt_truth):
@@ -182,7 +191,7 @@ class TestScoreWholeProducts:
             ),
         )
         labeled = as_model_predictions(receipt_doc, receipt_truth)
-        counts = score_whole_products(
+        counts = product_counts(
             predict(labeled),
             truth_for(receipt_doc, truth_without_code),
         )
@@ -201,7 +210,7 @@ class TestScoreWholeProducts:
                 for tok in partial.tokens
             ]
         )
-        counts = score_whole_products(predict(partial), truth_for(receipt_doc, receipt_truth))
+        counts = product_counts(predict(partial), truth_for(receipt_doc, receipt_truth))
         assert counts == EntityCounts(tp=1, fp=1, fn=1)
 
     def test_group_without_majority_claims_nothing(self, receipt_doc, receipt_truth):
@@ -216,7 +225,7 @@ class TestScoreWholeProducts:
             bbox=union_bbox(labeled.token(t).bbox for t in range(2, 12)),
             incomplete=False,
         )
-        counts = score_whole_products(
+        counts = product_counts(
             predict(labeled, [mega]),
             truth_for(receipt_doc, receipt_truth),
         )
@@ -237,7 +246,7 @@ class TestScoreWholeProducts:
             bbox=union_bbox(labeled.token(t).bbox for t in range(1, 12)),
             incomplete=False,
         )
-        counts = score_whole_products(
+        counts = product_counts(
             predict(labeled, [mega]),
             truth_for(receipt_doc, receipt_truth),
         )
@@ -263,7 +272,7 @@ class TestScoreWholeProducts:
         group_b = ProductGroup(
             1, (1,), (1, 2, 3), union_bbox(t.bbox for t in tokens[1:]), False
         )
-        counts = score_whole_products(predict(doc, [group_a, group_b]), (doc, tuple(truth)))
+        counts = product_counts(predict(doc, [group_a, group_b]), (doc, tuple(truth)))
         # group A wins the alignment but misses quantity and price, so
         # nothing scores: 2 group FPs and the product unmatched
         assert counts == EntityCounts(tp=0, fp=2, fn=1)
@@ -281,7 +290,7 @@ class TestScoreWholeProducts:
         truth = [Product(description_ids=(0, 1), quantity_id=2, price_id=3)]
         full = ProductGroup(0, (0, 1), (0, 1, 2, 3), union_bbox(t.bbox for t in tokens), False)
         partial = ProductGroup(1, (0,), (1,), tokens[1].bbox, True)
-        counts = score_whole_products(
+        counts = product_counts(
             predict(doc, [full, partial]),
             (doc, tuple(truth)),
         )
@@ -301,7 +310,7 @@ class TestScoreWholeProducts:
         truth = [Product(description_ids=(0, 1))]
         group_a = ProductGroup(0, (0, 1), (0, 1, 2, 3), union_bbox(t.bbox for t in tokens))
         group_b = ProductGroup(1, (0,), (0, 1), union_bbox(t.bbox for t in tokens[:2]))
-        counts = score_whole_products(predict(doc, [group_a, group_b]), (doc, tuple(truth)))
+        counts = product_counts(predict(doc, [group_a, group_b]), (doc, tuple(truth)))
         assert counts == EntityCounts(tp=1, fp=1, fn=0)
 
     @pytest.mark.parametrize("stray", [0, 5], ids=["an earlier product's", "no product's"])
@@ -319,7 +328,7 @@ class TestScoreWholeProducts:
         group_a = ProductGroup(0, (0,), (stray, 2, 3, 4), box)
         group_b = ProductGroup(1, (1,), (2, 3, 4), box)
         pred = predict(doc, [group_a, group_b])
-        counts = score_whole_products(pred, (doc, truth))
+        counts = product_counts(pred, (doc, truth))
         assert counts == EntityCounts(tp=0, fp=2, fn=2)
         assert counts == reference_score_whole_products(
             {"stray": pred}, {"stray": (doc, truth)}, MatchMode.TAG_ONLY
@@ -336,14 +345,30 @@ class TestScoreWholeProducts:
                 for tok in labeled_receipt.tokens
             ]
         )
-        tag = score_whole_products(predict(garbled), truth_for(receipt_doc, receipt_truth))
-        strict = score_whole_products(
+        tag = product_counts(predict(garbled), truth_for(receipt_doc, receipt_truth))
+        strict = product_counts(
             predict(garbled),
             truth_for(receipt_doc, receipt_truth),
             MatchMode.STRICT_OCR,
         )
         assert tag == EntityCounts(tp=2, fp=0, fn=0)
         assert strict == EntityCounts(tp=1, fp=1, fn=1)
+
+    @pytest.mark.parametrize(
+        "truth",
+        [
+            (Product(description_ids=(0, 1)), Product(description_ids=(1, 2))),
+            (Product(description_ids=(0, 1, 0)),),
+        ],
+        ids=["two products", "one product twice"],
+    )
+    def test_truth_products_that_share_a_description_token_are_refused(self, truth):
+        tokens = [
+            make_token(tid, "A", 40 * tid, 40, label=EntityLabel.DESCRIPTION) for tid in range(3)
+        ]
+        doc = make_doc(tokens, doc_id="shared")
+        with pytest.raises(ValueError, match="^ground truth of doc_id 'shared': "):
+            product_counts(predict(doc), (doc, truth))
 
 
 def _page_of(n: int) -> tuple[DocPrediction, tuple]:
@@ -365,9 +390,9 @@ def test_whole_product_alignment_is_linear_in_the_products_of_a_page():
     # Four times the products cost about four times as much; an alignment
     # that tries every product for every group costs about sixteen times.
     small, large = _page_of(100), _page_of(400)
-    assert score_whole_products(*large) == EntityCounts(tp=400, fp=0, fn=0)
+    assert product_counts(*large) == EntityCounts(tp=400, fp=0, fn=0)
     per_small, per_large = cpu_seconds_per_call(
-        (lambda: score_whole_products(*small), 40), (lambda: score_whole_products(*large), 10)
+        (lambda: product_counts(*small), 40), (lambda: product_counts(*large), 10)
     )
     assert per_large <= 6 * per_small
 
@@ -406,7 +431,7 @@ class TestReport:
 
 
 # --------------------------------------------------------------------------
-# Differential test: both scorers against their literal references.
+# Differential test: build_report against the literal references.
 
 _LABELS = (*ENTITY_ORDER, EntityLabel.UNTAGGED)
 # A truth text, an equal text in another Unicode form, and a misread one.
@@ -435,9 +460,10 @@ def _products(draw, n_tokens: int, base: Product | None = None) -> Product:
 @st.composite
 def _scoring_corpus(draw):
     """Predictions and truth for 1-3 documents of up to 8 tokens: random
-    labels and misread texts; truth products that may share tokens; groups
-    with clashing ids whose entities copy a truth product, change one field
-    of it, or are random (an empty description among them)."""
+    labels and misread texts; truth products that share no token, as
+    ``parse_ground_truth`` reads them; groups with clashing ids whose
+    entities copy a truth product, change one field of it, or are random
+    (an empty description among them)."""
     predictions, truth = {}, {}
     for d in range(draw(st.integers(1, 3))):
         n = draw(st.integers(1, 8))
@@ -449,13 +475,16 @@ def _scoring_corpus(draw):
             source = None if label is EntityLabel.UNTAGGED else LabelSource.MODEL
             truth_tokens.append(Token(tid, variants[0], bbox))
             pred_tokens.append(Token(tid, draw(st.sampled_from(variants)), bbox, label, source))
+        # Each truth product takes its tokens from those no product holds yet.
+        free = draw(st.permutations(range(n)))
         truth_products = []
         for _ in range(draw(st.integers(0, 3))):
-            base = draw(st.sampled_from(truth_products)) if truth_products else None
-            product = draw(_products(n, base))
-            if not product.description_ids:
-                product = Product((0,), *product.scalar_ids())
-            truth_products.append(product)
+            if not free:
+                break
+            k = draw(st.integers(1, min(3, len(free))))
+            description, free = tuple(free[:k]), free[k:]
+            scalars = [free.pop() if free and draw(st.booleans()) else None for _ in SCALAR_ENTITIES]
+            truth_products.append(Product(description, *scalars))
         groups, assignments = [], []
         for _ in range(draw(st.integers(0, 4))):
             base = draw(st.sampled_from(truth_products)) if truth_products else None
@@ -470,7 +499,7 @@ def _scoring_corpus(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(corpus=_scoring_corpus(), mode=st.sampled_from(MatchMode))
-def test_scorers_match_their_references(corpus, mode):
+def test_build_report_matches_the_references(corpus, mode):
     predictions, truth = corpus
     documents = {doc_id: pred.document for doc_id, pred in predictions.items()}
     report = build_report(((predictions[doc_id], truth[doc_id]) for doc_id in truth), mode)

@@ -40,9 +40,15 @@ def test_cli_quick_tour_runs(tmp_path, monkeypatch, capsys):
 def test_library_quick_tour_runs(tmp_path, monkeypatch, capsys):
     code = re.search(r"```python\n(.*?)```", readme_section("Quick tour (library)"), re.S).group(1)
     manifest = write_corpus(CorpusSpec(seed=7, n_docs=1), tmp_path / "corpus")
-    shutil.copy(tmp_path / "corpus" / f"{manifest['doc_ids'][0]}.json", tmp_path / "receipt.json")
+    for suffix in (".json", ".truth.json"):
+        name = f"{manifest['doc_ids'][0]}{suffix}"
+        shutil.copy(tmp_path / "corpus" / name, tmp_path / f"receipt{suffix}")
     monkeypatch.chdir(tmp_path)
     exec(compile(code, "README.md", "exec"), {})
     doc, groups = parse_result((tmp_path / "out.json").read_bytes())
     assert doc.doc_id == manifest["doc_ids"][0]
-    assert len(capsys.readouterr().out.splitlines()) == len(groups) > 0
+    # A line per group, then the report's header and its five rows.
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == len(groups) + 6 and len(groups) > 0
+    assert out[len(groups)].split()[0] == "entity"
+    assert out[-1].startswith("whole products")
