@@ -135,10 +135,9 @@ def _replacing(path: Path) -> Iterator[TextIO]:
     failed write leaves no temporary file behind. An ``OSError`` names
     ``path``. A symlink's target is replaced, so the link stays a link; an
     existing target that is not a regular file (a FIFO, a device) is written in place."""
-    try:
-        target = path.resolve() if path.is_symlink() else path
-    except RuntimeError:  # a symlink loop, as CPython 3.11's resolve reports it
-        raise OSError(errno.ELOOP, os.strerror(errno.ELOOP), str(path)) from None
+    target = Path(os.path.realpath(path)) if path.is_symlink() else path
+    if target.is_symlink():  # realpath stops at a symlink loop
+        raise OSError(errno.ELOOP, os.strerror(errno.ELOOP), str(path))
     try:
         if target.exists() and not target.is_file():
             with target.open("w", encoding="utf-8") as fh:

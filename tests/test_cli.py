@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from receipt_kie import cli, errors, ingest, tagging
+from receipt_kie import cli, errors, evaluation, ingest, tagging
 from receipt_kie.cli import main
 from receipt_kie.ingest import canonical_json
 from receipt_kie.model import LabelSource
@@ -1188,26 +1188,20 @@ class TestEvalCommand:
 
 def _log_steps(monkeypatch, log: Path) -> None:
     """Log each result parse and each document scored to ``log``, with its
-    process: the helper's memory dies with it. A document counts as scored
-    once ``build_report`` asks for the next pair."""
+    process: the helper's memory dies with it."""
 
-    parse, build = cli.parse_result, cli.build_report
+    def logged(name, fn):
+        def call(*args, **kwargs):
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()} {name}\n")
+            return fn(*args, **kwargs)
 
-    def write(name):
-        with log.open("a") as fh:
-            fh.write(f"{os.getpid()} {name}\n")
+        return call
 
-    def logged_parse(*args):
-        write("parse")
-        return parse(*args)
-
-    def scored(pairs):
-        for pair in pairs:
-            yield pair
-            write("score")
-
-    monkeypatch.setattr(cli, "parse_result", logged_parse)
-    monkeypatch.setattr(cli, "build_report", lambda pairs, mode: build(scored(pairs), mode))
+    monkeypatch.setattr(cli, "parse_result", logged("parse", cli.parse_result))
+    monkeypatch.setattr(
+        evaluation, "_product_counts", logged("score", evaluation._product_counts)
+    )
 
 
 def _logged_steps(log: Path) -> dict[str, list[str]]:

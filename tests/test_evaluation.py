@@ -460,8 +460,8 @@ def _products(draw, n_tokens: int, base: Product | None = None) -> Product:
 @st.composite
 def _scoring_corpus(draw):
     """Predictions and truth for 1-3 documents of up to 8 tokens: random
-    labels and misread texts; truth products that share no token, as
-    ``parse_ground_truth`` reads them; groups with clashing ids whose
+    labels and misread texts; truth products that share no description
+    token, as ``build_report`` requires; groups with clashing ids whose
     entities copy a truth product, change one field of it, or are random
     (an empty description among them)."""
     predictions, truth = {}, {}
@@ -475,15 +475,17 @@ def _scoring_corpus(draw):
             source = None if label is EntityLabel.UNTAGGED else LabelSource.MODEL
             truth_tokens.append(Token(tid, variants[0], bbox))
             pred_tokens.append(Token(tid, draw(st.sampled_from(variants)), bbox, label, source))
-        # Each truth product takes its tokens from those no product holds yet.
+        # Each truth product takes its description tokens from those no
+        # product's description holds yet; a scalar may be any token.
         free = draw(st.permutations(range(n)))
+        maybe_id = st.none() | st.integers(0, n - 1)
         truth_products = []
         for _ in range(draw(st.integers(0, 3))):
             if not free:
                 break
-            k = draw(st.integers(1, min(3, len(free))))
+            k = draw(st.integers(1, min(4, len(free))))
             description, free = tuple(free[:k]), free[k:]
-            scalars = [free.pop() if free and draw(st.booleans()) else None for _ in SCALAR_ENTITIES]
+            scalars = [draw(maybe_id) for _ in SCALAR_ENTITIES]
             truth_products.append(Product(description, *scalars))
         groups, assignments = [], []
         for _ in range(draw(st.integers(0, 4))):
